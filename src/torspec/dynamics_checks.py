@@ -34,7 +34,6 @@ from .cone_geometry import (
     torus_radii,
 )
 from .map_algebra import (
-    INF,
     IndeterminatePointError,
     MapWord,
     concat,
@@ -99,13 +98,16 @@ class ConnectorReport:
     reason: Optional[str]
 
 
-def _log_abs(value) -> float:
-    if value is INF:
-        return math.inf
-    r = abs(value)
-    if r == 0.0:
-        return -math.inf
-    return math.log(r)
+def _log_abs(values: np.ndarray) -> np.ndarray:
+    # evaluate returns points at infinity as complex infinity: log|inf| = inf
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(values))
+
+
+def _angle_grid(grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cell-centre angles of a grid x grid torus sample, x1 varying slowest."""
+    angles = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
+    return np.meshgrid(angles, angles, indexing="ij")
 
 
 def _positive_pair(value, name: str) -> Tuple[float, float]:
@@ -153,18 +155,17 @@ def classify_mapping(
     for t in _T_SEARCH if t_search else (1.0,):
         margin_ep = math.inf
         margin_er = math.inf
+        threshold = np.array([[t * Delta[0]], [t * Delta[1]]])
         for sigma in sectors:
-            radii = torus_radii(sigma, (t * delta[0], t * delta[1]))
-            for z in sample_torus(radii, samples):
-                try:
-                    img = evaluate(active, (z[0], z[1]))
-                except IndeterminatePointError:
-                    margin_ep = margin_er = -math.inf
-                    continue
-                logs = (_log_abs(img[0]), _log_abs(img[1]))
-                for i in (0, 1):
-                    margin_ep = min(margin_ep, sigma[i] * logs[i] - t * Delta[i])
-                    margin_er = min(margin_er, -sigma[i] * logs[i] - t * Delta[i])
+            z = sample_torus(torus_radii(sigma, (t * delta[0], t * delta[1])), samples)
+            try:
+                img = evaluate(active, (z[:, 0], z[:, 1]))
+            except IndeterminatePointError:
+                margin_ep = margin_er = -math.inf
+                continue
+            signed = np.array(sigma)[:, None] * _log_abs(np.stack(img))
+            margin_ep = min(margin_ep, float(np.min(signed - threshold)))
+            margin_er = min(margin_er, float(np.min(-signed - threshold)))
         if margin_ep > 0:
             return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
         if margin_er > 0:
@@ -186,37 +187,40 @@ def classify_pair(word, delta, Delta, samples: int = 128, t_search: bool = False
 # ---------------------------------------------------------------------------
 
 _SIGN_TOL = 1e-12
+_MAX_WITNESSES = 16
 
 
-def _sign_normalize(mat: np.ndarray) -> Optional[np.ndarray]:
-    if (mat >= -_SIGN_TOL).all():
-        return mat
-    if (mat <= _SIGN_TOL).all():
-        return -mat
-    return None
+# flip @ J @ flip with flip = diag(1, -1): the mixed-sign cone seen as the same-sign one
+_FLIP_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-def _edge_margin(mat: np.ndarray) -> float:
-    image = mat @ np.array([1.0, 1.0])
-    return float(min(image[0] - 1.0, image[1] - 1.0))
+def _sign_normalize(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per 2x2 matrix of the stack: whether it is sign-definite, and its nonnegative form."""
+    positive = (mats >= -_SIGN_TOL).all(axis=(-2, -1))
+    negative = (mats <= _SIGN_TOL).all(axis=(-2, -1))
+    return positive | negative, mats * np.where(positive, 1.0, -1.0)[..., None, None]
 
 
-def _family_criterion(mats: List[np.ndarray]) -> Optional[str]:
+def _edge_margin(mats: np.ndarray) -> np.ndarray:
+    # expansion of the cone edge vector (1, 1), per matrix
+    image = mats.sum(axis=-1)
+    return np.minimum(image[..., 0] - 1.0, image[..., 1] - 1.0)
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    positive = den > 0.0
+    signed_inf = np.where(num > 0, math.inf, -math.inf)
+    return np.where(positive, num / np.where(positive, den, 1.0), signed_inf)
+
+
+def _family_criterion(mats: np.ndarray) -> Optional[str]:
     # sufficient conditions for uniform cone expansion of a nonnegative family
-    a = min(float(m[0, 0]) for m in mats)
-    d = min(float(m[1, 1]) for m in mats)
-    if a >= 1.0:
+    if mats[..., 0, 0].min() >= 1.0:
         return "first-diagonal-expansion"
-    if d >= 1.0:
+    if mats[..., 1, 1].min() >= 1.0:
         return "second-diagonal-expansion"
-
-    def ratio(num: float, den: float) -> float:
-        if den <= 0.0:
-            return math.inf if num > 0 else -math.inf
-        return num / den
-
-    s1 = max(ratio(1.0 - float(m[0, 0]), float(m[0, 1])) for m in mats)
-    s2 = max(ratio(1.0 - float(m[1, 1]), float(m[1, 0])) for m in mats)
+    s1 = float(_ratio(1.0 - mats[..., 0, 0], mats[..., 0, 1]).max())
+    s2 = float(_ratio(1.0 - mats[..., 1, 1], mats[..., 1, 0]).max())
     if s1 <= 0.0 or s2 <= 0.0 or (s1 != math.inf and s2 != math.inf and s1 * s2 < 1.0):
         return "cross-product-contraction"
     return None
@@ -235,48 +239,34 @@ def check_psec(word, grid: int = 64) -> CertificateReport:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     word = MapWord(word) if not isinstance(word, MapWord) else word
-    inv = inverse(word)
-    flip = np.diag([1.0, -1.0])
-    angles = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
+    x1, x2 = _angle_grid(grid)
 
-    worst = math.inf
-    witnesses: List[dict] = []
-    forward_family: List[np.ndarray] = []
-    sign_ok = True
+    # each family is reduced to what the report needs before the next is built
+    ok_f, fwd = _sign_normalize(lifted_jacobian(word, (x1, x2)))
+    m_f = _edge_margin(fwd)
+    criterion = _family_criterion(fwd) if ok_f.all() else None
+    del fwd
+    ok_b, bwd = _sign_normalize(lifted_jacobian(inverse(word), (x1, x2)) * _FLIP_SIGNS)
+    m_b = _edge_margin(bwd)
 
-    def witness(x, kind, value):
-        if len(witnesses) < 16:
-            witnesses.append({"x": (float(x[0]), float(x[1])), "kind": kind, "value": value})
-
-    for x1 in angles:
-        for x2 in angles:
-            x = (x1, x2)
-            fwd = _sign_normalize(lifted_jacobian(word, x))
-            if fwd is None:
-                sign_ok = False
-                witness(x, "forward-cone-broken", None)
-                continue
-            forward_family.append(fwd)
-            m_f = _edge_margin(fwd)
-            if m_f <= 0:
-                witness(x, "forward-margin", m_f)
-            worst = min(worst, m_f)
-
-            bwd = _sign_normalize(flip @ lifted_jacobian(inv, x) @ flip)
-            if bwd is None:
-                sign_ok = False
-                witness(x, "backward-cone-broken", None)
-                continue
-            m_b = _edge_margin(bwd)
-            if m_b <= 0:
-                witness(x, "backward-margin", m_b)
-            worst = min(worst, m_b)
-
-    criterion = _family_criterion(forward_family) if sign_ok and forward_family else None
-    passed = sign_ok and worst > 0
-    if not sign_ok:
-        worst = -math.inf
-    return CertificateReport(passed, worst, grid, tuple(witnesses), criterion)
+    sign_ok = bool(ok_f.all() and ok_b.all())
+    worst = min(float(m_f.min()), float(m_b.min())) if sign_ok else -math.inf
+    # witnesses in the order a point-by-point scan meets them: point, then side;
+    # a point whose forward cone breaks is not checked backward
+    events = []
+    sides = (("forward", ok_f, m_f, True), ("backward", ok_b, m_b, ok_f))
+    for slot, (side, ok, margin, checked) in enumerate(sides):
+        for p in np.flatnonzero(checked & (~ok | (margin <= 0)))[:_MAX_WITNESSES]:
+            x = (float(x1.flat[p]), float(x2.flat[p]))
+            if ok.flat[p]:
+                found = {"x": x, "kind": side + "-margin", "value": float(margin.flat[p])}
+            else:
+                found = {"x": x, "kind": side + "-cone-broken", "value": None}
+            events.append((int(p), slot, found))
+    events.sort(key=lambda event: event[:2])
+    witnesses = tuple(found for _, _, found in events[:_MAX_WITNESSES])
+    criterion = criterion if sign_ok else None
+    return CertificateReport(sign_ok and worst > 0, worst, grid, witnesses, criterion)
 
 
 # ---------------------------------------------------------------------------
@@ -312,18 +302,13 @@ def find_connecting_torus(
     Delta = _positive_pair(Delta, "Delta")
     word = MapWord(word) if not isinstance(word, MapWord) else word
 
-    angles = 2.0 * math.pi * (np.arange(jac_grid) + 0.5) / jac_grid
-    lo, hi = math.inf, -math.inf
-    for x1 in angles:
-        for x2 in angles:
-            mat = _sign_normalize(lifted_jacobian(word, (x1, x2)))
-            if mat is None:
-                return ConnectorReport(
-                    False, sigma, sigma_tilde, (0.0, 0.0), None, None,
-                    "jacobian-not-sign-definite",
-                )
-            lo = min(lo, float(mat.min()))
-            hi = max(hi, float(mat.max()))
+    ok, mats = _sign_normalize(lifted_jacobian(word, _angle_grid(jac_grid)))
+    if not ok.all():
+        return ConnectorReport(
+            False, sigma, sigma_tilde, (0.0, 0.0), None, None,
+            "jacobian-not-sign-definite",
+        )
+    lo, hi = float(mats.min()), float(mats.max())
 
     dbar = 1.05 * max(delta_tilde[0], delta_tilde[1], Delta[0], Delta[1])
     ratio = max(1.0, (1.0 + hi) / max(lo, 1e-3))
@@ -336,15 +321,14 @@ def find_connecting_torus(
     while t >= 1e-4:
         u = (t * q[0], t * q[1])
         if sigma_tilde[0] * u[0] > delta_tilde[0] and sigma_tilde[1] * u[1] > delta_tilde[1]:
-            margin = math.inf
-            for z in sample_torus((math.exp(u[0]), math.exp(u[1])), samples):
-                try:
-                    img = evaluate(word, (z[0], z[1]))
-                except IndeterminatePointError:
-                    margin = -math.inf
-                    break
-                for i in (0, 1):
-                    margin = min(margin, sigma[i] * _log_abs(img[i]) - Delta[i])
+            z = sample_torus((math.exp(u[0]), math.exp(u[1])), samples)
+            try:
+                img = evaluate(word, (z[:, 0], z[:, 1]))
+            except IndeterminatePointError:
+                margin = -math.inf
+            else:
+                signed = np.array(sigma)[:, None] * _log_abs(np.stack(img))
+                margin = float(np.min(signed - np.array(Delta)[:, None]))
             if margin > 0:
                 return ConnectorReport(True, sigma, sigma_tilde, q, t, margin, None)
         t /= 2.0
@@ -441,12 +425,8 @@ def auto_weight(word, samples: int = 128) -> Tuple[QuadrantWeight, MappingCase]:
 def is_area_preserving(word, grid: int = 64, tol: float = 1e-10) -> Tuple[bool, float]:
     """Whether |det of the lifted derivative| is 1 everywhere, with worst deviation."""
     word = MapWord(word) if not isinstance(word, MapWord) else word
-    angles = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
-    worst = 0.0
-    for x1 in angles:
-        for x2 in angles:
-            det = np.linalg.det(lifted_jacobian(word, (x1, x2)))
-            worst = max(worst, abs(abs(det) - 1.0))
+    det = np.linalg.det(lifted_jacobian(word, _angle_grid(grid)))
+    worst = max(0.0, float(np.max(np.abs(np.abs(det) - 1.0))))
     return worst <= tol, worst
 
 
@@ -456,15 +436,13 @@ def verify_reversing_symmetry(word, h, samples: int = 256, tol: float = 1e-10) -
     h = MapWord(h) if not isinstance(h, MapWord) else h
     conjugated = concat(inverse(h), word, h)
     inv = inverse(word)
-    rng = np.random.default_rng(373)
-    worst = 0.0
-    for _ in range(samples):
-        z = tuple(np.exp(2j * math.pi * rng.random(2)))
-        lhs = evaluate(conjugated, z)
-        rhs = evaluate(inv, z)
-        if INF in lhs or INF in rhs:
-            if lhs != rhs:
-                return False
-            continue
-        worst = max(worst, abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
+    z = np.exp(2j * math.pi * np.random.default_rng(373).random((samples, 2)))
+    lhs = np.stack(evaluate(conjugated, (z[:, 0], z[:, 1])))
+    rhs = np.stack(evaluate(inv, (z[:, 0], z[:, 1])))
+    # a point sent to infinity on either side must land on exactly the same point
+    at_inf = (np.isinf(lhs) | np.isinf(rhs)).any(axis=0)
+    if (lhs != rhs)[:, at_inf].any():
+        return False
+    finite = ~at_inf
+    worst = float(np.max(np.abs(lhs[:, finite] - rhs[:, finite]), initial=0.0))
     return worst <= tol

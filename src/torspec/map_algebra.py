@@ -14,6 +14,8 @@ Words are applied right to left: ``[F, R]`` is the map z -> F(R(z)).
 Evaluation works on the extended coordinates (each component a complex number or
 the point at infinity ``INF``); truly indeterminate configurations (0 * inf,
 0/0, inf/inf) raise ``IndeterminatePointError`` naming the offending atom.
+Evaluation and the Jacobians take whole arrays of points as well as single
+points.
 """
 
 from __future__ import annotations
@@ -232,29 +234,19 @@ def _split_top_level(text: str) -> List[str]:
 
 
 def _expand_sugar(name: str, args: List[str], position: int) -> List[Atom]:
-    if name == "U":
-        if len(args) != 2:
-            raise WordSyntaxError("U takes (k, a)", position)
-        k = _parse_int(args[0], position)
-        a = _parse_complex(args[1], position)
-        if k < 1:
-            raise WordSyntaxError("U requires k >= 1", position)
-        try:
-            return [atom_G(0, a)] + [atom_F()] * k + [atom_R(), atom_G(-a, 0)]
-        except ValueError as exc:
-            raise WordSyntaxError(str(exc), position) from None
-    if name == "W":
-        if len(args) != 2:
-            raise WordSyntaxError("W takes (k, a)", position)
-        k = _parse_int(args[0], position)
-        a = _parse_complex(args[1], position)
-        if k < 1:
-            raise WordSyntaxError("W requires k >= 1", position)
-        try:
-            return [atom_F()] * k + [atom_R(), atom_G(0, a)]
-        except ValueError as exc:
-            raise WordSyntaxError(str(exc), position) from None
-    raise WordSyntaxError(f"unknown atom {name!r}", position)
+    blocks = {"U": u_block, "W": w_block}
+    if name not in blocks:
+        raise WordSyntaxError(f"unknown atom {name!r}", position)
+    if len(args) != 2:
+        raise WordSyntaxError(f"{name} takes (k, a)", position)
+    k = _parse_int(args[0], position)
+    a = _parse_complex(args[1], position)
+    if k < 1:
+        raise WordSyntaxError(f"{name} requires k >= 1", position)
+    try:
+        return blocks[name](k, a)
+    except ValueError as exc:
+        raise WordSyntaxError(str(exc), position) from None
 
 
 def parse_word(text: str) -> MapWord:
@@ -339,97 +331,231 @@ def word_to_text(word: WordLike) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Extended-value arithmetic
+# The word interpreter
 # ---------------------------------------------------------------------------
+#
+# Every evaluation and Jacobian of a word, on one point or on a whole grid,
+# runs through `_walk` over the `_ACTIONS` table.  Values are numpy arrays of
+# one common shape; the scalar API passes 1-element arrays, so a point of a
+# grid call has the same bits as the scalar call at that point.  On the
+# complex side the point at infinity is a boolean mask per coordinate (the
+# value array holds garbage under the mask).  The 2x2 Jacobian travels as two
+# rows and takes the chain rule as row operations.
 
 
-def _is_inf(x: ExtendedValue) -> bool:
-    return x is INF
+class _Walk:
+    """A point part-way through a word: values, infinity masks, Jacobian rows."""
+
+    __slots__ = ("w", "inf", "jac", "index", "fault")
+
+    def __init__(self, w, inf, jac):
+        self.w = w
+        self.inf = inf
+        self.jac = jac
+        self.index = 0
+        self.fault = None
+
+    def flag(self, mask, error: ValueError) -> None:
+        """Remember the first failure of the walk; the caller raises it at the end."""
+        if self.fault is None and np.any(mask):
+            self.fault = error
+
+    def finite(self, *coords: int) -> None:
+        for i in coords:
+            self.flag(self.inf[i], PoleInChainError(f"z{i + 1} is infinite; conjugate by I(k, l) first"))
+
+    def scale_row(self, i: int, factor) -> None:
+        self.jac[i] = [factor * self.jac[i][0], factor * self.jac[i][1]]
 
 
-def _ext_mul(x: ExtendedValue, y: ExtendedValue, atom_index: int) -> ExtendedValue:
-    if _is_inf(x) or _is_inf(y):
-        other = y if _is_inf(x) else x
-        if not _is_inf(other) and other == 0:
-            raise IndeterminatePointError("0 * inf is indeterminate", atom_index)
-        return INF
-    return x * y
+def _swap(s: _Walk, atom: Atom) -> None:
+    s.w.reverse()
+    if s.inf is not None:
+        s.inf.reverse()
+    if s.jac is not None:
+        s.jac.reverse()
 
 
-def _ext_div(x: ExtendedValue, y: ExtendedValue, atom_index: int) -> ExtendedValue:
-    if _is_inf(x) and _is_inf(y):
-        raise IndeterminatePointError("inf / inf is indeterminate", atom_index)
-    if _is_inf(x):
-        return INF
-    if _is_inf(y):
-        return 0j
-    if y == 0:
-        if x == 0:
-            raise IndeterminatePointError("0 / 0 is indeterminate", atom_index)
-        return INF
-    return x / y
+def _complex_F(s: _Walk, atom: Atom) -> None:
+    (w1, w2), (m1, m2) = s.w, s.inf
+    if s.jac is not None:
+        s.finite(0, 1)
+        (j11, j12), (j21, j22) = s.jac
+        s.jac[0] = [w2 * j11 + w1 * j21, w2 * j12 + w1 * j22]
+    zero_inf = (m1 & ~m2 & (w2 == 0)) | (m2 & ~m1 & (w1 == 0))
+    s.flag(zero_inf, IndeterminatePointError("0 * inf is indeterminate", s.index))
+    s.w[0] = w1 * w2
+    s.inf[0] = m1 | m2
 
 
-def _ext_inv(x: ExtendedValue) -> ExtendedValue:
-    if _is_inf(x):
-        return 0j
-    if x == 0:
-        return INF
-    return 1 / x
+def _complex_Finv(s: _Walk, atom: Atom) -> None:
+    (w1, w2), (m1, m2) = s.w, s.inf
+    if s.jac is not None:
+        s.finite(0, 1)
+        s.flag(w2 == 0, PoleInChainError("Finv differentiated at z2 = 0"))
+        (j11, j12), (j21, j22) = s.jac
+        slope = w1 / (w2 * w2)
+        s.jac[0] = [j11 / w2 - slope * j21, j12 / w2 - slope * j22]
+    s.flag(m1 & m2, IndeterminatePointError("inf / inf is indeterminate", s.index))
+    zero_zero = ~m1 & ~m2 & (w1 == 0) & (w2 == 0)
+    s.flag(zero_zero, IndeterminatePointError("0 / 0 is indeterminate", s.index))
+    s.w[0] = np.where(m2, 0j, w1 / w2)
+    s.inf[0] = ~m2 & (m1 | (w2 == 0))
 
 
-def blaschke(a: complex, z: ExtendedValue) -> ExtendedValue:
-    """The disk automorphism b_a(z) = (z - a) / (1 - conj(a) z), extended to infinity."""
-    a = complex(a)
-    if _is_inf(z):
+def _complex_I(s: _Walk, atom: Atom) -> None:
+    for i, bit in enumerate((atom.k, atom.l)):
+        if not bit:
+            continue
+        w, m = s.w[i], s.inf[i]
+        if s.jac is not None:
+            s.finite(i)
+            s.flag(w == 0, PoleInChainError("I(k, l) differentiated at 0"))
+            s.scale_row(i, -1.0 / (w * w))
+        s.w[i] = np.where(m, 0j, 1.0 / w)
+        s.inf[i] = ~m & (w == 0)
+
+
+def _blaschke(a: complex, w, inf):
+    """b_a on masked values, a != 0: (value, infinity mask, denominator)."""
+    den = 1.0 - a.conjugate() * w
+    return np.where(inf, -1 / a.conjugate(), (w - a) / den), ~inf & (den == 0), den
+
+
+def _complex_G(s: _Walk, atom: Atom) -> None:
+    if s.jac is not None:
+        s.finite(0, 1)
+    for i, a in enumerate((atom.a, atom.b)):
         if a == 0:
-            return INF
-        return -1 / a.conjugate()
-    den = 1 - a.conjugate() * z
-    if den == 0:
-        return INF
-    return (z - a) / den
+            continue
+        s.w[i], s.inf[i], den = _blaschke(a, s.w[i], s.inf[i])
+        if s.jac is not None:
+            s.flag(den == 0, PoleInChainError("G differentiated at a pole"))
+            s.scale_row(i, (1.0 - abs(a) ** 2) / (den * den))
 
 
-def blaschke_deriv(a: complex, z: complex) -> complex:
-    """b_a'(z) = (1 - |a|^2) / (1 - conj(a) z)^2 at a finite non-pole point."""
+def _lifted_shear(sign: int):
+    def action(s: _Walk, atom: Atom) -> None:
+        s.w[0] = s.w[0] + sign * s.w[1]
+        if s.jac is not None:
+            (j11, j12), (j21, j22) = s.jac
+            s.jac[0] = [j11 + sign * j21, j12 + sign * j22]
+
+    return action
+
+
+def _lifted_I(s: _Walk, atom: Atom) -> None:
+    for i, bit in enumerate((atom.k, atom.l)):
+        if bit:
+            s.w[i] = -s.w[i]
+            if s.jac is not None:
+                s.jac[i] = [-s.jac[i][0], -s.jac[i][1]]
+
+
+def _lifted_G(s: _Walk, atom: Atom) -> None:
+    for i, a in enumerate((atom.a, atom.b)):
+        if a == 0:
+            continue
+        g, gp = moebius_lift(a, s.w[i])
+        s.w[i] = s.w[i] + g
+        if s.jac is not None:
+            s.scale_row(i, 1.0 + gp)
+
+
+# atom kind -> (action on complex values, action on lifted angles)
+_ACTIONS = {
+    "F": (_complex_F, _lifted_shear(1)),
+    "Finv": (_complex_Finv, _lifted_shear(-1)),
+    "R": (_swap, _swap),
+    "I": (_complex_I, _lifted_I),
+    "G": (_complex_G, _lifted_G),
+}
+
+
+def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
+    """Carry a point (and its Jacobian rows, if asked) through the word.
+
+    `point` is a pair of arrays; `inf` their infinity masks for a complex
+    walk, or None for a walk on lifted angles.  Returns (values, masks,
+    Jacobian rows or None); the first pole or indeterminate configuration
+    met at any point is raised once the walk is over.
+    """
+    lifted = inf is None
+    arrays = np.broadcast_arrays(*point, *(() if lifted else inf))
+    jac = None
+    if jacobian:
+        one, zero = np.ones_like(arrays[0]), np.zeros_like(arrays[0])
+        jac = [[one, zero], [zero, one]]
+    state = _Walk(list(arrays[:2]), None if lifted else list(arrays[2:]), jac)
+    atoms = _atoms(word)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for index in range(len(atoms) - 1, -1, -1):
+            state.index = index
+            _ACTIONS[atoms[index].kind][lifted](state, atoms[index])
+    if state.fault is not None:
+        raise state.fault
+    return state.w, state.inf, state.jac
+
+
+_COMPLEX_INF = complex(math.inf, 0.0)
+
+
+def _extended_in(coords):
+    """Values and infinity masks of extended coordinates, and whether all were scalars.
+
+    A scalar travels as a 1-element array: numpy runs arithmetic on 0-d arrays
+    through its scalar routines, whose complex products round differently from
+    the array loops.  INF and complex infinity both mark the point at infinity.
+    """
+    values, masks = [], []
+    for c in coords:
+        values.append(np.atleast_1d(np.asarray(0j if c is INF else c, dtype=complex)))
+        masks.append(np.full(values[-1].shape, True) if c is INF else np.isinf(values[-1]))
+    return values, masks, all(c is INF or np.ndim(c) == 0 for c in coords)
+
+
+def _extended_out(w, inf, scalar: bool):
+    """Back to the caller's form: INF or a complex for scalars, complex infinity in arrays."""
+    if scalar:
+        return INF if inf[0] else complex(w[0])
+    return np.where(inf, _COMPLEX_INF, w)
+
+
+def _as_extended(z):
+    return _extended_in(z.as_tuple() if isinstance(z, TorusPoint) else z)
+
+
+def _matrix(jac, scalar: bool) -> np.ndarray:
+    """Jacobian rows as one 2x2 array, or a stack of shape point.shape + (2, 2)."""
+    (a, b), (c, d) = jac
+    stack = np.stack((a, b, c, d), axis=-1).reshape(a.shape + (2, 2))
+    return stack[0] if scalar else stack
+
+
+def blaschke(a: complex, z):
+    """The disk automorphism b_a(z) = (z - a) / (1 - conj(a) z), extended to infinity.
+
+    `z` may be an array; there the point at infinity is complex infinity.
+    """
     a = complex(a)
-    den = 1 - a.conjugate() * z
-    return (1 - abs(a) ** 2) / (den * den)
-
-
-def _apply_atom(atom: Atom, z: ExtendedPoint, atom_index: int) -> ExtendedPoint:
-    z1, z2 = z
-    if atom.kind == "F":
-        return (_ext_mul(z1, z2, atom_index), z2)
-    if atom.kind == "Finv":
-        return (_ext_div(z1, z2, atom_index), z2)
-    if atom.kind == "R":
-        return (z2, z1)
-    if atom.kind == "I":
-        w1 = _ext_inv(z1) if atom.k == 1 else z1
-        w2 = _ext_inv(z2) if atom.l == 1 else z2
-        return (w1, w2)
-    # G
-    return (blaschke(atom.a, z1), blaschke(atom.b, z2))
-
-
-def _as_extended(z) -> ExtendedPoint:
-    if isinstance(z, TorusPoint):
-        return z.as_tuple()
-    z1, z2 = z
-    z1 = z1 if _is_inf(z1) else complex(z1)
-    z2 = z2 if _is_inf(z2) else complex(z2)
-    return (z1, z2)
+    (w,), (inf,), scalar = _extended_in((z,))
+    if a != 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w, inf, _ = _blaschke(a, w, inf)
+    return _extended_out(w, inf, scalar)
 
 
 def evaluate(word: WordLike, z) -> ExtendedPoint:
-    """Apply the word to an extended point, rightmost atom first."""
-    atoms = _atoms(word)
-    point = _as_extended(z)
-    for offset, atom in enumerate(reversed(atoms)):
-        point = _apply_atom(atom, point, len(atoms) - 1 - offset)
-    return point
+    """Apply the word to an extended point, rightmost atom first.
+
+    `z` is a TorusPoint or a pair of coordinates, each a complex number, INF,
+    or an array (all arrays broadcast to one shape).  On arrays the point at
+    infinity is complex infinity, in and out, and the call raises
+    IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf.
+    """
+    values, masks, scalar = _as_extended(z)
+    (w1, w2), (m1, m2), _ = _walk(word, values, masks)
+    return (_extended_out(w1, m1, scalar), _extended_out(w2, m2, scalar))
 
 
 def inverse(word: WordLike) -> MapWord:
@@ -452,127 +578,60 @@ def inverse(word: WordLike) -> MapWord:
 # ---------------------------------------------------------------------------
 
 
-def _finite(z: ExtendedValue, what: str) -> complex:
-    if _is_inf(z):
-        raise PoleInChainError(f"{what} is infinite; conjugate by I(k, l) first")
-    return z
-
-
-def _atom_complex_jacobian(atom: Atom, z: ExtendedPoint) -> np.ndarray:
-    z1, z2 = z
-    if atom.kind == "F":
-        z1 = _finite(z1, "z1")
-        z2 = _finite(z2, "z2")
-        return np.array([[z2, z1], [0, 1]], dtype=complex)
-    if atom.kind == "Finv":
-        z1 = _finite(z1, "z1")
-        z2 = _finite(z2, "z2")
-        if z2 == 0:
-            raise PoleInChainError("Finv differentiated at z2 = 0")
-        return np.array([[1 / z2, -z1 / (z2 * z2)], [0, 1]], dtype=complex)
-    if atom.kind == "R":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if atom.kind == "I":
-        entries = []
-        for bit, zc in ((atom.k, z1), (atom.l, z2)):
-            if bit == 0:
-                entries.append(1.0 + 0j)
-            else:
-                zc = _finite(zc, "coordinate")
-                if zc == 0:
-                    raise PoleInChainError("I(k, l) differentiated at 0")
-                entries.append(-1 / (zc * zc))
-        return np.diag(entries).astype(complex)
-    # G
-    z1 = _finite(z1, "z1")
-    z2 = _finite(z2, "z2")
-    for param, zc in ((atom.a, z1), (atom.b, z2)):
-        if 1 - complex(param).conjugate() * zc == 0:
-            raise PoleInChainError("G differentiated at a pole")
-    return np.diag(
-        [blaschke_deriv(atom.a, z1), blaschke_deriv(atom.b, z2)]
-    ).astype(complex)
-
-
 def complex_jacobian(word: WordLike, z) -> np.ndarray:
     """Exact chain-rule Jacobian d(word)/dz at a finite chain of points.
 
     Every intermediate point must be finite and off the atom poles; otherwise
-    PoleInChainError is raised (conjugate by an I(k, l) chart first).
+    PoleInChainError is raised (conjugate by an I(k, l) chart first).  On
+    array input the result has shape z1.shape + (2, 2).
     """
-    atoms = _atoms(word)
-    point = _as_extended(z)
-    jac = np.eye(2, dtype=complex)
-    for offset, atom in enumerate(reversed(atoms)):
-        index = len(atoms) - 1 - offset
-        jac = _atom_complex_jacobian(atom, point) @ jac
-        point = _apply_atom(atom, point, index)
-    return jac
+    values, masks, scalar = _as_extended(z)
+    _, _, jac = _walk(word, values, masks, jacobian=True)
+    return _matrix(jac, scalar)
 
 
-def moebius_lift(a: complex, theta: float) -> Tuple[float, float]:
+def moebius_lift(a: complex, theta):
     """Angular displacement of b_a on the circle and its derivative.
 
     Returns (g, g') with b_a(e^{i theta}) = e^{i (theta + g)} and
-    d/dtheta arg b_a(e^{i theta}) = 1 + g'.  g' > -1 always.
+    d/dtheta arg b_a(e^{i theta}) = 1 + g'.  g' > -1 always.  `theta` may
+    be an array.
     """
     a = complex(a)
     r = abs(a)
-    if r == 0.0:
-        return (0.0, 0.0)
     alpha = cmath.phase(a)
-    c = math.cos(theta - alpha)
-    s = math.sin(theta - alpha)
-    g = 2.0 * math.atan2(r * s, 1.0 - r * c)
+    c = np.cos(theta - alpha)
+    s = np.sin(theta - alpha)
+    g = 2.0 * np.arctan2(r * s, 1.0 - r * c)
     gp = 2.0 * (r * c - r * r) / (1.0 - 2.0 * r * c + r * r)
+    if np.ndim(theta) == 0:
+        return (float(g), float(gp))
     return (g, gp)
 
 
-def _apply_atom_lifted(atom: Atom, x: Tuple[float, float]) -> Tuple[float, float]:
-    x1, x2 = x
-    if atom.kind == "F":
-        return (x1 + x2, x2)
-    if atom.kind == "Finv":
-        return (x1 - x2, x2)
-    if atom.kind == "R":
-        return (x2, x1)
-    if atom.kind == "I":
-        return ((1 - 2 * atom.k) * x1, (1 - 2 * atom.l) * x2)
-    g1, _ = moebius_lift(atom.a, x1)
-    g2, _ = moebius_lift(atom.b, x2)
-    return (x1 + g1, x2 + g2)
+def _as_angles(x):
+    """Angle arrays (a scalar as a 1-element array, see _extended_in) and whether x was scalar."""
+    angles = [np.atleast_1d(np.asarray(c, dtype=float)) for c in (x[0], x[1])]
+    return angles, np.ndim(x[0]) == 0 and np.ndim(x[1]) == 0
 
 
-def evaluate_lifted(word: WordLike, x: Tuple[float, float]) -> Tuple[float, float]:
-    """Apply the lifted (angle-coordinate) word to x in R^2."""
-    point = (float(x[0]), float(x[1]))
-    for atom in reversed(_atoms(word)):
-        point = _apply_atom_lifted(atom, point)
-    return point
+def evaluate_lifted(word: WordLike, x) -> Tuple[float, float]:
+    """Apply the lifted (angle-coordinate) word to x in R^2 (or to arrays of angles)."""
+    angles, scalar = _as_angles(x)
+    (y1, y2), _, _ = _walk(word, angles)
+    if scalar:
+        return (float(y1[0]), float(y2[0]))
+    return (y1, y2)
 
 
-def _atom_lifted_jacobian(atom: Atom, x: Tuple[float, float]) -> np.ndarray:
-    if atom.kind == "F":
-        return np.array([[1.0, 1.0], [0.0, 1.0]])
-    if atom.kind == "Finv":
-        return np.array([[1.0, -1.0], [0.0, 1.0]])
-    if atom.kind == "R":
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
-    if atom.kind == "I":
-        return np.diag([1.0 - 2.0 * atom.k, 1.0 - 2.0 * atom.l])
-    _, gp1 = moebius_lift(atom.a, x[0])
-    _, gp2 = moebius_lift(atom.b, x[1])
-    return np.diag([1.0 + gp1, 1.0 + gp2])
+def lifted_jacobian(word: WordLike, x) -> np.ndarray:
+    """Real 2x2 derivative of the lifted word at angle coordinates x.
 
-
-def lifted_jacobian(word: WordLike, x: Tuple[float, float]) -> np.ndarray:
-    """Real 2x2 derivative of the lifted word at angle coordinates x."""
-    point = (float(x[0]), float(x[1]))
-    jac = np.eye(2)
-    for atom in reversed(_atoms(word)):
-        jac = _atom_lifted_jacobian(atom, point) @ jac
-        point = _apply_atom_lifted(atom, point)
-    return jac
+    On arrays of angles the result has shape x1.shape + (2, 2).
+    """
+    angles, scalar = _as_angles(x)
+    _, _, jac = _walk(word, angles, jacobian=True)
+    return _matrix(jac, scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ Hilbert-Schmidt margin diagnostic, and flat-file export.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -19,10 +18,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cone_geometry import QuadrantWeight
-from .map_algebra import MapWord, PoleInChainError, inverse, orientation
+from .map_algebra import MapWord, _extended_in, _walk, inverse, orientation
 
-_MAGIC = b"TSPECOP1"
-_POLE_TOL = 1e-13
 _BAND_LIMIT = 16
 
 
@@ -46,92 +43,15 @@ def _grid_points(grid: int) -> Tuple[np.ndarray, np.ndarray]:
     return ring[:, None] * np.ones((1, grid)), np.ones((grid, 1)) * ring[None, :]
 
 
-def _apply_word_grid(word: MapWord, z1: np.ndarray, z2: np.ndarray):
-    """Evaluate the word on a full grid at once, guarding Blaschke poles."""
-    w1, w2 = z1, z2
-    for atom in reversed(word.atoms):
-        if atom.kind == "F":
-            w1 = w1 * w2
-        elif atom.kind == "Finv":
-            w1 = w1 / w2
-        elif atom.kind == "R":
-            w1, w2 = w2, w1
-        elif atom.kind == "I":
-            if atom.k:
-                w1 = 1.0 / w1
-            if atom.l:
-                w2 = 1.0 / w2
-        elif atom.kind == "G":
-            for a, which in ((atom.a, 0), (atom.b, 1)):
-                if a == 0:
-                    continue
-                w = w1 if which == 0 else w2
-                den = 1.0 - np.conj(a) * w
-                if np.min(np.abs(den)) < _POLE_TOL:
-                    raise PoleInChainError("grid point hits a Blaschke pole")
-                w = (w - a) / den
-                if which == 0:
-                    w1 = w
-                else:
-                    w2 = w
-        else:
-            raise ValueError(f"unknown atom kind {atom.kind!r}")
-    return w1, w2
-
-
-def _grid_jacobian_det(word: MapWord, z1: np.ndarray, z2: np.ndarray):
-    """Word values and the complex Jacobian determinant on the grid."""
-    w1, w2 = z1, z2
-    one = np.ones_like(z1)
-    zero = np.zeros_like(z1)
-    j11, j12, j21, j22 = one, zero, zero, one.copy()
-    for atom in reversed(word.atoms):
-        if atom.kind == "F":
-            j11, j12 = w2 * j11 + w1 * j21, w2 * j12 + w1 * j22
-            w1 = w1 * w2
-        elif atom.kind == "Finv":
-            j11, j12 = j11 / w2 - (w1 / w2 ** 2) * j21, j12 / w2 - (w1 / w2 ** 2) * j22
-            w1 = w1 / w2
-        elif atom.kind == "R":
-            w1, w2 = w2, w1
-            j11, j12, j21, j22 = j21, j22, j11, j12
-        elif atom.kind == "I":
-            if atom.k:
-                scale = -1.0 / w1 ** 2
-                j11, j12 = scale * j11, scale * j12
-                w1 = 1.0 / w1
-            if atom.l:
-                scale = -1.0 / w2 ** 2
-                j21, j22 = scale * j21, scale * j22
-                w2 = 1.0 / w2
-        elif atom.kind == "G":
-            for a, which in ((atom.a, 0), (atom.b, 1)):
-                if a == 0:
-                    continue
-                w = w1 if which == 0 else w2
-                den = 1.0 - np.conj(a) * w
-                if np.min(np.abs(den)) < _POLE_TOL:
-                    raise PoleInChainError("grid point hits a Blaschke pole")
-                scale = (1.0 - abs(a) ** 2) / den ** 2
-                if which == 0:
-                    j11, j12 = scale * j11, scale * j12
-                    w1 = (w - a) / den
-                else:
-                    j21, j22 = scale * j21, scale * j22
-                    w2 = (w - a) / den
-        else:
-            raise ValueError(f"unknown atom kind {atom.kind!r}")
-    return w1, w2, j11 * j22 - j12 * j21
-
-
 def _assemble_at_grid(word, weight, band, grid, kind, omega):
     z1, z2 = _grid_points(grid)
-    if kind == "composition":
-        t1, t2 = _apply_word_grid(word, z1, z2)
-        symbol = None
-    else:
-        t1, t2, det = _grid_jacobian_det(word, z1, z2)
-        symbol = omega * det * (z1 * z2) / (t1 * t2)
+    # every atom maps the torus to itself, so no point is ever at infinity here
+    values, masks, _ = _extended_in((z1, z2))
+    (t1, t2), _, jac = _walk(word, values, masks, jacobian=kind == "transfer")
+    symbol = None
+    if jac is not None:
+        (j11, j12), (j21, j22) = jac
+        symbol = omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)
     width = 2 * band + 1
     modes = np.arange(-band, band + 1)
     log_nu = weight.log_weight_array(
@@ -327,22 +247,3 @@ def _spectrum_rows(fh, values, plot_data: bool) -> None:
         fh.write("re,im,modulus\n")
         for v in values:
             fh.write("%.17g,%.17g,%.17g\n" % (v.real, v.imag, abs(v)))
-
-
-def write_operator(path, operator: AssembledOperator) -> None:
-    """Binary dump: 8-byte magic, uint32 band, uint32 grid, row-major '<c16'."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", operator.band, operator.grid))
-        fh.write(np.ascontiguousarray(operator.matrix, dtype="<c16").tobytes())
-
-
-def read_operator(path) -> AssembledOperator:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _MAGIC:
-        raise ValueError("not an operator dump")
-    band, grid = struct.unpack("<II", blob[8:16])
-    width = (2 * band + 1) ** 2
-    matrix = np.frombuffer(blob[16:], dtype="<c16").reshape(width, width).copy()
-    return AssembledOperator(matrix, band, grid, "composition", 0.0, True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torspec.dynamics_checks import (
+    CertificateReport,
     CertificationError,
     auto_weight,
     check_psec,
@@ -15,7 +16,17 @@ from torspec.dynamics_checks import (
     is_area_preserving,
     verify_reversing_symmetry,
 )
-from torspec.map_algebra import MapWord, atom_F, atom_G, atom_R, parse_word, psi_word, xi_word
+from torspec.map_algebra import (
+    MapWord,
+    atom_F,
+    atom_G,
+    atom_R,
+    inverse,
+    lifted_jacobian,
+    parse_word,
+    psi_word,
+    xi_word,
+)
 
 CAT3 = parse_word("F . F . R")  # degree matrix [[2, 1], [1, 0]]
 PSI2 = psi_word((1, 1), (0.5, 0.3))
@@ -93,6 +104,117 @@ def test_psec_single_block_sits_on_the_edge():
     report = check_psec(psi_word((1,), (0.5,)), grid=12)
     assert not report.passed
     assert report.margin <= 0
+
+
+# --- per-point references for the whole-grid certificates ------------------
+
+
+def _reference_sign_normalize(mat):
+    if (mat >= -1e-12).all():
+        return mat
+    if (mat <= 1e-12).all():
+        return -mat
+    return None
+
+
+def _reference_edge_margin(mat):
+    image = mat @ np.array([1.0, 1.0])
+    return float(min(image[0] - 1.0, image[1] - 1.0))
+
+
+def _reference_family_criterion(mats):
+    a = min(float(m[0, 0]) for m in mats)
+    d = min(float(m[1, 1]) for m in mats)
+    if a >= 1.0:
+        return "first-diagonal-expansion"
+    if d >= 1.0:
+        return "second-diagonal-expansion"
+
+    def ratio(num, den):
+        if den <= 0.0:
+            return math.inf if num > 0 else -math.inf
+        return num / den
+
+    s1 = max(ratio(1.0 - float(m[0, 0]), float(m[0, 1])) for m in mats)
+    s2 = max(ratio(1.0 - float(m[1, 1]), float(m[1, 0])) for m in mats)
+    if s1 <= 0.0 or s2 <= 0.0 or (s1 != math.inf and s2 != math.inf and s1 * s2 < 1.0):
+        return "cross-product-contraction"
+    return None
+
+
+def _reference_check_psec(word, grid):
+    """check_psec as a loop over grid points, one scalar lifted_jacobian each."""
+    inv = inverse(word)
+    flip = np.diag([1.0, -1.0])
+    angles = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
+    worst = math.inf
+    witnesses = []
+    forward_family = []
+    sign_ok = True
+
+    def witness(x, kind, value):
+        if len(witnesses) < 16:
+            witnesses.append({"x": (float(x[0]), float(x[1])), "kind": kind, "value": value})
+
+    for x1 in angles:
+        for x2 in angles:
+            x = (x1, x2)
+            fwd = _reference_sign_normalize(lifted_jacobian(word, x))
+            if fwd is None:
+                sign_ok = False
+                witness(x, "forward-cone-broken", None)
+                continue
+            forward_family.append(fwd)
+            m_f = _reference_edge_margin(fwd)
+            if m_f <= 0:
+                witness(x, "forward-margin", m_f)
+            worst = min(worst, m_f)
+            bwd = _reference_sign_normalize(flip @ lifted_jacobian(inv, x) @ flip)
+            if bwd is None:
+                sign_ok = False
+                witness(x, "backward-cone-broken", None)
+                continue
+            m_b = _reference_edge_margin(bwd)
+            if m_b <= 0:
+                witness(x, "backward-margin", m_b)
+            worst = min(worst, m_b)
+
+    criterion = _reference_family_criterion(forward_family) if sign_ok and forward_family else None
+    passed = sign_ok and worst > 0
+    if not sign_ok:
+        worst = -math.inf
+    return CertificateReport(passed, worst, grid, tuple(witnesses), criterion)
+
+
+def _reference_area_deviation(word, grid):
+    angles = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
+    worst = 0.0
+    for x1 in angles:
+        for x2 in angles:
+            det = np.linalg.det(lifted_jacobian(word, (x1, x2)))
+            worst = max(worst, abs(abs(det) - 1.0))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "U(1,0.5)",
+        "I11 . U(2,0.4-0.1i)",
+        "U(1,0.5) . U(1,0.3)",
+        "U(2,0.3+0.2i) . U(1,-0.45)",
+        "U(1,0.4) . U(2,-0.2i) . U(1,0.35)",
+        "F . R",
+        "F . Finv . R . G(0.3, 0.1)",
+        "Finv . R . G(0.3, 0.1)",
+        "F . R . F . G(0.5,0.2) . Finv",
+    ],
+)
+def test_grid_certificates_match_pointwise_loops(text):
+    word = parse_word(text)
+    assert check_psec(word, grid=20) == _reference_check_psec(word, 20)
+    worst = _reference_area_deviation(word, 12)
+    assert is_area_preserving(word, grid=12) == (worst <= 1e-10, worst)
 
 
 def test_connecting_torus_for_psi():

@@ -191,6 +191,41 @@ def test_lift_matches_complex_evaluation(word, x1, x2):
     assert abs(cmath.exp(1j * y2) - w[1]) < 1e-7
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(words_strategy, st.lists(st.tuples(angles, angles), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_array_call_matches_pointwise_calls(word, points):
+    # one interpreter serves scalars (as 0-d arrays) and grids: the same bits
+    x1 = np.array([p[0] for p in points])
+    x2 = np.array([p[1] for p in points])
+    z = (np.exp(1j * x1), np.exp(1j * x2))
+    grid_values = evaluate(word, z)
+    grid_lifted = evaluate_lifted(word, (x1, x2))
+    grid_jac = complex_jacobian(word, z)
+    grid_ljac = lifted_jacobian(word, (x1, x2))
+    for i in range(len(points)):
+        zi = (z[0][i], z[1][i])
+        for c in (0, 1):
+            assert _same_bits(grid_values[c][i], evaluate(word, zi)[c])
+            assert _same_bits(grid_lifted[c][i], evaluate_lifted(word, (x1[i], x2[i]))[c])
+        assert _same_bits(grid_jac[i], complex_jacobian(word, zi))
+        assert _same_bits(grid_ljac[i], lifted_jacobian(word, (x1[i], x2[i])))
+
+
+def test_array_evaluation_at_infinity():
+    assert evaluate([atom_Finv()], (2.0, INF)) == (0j, INF)
+    inf = complex(math.inf, 0.0)
+    w = evaluate([atom_G(0.5, 0), atom_I(1, 0)], (np.array([0.0, 1.0, inf]), np.ones(3)))
+    assert w[0][0] == -2 and w[0][1] == 1 and w[0][2] == -0.5
+    with pytest.raises(IndeterminatePointError) as info:
+        evaluate([atom_R(), atom_F()], (np.array([1.0, 0.0]), np.array([2.0, inf])))
+    assert info.value.atom_index == 1
+
+
 def test_torus_point_validates():
     TorusPoint(1j, -1)
     with pytest.raises(ValueError):

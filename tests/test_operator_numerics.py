@@ -9,9 +9,9 @@ import pytest
 from torspec.cone_geometry import QuadrantWeight
 from torspec.dynamics_checks import auto_weight
 from torspec.map_algebra import (
-    TorusPoint,
     atom_I,
     complex_jacobian,
+    evaluate,
     linear_part,
     parse_word,
     psi_word,
@@ -19,15 +19,12 @@ from torspec.map_algebra import (
 from torspec.operator_numerics import (
     AssembledOperator,
     TruncationSizeError,
-    _grid_jacobian_det,
     _grid_points,
     assemble_operator,
     hs_margin,
     match_spectra,
     numeric_trace_power,
     operator_spectrum,
-    read_operator,
-    write_operator,
     write_spectrum_csv,
 )
 from torspec.resonance_theory import (
@@ -88,19 +85,24 @@ def test_identity_word_gives_identity_matrix():
     assert np.allclose(op.matrix, np.eye(49), atol=1e-13)
 
 
-def test_grid_jacobian_matches_scalar_chain():
+def test_grid_jacobian_matches_finite_differences():
+    # the maps are holomorphic, so a real central difference gives d/dz
     words = [
         psi_word((2, 1), (0.4 + 0.2j, -0.3), 0),
         parse_word("G(0.3, -0.2i) . F . R"),
+        parse_word("I10 . Finv . G(0.5i, 0.2) . R . F"),
     ]
-    z1, z2 = _grid_points(4)
+    z1, z2 = _grid_points(8)
+    h = 1e-6
     for word in words:
-        t1, t2, det = _grid_jacobian_det(word, z1, z2)
-        for i in range(4):
-            for j in range(4):
-                jac = complex_jacobian(word, TorusPoint(z1[i, j], z2[i, j]))
-                want = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-                assert abs(det[i, j] - want) < 1e-12
+        det = np.linalg.det(complex_jacobian(word, (z1, z2)))
+        columns = []
+        for dz1, dz2 in ((h, 0.0), (0.0, h)):
+            plus = evaluate(word, (z1 + dz1, z2 + dz2))
+            minus = evaluate(word, (z1 - dz1, z2 - dz2))
+            columns.append([(p - m) / (2 * h) for p, m in zip(plus, minus)])
+        (a, c), (b, d) = columns
+        assert np.abs(det - (a * d - b * c)).max() < 1e-7
 
 
 def test_closed_form_spectrum_matches_truncation(psi_operator):
@@ -161,19 +163,6 @@ def test_hs_margin_sign():
     assert hs_margin(weight, ((1, 0), (0, 1))) == 0.0
     with pytest.raises(ValueError):
         hs_margin(weight, ((1, 0, 0), (0, 1, 0)))
-
-
-def test_operator_roundtrip(tmp_path, psi_operator):
-    _, _, op = psi_operator
-    path = tmp_path / "op.bin"
-    write_operator(path, op)
-    back = read_operator(path)
-    assert back.band == op.band and back.grid == op.grid
-    assert np.array_equal(back.matrix, op.matrix)
-    with pytest.raises(ValueError):
-        path2 = tmp_path / "junk.bin"
-        path2.write_bytes(b"NOTMAGIC" + b"\0" * 24)
-        read_operator(path2)
 
 
 def test_spectrum_csv(tmp_path):
