@@ -137,7 +137,7 @@ def _parse_matrix(text: str):
         not isinstance(raw, list)
         or len(raw) != 2
         or any(not isinstance(row, list) or len(row) != 2 for row in raw)
-        or any(not isinstance(v, int) for row in raw for v in row)
+        or any(not isinstance(v, int) or isinstance(v, bool) for row in raw for v in row)
     ):
         raise ValueError("matrix must be a 2x2 array of integers")
     return ((raw[0][0], raw[0][1]), (raw[1][0], raw[1][1]))
@@ -218,6 +218,8 @@ def _resonance_payload(word, weight, cases, data, model, cutoff, tuned) -> dict:
 
 
 def _cmd_resonances(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
     word = parse_word(args.word)
     try:
         weight, cases, tuned = _resolve_weight(word, args.weight, need_cases=True)

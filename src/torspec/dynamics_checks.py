@@ -117,6 +117,21 @@ def _positive_pair(value, name: str) -> Tuple[float, float]:
     return pair
 
 
+def _signed_log_images(word, tori, samples: int) -> Optional[np.ndarray]:
+    """sigma_i log|image_i| of the word at `samples` points of each (radii, sigma) torus.
+
+    One evaluate call covers every torus.  Returns shape (len(tori), 2,
+    samples), or None when any sample point is indeterminate.
+    """
+    z = np.concatenate([sample_torus(radii, samples) for radii, _ in tori])
+    try:
+        img = evaluate(word, (z[:, 0], z[:, 1]))
+    except IndeterminatePointError:
+        return None
+    logs = _log_abs(np.stack(img)).reshape(2, len(tori), samples).swapaxes(0, 1)
+    return np.array([sigma for _, sigma in tori])[:, :, None] * logs
+
+
 _T_SEARCH = tuple(0.5 * 2.0 ** (-j) for j in range(12))
 
 
@@ -153,33 +168,21 @@ def classify_mapping(
 
     last = None
     for t in _T_SEARCH if t_search else (1.0,):
-        margin_ep = math.inf
-        margin_er = math.inf
-        threshold = np.array([[t * Delta[0]], [t * Delta[1]]])
-        for sigma in sectors:
-            z = sample_torus(torus_radii(sigma, (t * delta[0], t * delta[1])), samples)
-            try:
-                img = evaluate(active, (z[:, 0], z[:, 1]))
-            except IndeterminatePointError:
-                margin_ep = margin_er = -math.inf
-                continue
-            signed = np.array(sigma)[:, None] * _log_abs(np.stack(img))
-            margin_ep = min(margin_ep, float(np.min(signed - threshold)))
-            margin_er = min(margin_er, float(np.min(-signed - threshold)))
+        scaled = (t * delta[0], t * delta[1])
+        signed = _signed_log_images(active, [(torus_radii(s, scaled), s) for s in sectors], samples)
+        if signed is None:
+            margin_ep = margin_er = -math.inf
+        else:
+            # worst slack per sector, then over sectors (Python's min drops a NaN sector)
+            threshold = np.array([[t * Delta[0]], [t * Delta[1]]])
+            margin_ep = min(math.inf, *(signed - threshold).min(axis=(1, 2)).tolist())
+            margin_er = min(math.inf, *(-signed - threshold).min(axis=(1, 2)).tolist())
         if margin_ep > 0:
             return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
         if margin_er > 0:
             return CaseEntry(ell, "ER", delta, Delta, t, margin_er)
         last = CaseEntry(ell, "FAIL", delta, Delta, t, max(margin_ep, margin_er))
     return last
-
-
-def classify_pair(word, delta, Delta, samples: int = 128, t_search: bool = False) -> MappingCase:
-    """Classification of the word (forward) and its inverse (backward)."""
-    return MappingCase(
-        forward=classify_mapping(word, 1, delta, Delta, samples, t_search),
-        backward=classify_mapping(word, -1, delta, Delta, samples, t_search),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +324,8 @@ def find_connecting_torus(
     while t >= 1e-4:
         u = (t * q[0], t * q[1])
         if sigma_tilde[0] * u[0] > delta_tilde[0] and sigma_tilde[1] * u[1] > delta_tilde[1]:
-            z = sample_torus((math.exp(u[0]), math.exp(u[1])), samples)
-            try:
-                img = evaluate(word, (z[:, 0], z[:, 1]))
-            except IndeterminatePointError:
-                margin = -math.inf
-            else:
-                signed = np.array(sigma)[:, None] * _log_abs(np.stack(img))
-                margin = float(np.min(signed - np.array(Delta)[:, None]))
+            signed = _signed_log_images(word, [((math.exp(u[0]), math.exp(u[1])), sigma)], samples)
+            margin = -math.inf if signed is None else float(np.min(signed - np.array(Delta)[:, None]))
             if margin > 0:
                 return ConnectorReport(True, sigma, sigma_tilde, q, t, margin, None)
         t /= 2.0
@@ -361,50 +358,40 @@ def _perron_shape(mat: np.ndarray) -> Optional[Tuple[float, float]]:
     return (float(v[0]), float(v[1]))
 
 
-def _tune_direction(word, ell: int, shapes, samples: int) -> CaseEntry:
-    entry = None
-    for shape in shapes:
-        delta = shape
-        Delta = (1.05 * shape[0], 1.05 * shape[1])
-        entry = classify_mapping(word, ell, delta, Delta, samples=samples, t_search=True)
-        if entry.case != "FAIL":
-            return entry
-    return entry
-
-
 def resolve_cases(word, samples: int = 128) -> MappingCase:
     """Certified forward and backward case entries, tuning the sector shapes.
 
     For words with no disk-automorphism factors the trial shapes start from
     the dominant eigendirections of the degree matrix (and of its
     sign-conjugated inverse); otherwise a short list of fixed shapes is
-    scanned, each with a halving scale search.  Raises CertificationError if
-    either direction stays unclassified.
+    scanned, each with a halving scale search.  Raises CertificationError at
+    the first direction, forward then backward, that stays unclassified.
     """
     word = MapWord(word) if not isinstance(word, MapWord) else word
     reduced = simplify(word)
     shapes_f: List[Tuple[float, float]] = list(_FALLBACK_SHAPES)
     shapes_b: List[Tuple[float, float]] = list(_FALLBACK_SHAPES)
     if all(atom.kind != "G" for atom in reduced):
-        a = linear_part(reduced)
-        det = int(a[0, 0]) * int(a[1, 1]) - int(a[0, 1]) * int(a[1, 0])
-        adj = np.array([[int(a[1, 1]), -int(a[0, 1])], [-int(a[1, 0]), int(a[0, 0])]])
-        a_inv = det * adj  # det is +-1
-        shape_f = _perron_shape(a)
-        shape_b = _perron_shape(np.diag([1, -1]) @ a_inv @ np.diag([-1, 1]))
+        shape_f = _perron_shape(linear_part(reduced))
+        shape_b = _perron_shape(np.diag([1, -1]) @ linear_part(inverse(reduced)) @ np.diag([-1, 1]))
         if shape_f is not None:
             shapes_f.insert(0, shape_f)
         if shape_b is not None:
             shapes_b.insert(0, shape_b)
-    fwd = _tune_direction(word, 1, shapes_f, samples)
-    bwd = _tune_direction(word, -1, shapes_b, samples)
-    if fwd.case == "FAIL" or bwd.case == "FAIL":
-        failed = "forward" if fwd.case == "FAIL" else "backward"
-        raise CertificationError(
-            f"could not certify the {failed} sector mapping for this word; "
-            "supply explicit weight scales or check hyperbolicity"
-        )
-    return MappingCase(fwd, bwd)
+    entries = []
+    for ell, name, shapes in ((1, "forward", shapes_f), (-1, "backward", shapes_b)):
+        for shape in shapes:
+            Delta = (1.05 * shape[0], 1.05 * shape[1])
+            entry = classify_mapping(word, ell, shape, Delta, samples=samples, t_search=True)
+            if entry.case != "FAIL":
+                break
+        else:
+            raise CertificationError(
+                f"could not certify the {name} sector mapping for this word; "
+                "supply explicit weight scales or check hyperbolicity"
+            )
+        entries.append(entry)
+    return MappingCase(*entries)
 
 
 def auto_weight(word, samples: int = 128) -> Tuple[QuadrantWeight, MappingCase]:

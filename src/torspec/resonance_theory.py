@@ -468,8 +468,11 @@ def embedding_gaps(alpha, gamma, alpha_out, gamma_out) -> Tuple[Tuple[float, flo
 
     The target weight must grow strictly faster on same-sign quadrants
     (alpha_out > alpha) and fall strictly slower on mixed ones
-    (gamma_out < gamma), otherwise the inclusion is not compact.
+    (gamma_out < gamma), otherwise the inclusion is not compact.  All rates
+    must be finite.
     """
+    if not all(math.isfinite(float(v)) for rates in (alpha, gamma, alpha_out, gamma_out) for v in rates):
+        raise ValueError("weight rates must be finite")
     same = tuple(float(b) - float(a) for a, b in zip(alpha, alpha_out))
     mixed = tuple(float(a) - float(b) for a, b in zip(gamma, gamma_out))
     if min(same) <= 0.0 or min(mixed) <= 0.0:

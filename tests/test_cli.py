@@ -83,6 +83,13 @@ def test_resonances_verify_mismatch_exit_4(capsys):
     assert report["verify"]["verified"] is False
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+def test_resonances_rejects_bad_tolerance(capsys, tolerance):
+    code = cli.main(["resonances", "--word", "F . R", "--verify", "--tolerance", tolerance])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_check_psi_passes(capsys):
     code, report = run_json(capsys, "check", "--word", "U(2,0.4) . U(1,0.2)", "--grid", "16")
     assert code == 0
@@ -128,6 +135,7 @@ def test_reduce_rejects_parabolic(capsys):
 def test_reduce_rejects_bad_json(capsys):
     assert cli.main(["reduce", "--matrix", "[[2,1],[1"]) == 2
     assert cli.main(["reduce", "--matrix", "[[2.5,1],[1,1]]"]) == 2
+    assert cli.main(["reduce", "--matrix", "[[2,1],[1,true]]"]) == 2
 
 
 def test_build_stretched(capsys):
@@ -198,11 +206,12 @@ def test_embed_report(capsys):
 
 
 def test_embed_rejects_nonpositive_gap(capsys):
-    code = cli.main([
-        "embed", "--alpha", "0.2,0.2", "--gamma", "0.2,0.2",
-        "--alpha-out", "0.4,0.4", "--gamma-out", "0.4,0.4",
-    ])
-    assert code == 2
+    for alpha, gamma_out in (("0.2,0.2", "0.4,0.4"), ("nan,0.3", "0.1,0.1"), ("0.2,0.2", "0.1,-inf")):
+        code = cli.main([
+            "embed", "--alpha", alpha, "--gamma", "0.2,0.2",
+            "--alpha-out", "0.4,0.4", "--gamma-out", gamma_out,
+        ])
+        assert code == 2
 
 
 def test_reports_byte_stable(tmp_path):

@@ -5,26 +5,35 @@ import math
 import numpy as np
 import pytest
 
+from torspec import dynamics_checks
+from torspec.cone_geometry import mixed_sectors, same_sign_sectors, sample_torus, torus_radii
 from torspec.dynamics_checks import (
+    CaseEntry,
     CertificateReport,
     CertificationError,
+    MappingCase,
     auto_weight,
     check_psec,
     classify_mapping,
-    classify_pair,
     find_connecting_torus,
     is_area_preserving,
+    resolve_cases,
     verify_reversing_symmetry,
 )
+from torspec.gl2z import build_homotopic_map
 from torspec.map_algebra import (
+    IndeterminatePointError,
     MapWord,
     atom_F,
     atom_G,
     atom_R,
+    evaluate,
     inverse,
     lifted_jacobian,
+    linear_part,
     parse_word,
     psi_word,
+    simplify,
     xi_word,
 )
 
@@ -71,11 +80,12 @@ def test_equal_shape_cannot_certify_cat():
 
 
 def test_classify_psi_both_directions():
-    pair = classify_pair(PSI2, (0.2, 0.2), (0.21, 0.21), samples=96, t_search=True)
-    assert pair.forward.case == "EP"
-    assert pair.backward.case == "EP"
-    assert pair.forward.margin > 0
-    assert pair.backward.margin > 0
+    forward = classify_mapping(PSI2, 1, (0.2, 0.2), (0.21, 0.21), samples=96, t_search=True)
+    backward = classify_mapping(PSI2, -1, (0.2, 0.2), (0.21, 0.21), samples=96, t_search=True)
+    assert forward.case == "EP"
+    assert backward.case == "EP"
+    assert forward.margin > 0
+    assert backward.margin > 0
 
 
 def test_classify_psi_with_antipode_reflects():
@@ -282,6 +292,107 @@ def test_auto_weight_psi():
     assert case.forward.case == "EP"
     assert case.backward.case == "EP"
     assert min(weight.alpha) > 0 and min(weight.gamma) > 0
+
+
+# --- per-sector references for the weight tuning ---------------------------
+
+
+def _reference_classify_mapping(word, ell, delta, Delta, samples=128, t_search=False):
+    """classify_mapping with one evaluate call and one log-radius test per sector."""
+    delta, Delta = tuple(map(float, delta)), tuple(map(float, Delta))
+    sectors = same_sign_sectors() if ell == 1 else mixed_sectors()
+    active = word if ell == 1 else inverse(word)
+    last = None
+    for t in [0.5 * 2.0 ** (-j) for j in range(12)] if t_search else [1.0]:
+        margin_ep = margin_er = math.inf
+        threshold = np.array([[t * Delta[0]], [t * Delta[1]]])
+        for sigma in sectors:
+            z = sample_torus(torus_radii(sigma, (t * delta[0], t * delta[1])), samples)
+            try:
+                img = evaluate(active, (z[:, 0], z[:, 1]))
+            except IndeterminatePointError:
+                margin_ep = margin_er = -math.inf
+                continue
+            with np.errstate(divide="ignore"):
+                signed = np.array(sigma)[:, None] * np.log(np.abs(np.stack(img)))
+            margin_ep = min(margin_ep, float(np.min(signed - threshold)))
+            margin_er = min(margin_er, float(np.min(-signed - threshold)))
+        if margin_ep > 0:
+            return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
+        if margin_er > 0:
+            return CaseEntry(ell, "ER", delta, Delta, t, margin_er)
+        last = CaseEntry(ell, "FAIL", delta, Delta, t, max(margin_ep, margin_er))
+    return last
+
+
+def _reference_resolve_cases(word, samples=128):
+    """resolve_cases that tunes both directions in full, then judges them."""
+    shapes = {1: list(dynamics_checks._FALLBACK_SHAPES), -1: list(dynamics_checks._FALLBACK_SHAPES)}
+    reduced = simplify(word)
+    if all(atom.kind != "G" for atom in reduced):
+        a = linear_part(reduced)
+        det = int(a[0, 0]) * int(a[1, 1]) - int(a[0, 1]) * int(a[1, 0])
+        a_inv = det * np.array([[int(a[1, 1]), -int(a[0, 1])], [-int(a[1, 0]), int(a[0, 0])]])
+        for ell, mat in ((1, a), (-1, np.diag([1, -1]) @ a_inv @ np.diag([-1, 1]))):
+            shape = dynamics_checks._perron_shape(mat)
+            if shape is not None:
+                shapes[ell].insert(0, shape)
+    entries = {}
+    for ell in (1, -1):
+        for shape in shapes[ell]:
+            entry = _reference_classify_mapping(
+                word, ell, shape, (1.05 * shape[0], 1.05 * shape[1]), samples, t_search=True
+            )
+            if entry.case != "FAIL":
+                break
+        entries[ell] = entry
+    for ell, name in ((1, "forward"), (-1, "backward")):
+        if entries[ell].case == "FAIL":
+            return name
+    return MappingCase(entries[1], entries[-1])
+
+
+TUNING_WORDS = [
+    psi_word((1,), (0.5,)),
+    PSI2,
+    psi_word((2, 1, 1), (0.4, -0.2j, 0.35)),
+    parse_word("I11 . U(2,0.4) . U(1,0.1)"),
+    CAT3,
+    build_homotopic_map([[1, 1], [2, 1]], "stretched", eta=1.0).word,
+    build_homotopic_map([[2, 1], [1, 1]], "stretched", eta=1.0).word,
+    build_homotopic_map([[0, 1], [-1, 3]], "exponential", eta=1.0).word,  # backward fails
+    parse_word("F"),  # forward fails
+]
+
+
+@pytest.mark.parametrize("index", range(len(TUNING_WORDS)))
+def test_tuning_matches_per_sector_reference(index):
+    word = TUNING_WORDS[index]
+    for shape in ((0.2, 0.2), (0.2, 0.1)):
+        Delta = (1.05 * shape[0], 1.05 * shape[1])
+        for ell in (1, -1):
+            for t_search in (False, True):
+                got = classify_mapping(word, ell, shape, Delta, samples=64, t_search=t_search)
+                assert got == _reference_classify_mapping(word, ell, shape, Delta, 64, t_search)
+    expected = _reference_resolve_cases(word, samples=64)
+    if isinstance(expected, MappingCase):
+        assert resolve_cases(word, samples=64) == expected
+    else:
+        with pytest.raises(CertificationError, match=f"could not certify the {expected} sector"):
+            resolve_cases(word, samples=64)
+
+
+def test_tuning_stops_at_the_failed_forward_direction(monkeypatch):
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(args[1])
+        return classify_mapping(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics_checks, "classify_mapping", recorder)
+    with pytest.raises(CertificationError, match="forward"):
+        resolve_cases(parse_word("F"), samples=16)
+    assert calls and -1 not in calls
 
 
 def test_auto_weight_rejects_parabolic_word():
