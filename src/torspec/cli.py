@@ -194,8 +194,7 @@ def _certificate_dict(report) -> dict:
     }
 
 
-def _resonance_payload(word, weight, cases, data, model, cutoff, tuned) -> dict:
-    entries = enumerate_eigenvalues(model, cutoff)
+def _resonance_payload(word, weight, cases, data, model, cutoff, entries, tuned) -> dict:
     d, eta = decay_classification(model)
     return {
         "schema": SCHEMA,
@@ -236,13 +235,14 @@ def _cmd_resonances(args) -> int:
 
     data = all_fixed_point_data(word, cases)
     model = spectrum_model_from_fixed_points(data, orientation(word))
-    report = _resonance_payload(word, weight, cases, data, model, args.cutoff, tuned)
+    entries = enumerate_eigenvalues(model, args.cutoff)
+    report = _resonance_payload(word, weight, cases, data, model, args.cutoff, entries, tuned)
 
     code = EXIT_OK
     if args.verify:
         operator = assemble_operator(word, weight, args.band, force=args.force)
         computed = operator_spectrum(operator)
-        match = match_spectra(enumerate_eigenvalues(model, args.cutoff), computed, floor=args.cutoff)
+        match = match_spectra(entries, computed, floor=args.cutoff)
         # computed strays below twice the cutoff are truncation noise, not a mismatch
         strays = [c for c in match.unmatched_computed if abs(c) >= 2.0 * args.cutoff]
         verified = (
@@ -302,6 +302,7 @@ def _cmd_build(args) -> int:
     weight, cases = auto_weight(word)
     data = all_fixed_point_data(word, cases)
     model = spectrum_model_from_fixed_points(data, orientation(word))
+    entries = enumerate_eigenvalues(model, args.cutoff)
     report = {
         "schema": SCHEMA,
         "matrix": [list(row) for row in matrix],
@@ -316,7 +317,7 @@ def _cmd_build(args) -> int:
             "factors": list(built.standard_form.factors),
             "conjugator": [list(row) for row in built.standard_form.conjugator],
         },
-        "report": _resonance_payload(word, weight, cases, data, model, args.cutoff, True),
+        "report": _resonance_payload(word, weight, cases, data, model, args.cutoff, entries, True),
     }
     _emit(report, args.out)
     return EXIT_OK
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true", help="also diagonalize a truncated operator")
     p.add_argument("--band", type=int, default=10, help="truncation band for --verify")
     p.add_argument("--tolerance", type=float, default=1e-6, help="relative tolerance for --verify matches")
-    p.add_argument("--force", action="store_true", help="allow bands above the dense-solve guard")
+    p.add_argument("--force", action="store_true", help="allow bands above 16, where assembly time and memory grow fast")
     add_out(p)
     p.set_defaults(func=_cmd_resonances)
 
@@ -414,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", type=int, default=8)
     p.add_argument("--weight", default="auto", help="'auto' or explicit a1,a2,g1,g2")
     p.add_argument("--kind", default="composition", choices=("composition", "transfer"))
-    p.add_argument("--force", action="store_true", help="allow bands above the dense-solve guard")
+    p.add_argument("--force", action="store_true", help="allow bands above 16, where assembly time and memory grow fast")
     p.add_argument("--plot-data", help="also write index/modulus/sqrt-index/-log columns to this file")
     p.add_argument("--out", help="write the CSV to this file instead of stdout")
     p.set_defaults(func=_cmd_spectrum)
@@ -435,18 +436,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TargetInfeasible) as exc:
-        print(f"torspec: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ArithmeticError as exc:
+    except (ValueError, TargetInfeasible, ArithmeticError, OSError) as exc:
         print(f"torspec: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CertificationError as exc:
         print(f"torspec: certification failed: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except OSError as exc:
-        print(f"torspec: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

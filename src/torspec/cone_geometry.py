@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ Sigma = Tuple[int, int]
 SIGMAS: Tuple[Sigma, ...] = ((-1, -1), (1, 1), (-1, 1), (1, -1))
 
 _KEY_OF_SIGMA = {(-1, -1): "--", (1, 1): "++", (-1, 1): "-+", (1, -1): "+-"}
-_SIGMA_OF_KEY = {v: k for k, v in _KEY_OF_SIGMA.items()}
 
 
 def sigma_key(sigma: Sigma) -> str:
@@ -35,13 +34,6 @@ def sigma_key(sigma: Sigma) -> str:
         return _KEY_OF_SIGMA[tuple(sigma)]
     except KeyError:
         raise ValueError(f"not a sign pair: {sigma!r}") from None
-
-
-def sigma_from_key(key: str) -> Sigma:
-    try:
-        return _SIGMA_OF_KEY[key]
-    except KeyError:
-        raise ValueError(f"not a sector key: {key!r}") from None
 
 
 def ell(sigma: Sigma) -> int:
@@ -190,36 +182,8 @@ class QuadrantWeight:
 
 
 # ---------------------------------------------------------------------------
-# Polydisk sector domains and distinguished tori
+# Distinguished tori of the sector domains
 # ---------------------------------------------------------------------------
-
-
-def _log_radii(z) -> np.ndarray:
-    r1, r2 = abs(complex(z[0])), abs(complex(z[1]))
-    if r1 == 0 or r2 == 0:
-        raise ValueError("domain membership needs both coordinates nonzero and finite")
-    return np.array([math.log(r1), math.log(r2)])
-
-
-def in_domain(z, sigma: Sigma, delta, basis=None) -> bool:
-    """Membership in the sector domain: sigma_i <W_i, log|z|> > delta_i, W = (P^T)^{-1}."""
-    p = _as_basis(basis).astype(float)
-    w = np.linalg.inv(p.T)
-    u = w @ _log_radii(z)
-    return bool(sigma[0] * u[0] > delta[0] and sigma[1] * u[1] > delta[1])
-
-
-def domain_margin(z, sigma: Sigma, delta, basis=None) -> float:
-    """min_i (sigma_i <W_i, log|z|> - delta_i); positive inside the domain."""
-    p = _as_basis(basis).astype(float)
-    w = np.linalg.inv(p.T)
-    u = w @ _log_radii(z)
-    return min(sigma[0] * u[0] - float(delta[0]), sigma[1] * u[1] - float(delta[1]))
-
-
-def dual_domain(sigma: Sigma, delta) -> Tuple[Sigma, Tuple[float, float]]:
-    """Parameters of the reflected domain: the dual of (sigma, delta) is (-sigma, -delta)."""
-    return ((-sigma[0], -sigma[1]), (-float(delta[0]), -float(delta[1])))
 
 
 def torus_radii(sigma: Sigma, delta, basis=None) -> Tuple[float, float]:
@@ -247,14 +211,3 @@ def sample_torus(radii, count: int) -> np.ndarray:
     out[:, 0] = float(radii[0]) * np.exp(1j * t1)
     out[:, 1] = float(radii[1]) * np.exp(1j * t2)
     return out
-
-
-def grid_torus(radii, per_axis: int) -> np.ndarray:
-    """Full (per_axis^2, 2) grid sample of a 2-torus with the given radii."""
-    if per_axis < 1:
-        raise ValueError("per_axis must be positive")
-    t = 2.0 * math.pi * (np.arange(per_axis) + 0.5) / per_axis
-    z1 = float(radii[0]) * np.exp(1j * t)
-    z2 = float(radii[1]) * np.exp(1j * t)
-    a, b = np.meshgrid(z1, z2, indexing="ij")
-    return np.stack([a.ravel(), b.ravel()], axis=1)

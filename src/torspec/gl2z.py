@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .map_algebra import (
     MapWord,
+    _mat2_mul,
     atom_F,
     atom_Finv,
     atom_I,
@@ -59,19 +60,6 @@ def _det(m: Mat) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def _mul(x: Mat, y: Mat) -> Mat:
-    return (
-        (
-            x[0][0] * y[0][0] + x[0][1] * y[1][0],
-            x[0][0] * y[0][1] + x[0][1] * y[1][1],
-        ),
-        (
-            x[1][0] * y[0][0] + x[1][1] * y[1][0],
-            x[1][0] * y[0][1] + x[1][1] * y[1][1],
-        ),
-    )
-
-
 def _inv(m: Mat) -> Mat:
     d = _det(m)
     if d == 1:
@@ -110,7 +98,7 @@ class StandardForm:
     def standard_matrix(self) -> Mat:
         out = _IDENT
         for k in self.factors:
-            out = _mul(out, _block(k))
+            out = _mat2_mul(out, _block(k))
         if self.sign_flips:
             out = _neg(out)
         return out
@@ -169,7 +157,7 @@ def reduce(m) -> StandardForm:
             # corner form [[a,1],[-1,0]]: one explicit shear conjugation
             shear = ((1, 0), (1, 1))
             factors = (1, a - 2)
-            acc = _mul(acc, _inv(shear))
+            acc = _mat2_mul(acc, _inv(shear))
             break
         # continued-fraction step on the expanding fixed direction
         p = a - d
@@ -180,12 +168,12 @@ def reduce(m) -> StandardForm:
         if q2 < 0 and t % q2 == 0:
             k -= 1
         g = _block(k)
-        x = _mul(_mul(_inv(g), x), g)
-        acc = _mul(acc, g)
+        x = _mat2_mul(_mat2_mul(_inv(g), x), g)
+        acc = _mat2_mul(acc, g)
     if factors is None:
         raise ArithmeticError("standard-form reduction did not terminate")
     result = StandardForm(s, factors, _inv(acc))
-    reassembled = _mul(_mul(result.conjugator, original), _inv(result.conjugator))
+    reassembled = _mat2_mul(_mat2_mul(result.conjugator, original), _inv(result.conjugator))
     if reassembled != result.standard_matrix():
         raise ArithmeticError("standard-form certification failed")
     return result
@@ -231,7 +219,7 @@ def random_hyperbolic(rng, entry_bound: int = 50) -> Mat:
         n = rng.randrange(1, 5)
         core = _IDENT
         for _ in range(n):
-            core = _mul(core, _block(rng.randrange(1, 4)))
+            core = _mat2_mul(core, _block(rng.randrange(1, 4)))
         conj = _IDENT
         for _ in range(rng.randrange(0, 5)):
             kind = rng.randrange(3)
@@ -242,8 +230,8 @@ def random_hyperbolic(rng, entry_bound: int = 50) -> Mat:
                 g = ((1, 0), (k, 1))
             else:
                 g = ((0, 1), (1, 0))
-            conj = _mul(conj, g)
-        m = _mul(_mul(_inv(conj), core), conj)
+            conj = _mat2_mul(conj, g)
+        m = _mat2_mul(_mat2_mul(_inv(conj), core), conj)
         if rng.randrange(2):
             m = _neg(m)
         if max(abs(e) for row in m for e in row) <= entry_bound:

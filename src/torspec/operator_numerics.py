@@ -21,10 +21,18 @@ from .cone_geometry import QuadrantWeight
 from .map_algebra import MapWord, _extended_in, _walk, inverse, orientation
 
 _BAND_LIMIT = 16
+_TOL = 1e-8
+_MAX_DOUBLINGS = 3
 
 
 class TruncationSizeError(ValueError):
-    """Band too large for a dense solve without an explicit override."""
+    """Band too large to assemble without an explicit override.
+
+    Assembly time and memory, not the dense eigensolve, grow fast with the
+    band.  For U(1,0.4) . U(1,0.3) at band 16 (2-core machine, one BLAS
+    thread) assembly up to grid 256 took 5.8 s and the eigensolve of the
+    snapped matrix, 18% nonzero, took 0.09 s.
+    """
 
 
 @dataclass(frozen=True)
@@ -77,17 +85,16 @@ def assemble_operator(
     weight: QuadrantWeight,
     band: int,
     kind: str = "composition",
-    tol: float = 1e-8,
-    max_doublings: int = 3,
     force: bool = False,
 ) -> AssembledOperator:
     """Matrix of the (transfer or composition) operator on the mode band.
 
     Modes n with max(|n1|, |n2|) <= band are ordered lexicographically by
-    (n1, n2).  The starting grid max(8*band, 64) is doubled until the matrix
-    moves by less than `tol`; a matrix that never settles is returned with a
-    warning rather than silently trusted.  Bands above 16 need force=True,
-    the dense solve gets slow beyond that.
+    (n1, n2).  The starting grid max(8*band, 64) is doubled, at most three
+    times, until the matrix moves by less than 1e-8; a matrix that never
+    settles is returned with a warning rather than silently trusted.  Bands
+    above 16 need force=True: assembly time and memory grow fast beyond that
+    (the dense eigensolve stays cheap).
 
     Entries smaller than the certified resolution of the doubling pass are
     snapped to exact zero.  Mode-permutation truncations (automorphisms) are
@@ -111,12 +118,12 @@ def assemble_operator(
     current = _assemble_at_grid(word, weight, band, grid, kind, omega)
     max_change = np.inf
     converged = False
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         grid *= 2
         refined = _assemble_at_grid(word, weight, band, grid, kind, omega)
         max_change = float(np.max(np.abs(refined - current)))
         current = refined
-        if max_change < tol:
+        if max_change < _TOL:
             converged = True
             break
     if not converged:
@@ -124,7 +131,7 @@ def assemble_operator(
             f"operator matrix still moving by {max_change:.3e} at grid {grid}",
             RuntimeWarning,
         )
-    floor = min(max(1e-13, 2.0 * max_change if converged else 0.0), tol)
+    floor = min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
     current[np.abs(current) < floor] = 0.0
     return AssembledOperator(current, band, grid, kind, max_change, converged)
 

@@ -20,11 +20,11 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dynamics_checks import MappingCase
 from .fixed_points import FixedPointData, all_fixed_point_data
-from .map_algebra import MapWord, orientation, psi_word
+from .map_algebra import MapWord, orientation
 
 _GROUP_TOL = 1e-12
 _TIE_REL = 1e-12
@@ -167,12 +167,36 @@ def spectrum_model_psi(ks: Sequence[int], params: Sequence[complex], s: int = 0)
 # ---------------------------------------------------------------------------
 
 
-def _lattice_values(pair, threshold: float, positive_only: bool) -> List[complex]:
-    """Products c1^n1 c2^n2 with modulus >= threshold.
+class _Family(NamedTuple):
+    """Monomials pair[0]^n1 pair[1]^n2 and their conjugates ("EP"), or their
+    plus/minus square roots ("ER").  ``omega`` signs the EP values (None: no
+    sign); exponents run over n1, n2 >= 1 if ``positive_only``, else over the
+    nonnegative lattice without the origin."""
 
-    Exponents run over the nonnegative lattice without the origin, or over
-    strictly positive pairs when positive_only is set.
-    """
+    pair: Tuple[complex, complex]
+    case: str
+    omega: Optional[int]
+    positive_only: bool
+
+    @property
+    def moduli(self) -> Tuple[float, float]:
+        """Moduli whose monomials give the family's eigenvalue moduli."""
+        r1, r2 = (abs(v) for v in self.pair)
+        if self.case == "ER":
+            r1, r2 = math.sqrt(r1), math.sqrt(r2)
+        return r1, r2
+
+
+def _families(model: SpectrumModel) -> Tuple[_Family, _Family]:
+    """The same-sign family of the word, then the mixed family of its inverse."""
+    return (
+        _Family(model.same_sign_multipliers, model.forward_case, None, False),
+        _Family(model.mixed_multipliers, model.backward_case, model.omega, True),
+    )
+
+
+def _lattice_values(pair, threshold: float, positive_only: bool) -> List[complex]:
+    """Products c1^n1 c2^n2 with modulus >= threshold (exponents as in `_Family`)."""
     c1, c2 = pair
     r1, r2 = abs(c1), abs(c2)
     eff = threshold * (1.0 - _TIE_REL)
@@ -230,26 +254,18 @@ def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[Eigenval
     if not (0.0 < cutoff <= 1.0):
         raise ValueError("cutoff must lie in (0, 1]")
     values: List[complex] = []
-    lam = model.same_sign_multipliers
-    if model.forward_case == "EP":
-        for v in _lattice_values(lam, cutoff, positive_only=False):
-            values.append(v)
-            values.append(v.conjugate())
-    else:
-        for v in _lattice_values(lam, cutoff * cutoff, positive_only=False):
-            w = cmath.sqrt(v)
-            values.append(w)
-            values.append(-w)
-    mu = model.mixed_multipliers
-    if model.backward_case == "EP":
-        for v in _lattice_values(mu, cutoff, positive_only=True):
-            values.append(model.omega * v)
-            values.append(model.omega * v.conjugate())
-    else:
-        for v in _lattice_values(mu, cutoff * cutoff, positive_only=True):
-            w = cmath.sqrt(v)
-            values.append(w)
-            values.append(-w)
+    for fam in _families(model):
+        if fam.case == "EP":
+            for v in _lattice_values(fam.pair, cutoff, fam.positive_only):
+                w = v.conjugate()
+                if fam.omega is not None:
+                    # sign only a signed family: 1 * v can flip a signed zero
+                    v, w = fam.omega * v, fam.omega * w
+                values += (v, w)
+        else:
+            for v in _lattice_values(fam.pair, cutoff * cutoff, fam.positive_only):
+                w = cmath.sqrt(v)
+                values += (w, -w)
 
     values = [_snap(v) for v in values]
     values.sort(key=lambda v: (-abs(v), _arg_key(v), v.real, v.imag))
@@ -269,8 +285,10 @@ def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[Eigenval
 # ---------------------------------------------------------------------------
 
 
-def _corner_sum(a: complex, b: complex) -> complex:
-    """Sum of a^n1 b^n2 over the nonnegative lattice minus the origin."""
+def _lattice_sum(a: complex, b: complex, positive_only: bool) -> complex:
+    """Sum of a^n1 b^n2 over the exponents of a family (see `_Family`)."""
+    if positive_only:
+        return a * b / ((1.0 - a) * (1.0 - b))
     return 1.0 / ((1.0 - a) * (1.0 - b)) - 1.0
 
 
@@ -279,43 +297,23 @@ def closed_trace(model: SpectrumModel, k: int) -> complex:
     if int(k) != k or k < 1:
         raise ValueError("k must be a positive integer")
     k = int(k)
-    l1, l2 = model.same_sign_multipliers
-    if model.forward_case == "EP":
-        s_same = 1.0 + _corner_sum(l1 ** k, l2 ** k) + _corner_sum(
-            l1.conjugate() ** k, l2.conjugate() ** k
-        )
-    elif k % 2 == 1:
-        s_same = 1.0 + 0j
-    else:
-        s_same = 1.0 + 2.0 * _corner_sum(l1 ** (k // 2), l2 ** (k // 2))
-    m1, m2 = model.mixed_multipliers
-    w = model.omega
-    if model.backward_case == "EP":
-        direct = (w * m1 * m2) ** k / ((1.0 - m1 ** k) * (1.0 - m2 ** k))
-        mirrored = (w * m1.conjugate() * m2.conjugate()) ** k / (
-            (1.0 - m1.conjugate() ** k) * (1.0 - m2.conjugate() ** k)
-        )
-        s_mixed = direct + mirrored
-    elif k % 2 == 1:
-        s_mixed = 0j
-    else:
-        h = k // 2
-        s_mixed = 2.0 * (m1 * m2) ** h / ((1.0 - m1 ** h) * (1.0 - m2 ** h))
-    return s_same + s_mixed
+    total = 1.0 + 0j
+    for fam in _families(model):
+        a, b = fam.pair
+        if fam.case == "EP":
+            both = _lattice_sum(a ** k, b ** k, fam.positive_only) + _lattice_sum(
+                a.conjugate() ** k, b.conjugate() ** k, fam.positive_only
+            )
+            total += both if fam.omega is None else fam.omega ** k * both
+        elif k % 2 == 0:
+            # odd powers of the two square roots cancel
+            total += 2.0 * _lattice_sum(a ** (k // 2), b ** (k // 2), fam.positive_only)
+    return total
 
 
 def _family_abs_totals(model: SpectrumModel) -> float:
     """Exact sum of |v| over every family eigenvalue (eigenvalue 1 excluded)."""
-    r1, r2 = (abs(v) for v in model.same_sign_multipliers)
-    if model.forward_case == "EP":
-        total = 2.0 * _corner_sum(r1, r2).real
-    else:
-        total = 2.0 * _corner_sum(math.sqrt(r1), math.sqrt(r2)).real
-    g1, g2 = (abs(v) for v in model.mixed_multipliers)
-    if model.backward_case == "ER":
-        g1, g2 = math.sqrt(g1), math.sqrt(g2)
-    total += 2.0 * (g1 * g2) / ((1.0 - g1) * (1.0 - g2))
-    return total
+    return sum(2.0 * _lattice_sum(*fam.moduli, fam.positive_only) for fam in _families(model))
 
 
 def spectral_determinant(model: SpectrumModel, z: complex, cutoff: float = 1e-8) -> Tuple[complex, float]:
@@ -342,13 +340,9 @@ def spectral_determinant(model: SpectrumModel, z: complex, cutoff: float = 1e-8)
 
 
 def _family_moduli(model: SpectrumModel) -> List[Tuple[float, float]]:
-    r1, r2 = (abs(v) for v in model.same_sign_multipliers)
-    if model.forward_case == "ER":
-        r1, r2 = math.sqrt(r1), math.sqrt(r2)
-    g1, g2 = (abs(v) for v in model.mixed_multipliers)
-    if model.backward_case == "ER":
-        g1, g2 = math.sqrt(g1), math.sqrt(g2)
-    return [(r1, r2), (r1, r2), (g1, g2), (g1, g2)]
+    """Moduli per family and twin (conjugate or sign): same, same, mixed, mixed."""
+    same, mixed = _families(model)
+    return [same.moduli, same.moduli, mixed.moduli, mixed.moduli]
 
 
 def decay_classification(model: SpectrumModel) -> Tuple[int, Optional[float]]:

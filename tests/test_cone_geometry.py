@@ -9,15 +9,10 @@ from hypothesis import given, settings, strategies as st
 from torspec.cone_geometry import (
     SIGMAS,
     QuadrantWeight,
-    domain_margin,
-    dual_domain,
     ell,
-    grid_torus,
-    in_domain,
     mixed_sectors,
     same_sign_sectors,
     sample_torus,
-    sigma_from_key,
     sigma_key,
     sigma_of,
     torus_radii,
@@ -40,7 +35,6 @@ UNIMODULAR = [
 def test_sector_keys():
     assert sigma_key((-1, -1)) == "--"
     assert sigma_key((1, -1)) == "+-"
-    assert sigma_from_key("-+") == (-1, 1)
     with pytest.raises(ValueError):
         sigma_key((0, 1))
     assert [sigma_key(s) for s in SIGMAS] == ["--", "++", "-+", "+-"]
@@ -126,27 +120,6 @@ def test_basis_must_be_unimodular():
         QuadrantWeight.standard(alpha=(0.1, 0.1), gamma=(0.1, 0.1), basis=np.array([[2, 0], [0, 1]]))
 
 
-def test_domain_membership_identity_basis():
-    sigma = (1, 1)
-    delta = (0.1, 0.2)
-    inside = (math.exp(0.3), math.exp(0.25))
-    outside = (math.exp(0.05), math.exp(0.25))
-    assert in_domain(inside, sigma, delta)
-    assert not in_domain(outside, sigma, delta)
-    assert domain_margin(inside, sigma, delta) == pytest.approx(0.05)
-    sigma2 = (-1, 1)
-    assert in_domain((math.exp(-0.2), math.exp(0.3)), sigma2, delta)
-
-
-def test_dual_domain_reflects():
-    sigma, delta = dual_domain((1, -1), (0.1, 0.2))
-    assert sigma == (-1, 1)
-    assert delta == (-0.1, -0.2)
-    # z in the dual iff sigma_i log|z_i| < delta_i for the original parameters
-    z = (math.exp(0.05), math.exp(0.1))
-    assert in_domain(z, sigma, delta) == (0.05 < 0.1 and -0.1 < 0.2)
-
-
 def test_torus_radii_identity_basis():
     r = torus_radii((1, -1), (0.1, 0.2))
     assert r[0] == pytest.approx(math.exp(0.1))
@@ -163,8 +136,3 @@ def test_torus_sampling():
     assert pts.shape == (37, 2)
     assert np.allclose(np.abs(pts[:, 0]), 2.0)
     assert np.allclose(np.abs(pts[:, 1]), 0.5)
-    grid = grid_torus((1.0, 1.0), 8)
-    assert grid.shape == (64, 2)
-    assert np.allclose(np.abs(grid), 1.0)
-    angles = np.angle(grid[:, 0])
-    assert len(np.unique(np.round(angles, 9))) == 8

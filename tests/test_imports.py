@@ -1,0 +1,56 @@
+"""Every module of the package uses each name it imports.
+
+No linter ships with the test dependencies, so this walks the syntax tree:
+a name bound by an import must appear as a name somewhere in the module,
+in code or in an annotation.  ``__init__.py`` is exempt because its imports
+are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "torspec"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree):
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in _imported_names(tree).items() if name not in used)
+
+
+def test_checker_flags_unused_and_keeps_used():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from typing import List, Optional, Sequence\n"
+        "from .x import a as b, c\n"
+        "def f(v: Optional[int]) -> List[int]:\n"
+        "    return [math.pi, b]\n"
+    )
+    assert _unused_imports(source) == [(3, "os"), (4, "Sequence"), (5, "c")]
+
+
+def test_package_has_modules():
+    assert "resonance_theory.py" in MODULES and "cli.py" in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    unused = _unused_imports((PACKAGE / module).read_text())
+    assert not unused, f"{module} imports names it never uses: {unused}"

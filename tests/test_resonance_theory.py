@@ -10,9 +10,13 @@ from hypothesis import strategies as st
 from torspec.fixed_points import all_fixed_point_data
 from torspec.map_algebra import orientation, parse_word, psi_word
 from torspec.resonance_theory import (
+    _GROUP_TOL,
     EigenvalueEntry,
     SpectrumModel,
+    _arg_key,
     _count_quadrant,
+    _lattice_values,
+    _snap,
     closed_form_multipliers_psi,
     closed_trace,
     counting_function,
@@ -256,3 +260,89 @@ def test_orientation_matches_block_parity():
     for ks, params, s in PROBES:
         word = psi_word(ks, params, s)
         assert orientation(word) == (-1) ** len(ks)
+
+
+# ---------------------------------------------------------------------------
+# Reference: one branch per family and case, written out separately
+# ---------------------------------------------------------------------------
+
+
+def _reference_enumerate_eigenvalues(model, cutoff):
+    values = []
+    lam = model.same_sign_multipliers
+    if model.forward_case == "EP":
+        for v in _lattice_values(lam, cutoff, positive_only=False):
+            values.append(v)
+            values.append(v.conjugate())
+    else:
+        for v in _lattice_values(lam, cutoff * cutoff, positive_only=False):
+            w = cmath.sqrt(v)
+            values.append(w)
+            values.append(-w)
+    mu = model.mixed_multipliers
+    if model.backward_case == "EP":
+        for v in _lattice_values(mu, cutoff, positive_only=True):
+            values.append(model.omega * v)
+            values.append(model.omega * v.conjugate())
+    else:
+        for v in _lattice_values(mu, cutoff * cutoff, positive_only=True):
+            w = cmath.sqrt(v)
+            values.append(w)
+            values.append(-w)
+
+    values = [_snap(v) for v in values]
+    values.sort(key=lambda v: (-abs(v), _arg_key(v), v.real, v.imag))
+    entries = [EigenvalueEntry(1.0 + 0j, 1)]
+    for v in values:
+        last = entries[-1]
+        tol = _GROUP_TOL * max(abs(v), abs(last.value))
+        if abs(v - last.value) <= tol and last.value != 1.0:
+            entries[-1] = EigenvalueEntry(last.value, last.multiplicity + 1)
+        else:
+            entries.append(EigenvalueEntry(v, 1))
+    return tuple(entries)
+
+
+def _reference_decay_classification(model):
+    r1, r2 = (abs(v) for v in model.same_sign_multipliers)
+    if model.forward_case == "ER":
+        r1, r2 = math.sqrt(r1), math.sqrt(r2)
+    g1, g2 = (abs(v) for v in model.mixed_multipliers)
+    if model.backward_case == "ER":
+        g1, g2 = math.sqrt(g1), math.sqrt(g2)
+    families = [(r1, r2), (r1, r2), (g1, g2), (g1, g2)]
+    planar = [f for f in families if f[0] > 0.0 and f[1] > 0.0]
+    if planar:
+        s = sum(1.0 / (math.log(f1) * math.log(f2)) for f1, f2 in planar)
+        return 2, (0.5 * s) ** -0.5
+    axis = [c for fam in families[:2] for c in fam if c > 0.0]
+    if axis:
+        return 1, 1.0 / sum(1.0 / abs(math.log(c)) for c in axis)
+    return 0, None
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_axis = st.floats(0.05, 0.9) | st.floats(-0.9, -0.05)
+multipliers = st.one_of(
+    st.just(0j),
+    st.builds(complex, _axis, _signed_zero),
+    st.builds(complex, _signed_zero, _axis),
+    st.builds(cmath.rect, st.floats(0.05, 0.9), st.floats(-math.pi, math.pi)),
+)
+models = st.builds(
+    SpectrumModel,
+    st.sampled_from([1, -1]),
+    st.sampled_from(["EP", "ER"]),
+    st.sampled_from(["EP", "ER"]),
+    st.tuples(multipliers, multipliers),
+    st.tuples(multipliers, multipliers),
+)
+
+
+@given(models, st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]))
+@settings(max_examples=150, deadline=None)
+def test_family_table_matches_reference(model, cutoff):
+    assert repr(enumerate_eigenvalues(model, cutoff)) == repr(
+        _reference_enumerate_eigenvalues(model, cutoff)
+    )
+    assert repr(decay_classification(model)) == repr(_reference_decay_classification(model))
