@@ -12,7 +12,8 @@ Subcommands:
 
 All reports are JSON with a top-level "schema": 1 and floats printed with
 %.17g, so identical inputs give byte-identical output.  Exit codes: 0 ok,
-2 bad input, 3 certification failed, 4 verification mismatch.
+2 bad input or a sector fixed point that cannot be located, 3 certification
+failed, 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .dynamics_checks import (
     check_psec,
     resolve_cases,
 )
-from .fixed_points import all_fixed_point_data
+from .fixed_points import FixedPointError, all_fixed_point_data
 from .gl2z import TargetInfeasible, build_homotopic_map, reduce as reduce_matrix
 from .map_algebra import orientation, parse_word, word_to_text
 from .operator_numerics import (
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TargetInfeasible, ArithmeticError, OSError) as exc:
+    except (ValueError, TargetInfeasible, ArithmeticError, OSError, FixedPointError) as exc:
         print(f"torspec: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CertificationError as exc:

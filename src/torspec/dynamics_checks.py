@@ -35,7 +35,6 @@ from .cone_geometry import (
 )
 from .map_algebra import (
     IndeterminatePointError,
-    MapWord,
     concat,
     evaluate,
     inverse,
@@ -162,9 +161,7 @@ def classify_mapping(
     if not (Delta[0] > delta[0] and Delta[1] > delta[1]):
         raise ValueError("Delta must exceed delta componentwise")
     sectors = same_sign_sectors() if ell == 1 else mixed_sectors()
-    active = MapWord(word) if not isinstance(word, MapWord) else word
-    if ell == -1:
-        active = inverse(active)
+    active = word if ell == 1 else inverse(word)
 
     last = None
     for t in _T_SEARCH if t_search else (1.0,):
@@ -241,7 +238,6 @@ def check_psec(word, grid: int = 64) -> CertificateReport:
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    word = MapWord(word) if not isinstance(word, MapWord) else word
     x1, x2 = _angle_grid(grid)
 
     # each family is reduced to what the report needs before the next is built
@@ -303,7 +299,6 @@ def find_connecting_torus(
         raise ValueError("sigma_tilde must be a mixed sector")
     delta_tilde = _positive_pair(delta_tilde, "delta_tilde")
     Delta = _positive_pair(Delta, "Delta")
-    word = MapWord(word) if not isinstance(word, MapWord) else word
 
     ok, mats = _sign_normalize(lifted_jacobian(word, _angle_grid(jac_grid)))
     if not ok.all():
@@ -367,7 +362,6 @@ def resolve_cases(word, samples: int = 128) -> MappingCase:
     scanned, each with a halving scale search.  Raises CertificationError at
     the first direction, forward then backward, that stays unclassified.
     """
-    word = MapWord(word) if not isinstance(word, MapWord) else word
     reduced = simplify(word)
     shapes_f: List[Tuple[float, float]] = list(_FALLBACK_SHAPES)
     shapes_b: List[Tuple[float, float]] = list(_FALLBACK_SHAPES)
@@ -411,7 +405,6 @@ def auto_weight(word, samples: int = 128) -> Tuple[QuadrantWeight, MappingCase]:
 
 def is_area_preserving(word, grid: int = 64, tol: float = 1e-10) -> Tuple[bool, float]:
     """Whether |det of the lifted derivative| is 1 everywhere, with worst deviation."""
-    word = MapWord(word) if not isinstance(word, MapWord) else word
     det = np.linalg.det(lifted_jacobian(word, _angle_grid(grid)))
     worst = max(0.0, float(np.max(np.abs(np.abs(det) - 1.0))))
     return worst <= tol, worst
@@ -419,8 +412,6 @@ def is_area_preserving(word, grid: int = 64, tol: float = 1e-10) -> Tuple[bool, 
 
 def verify_reversing_symmetry(word, h, samples: int = 256, tol: float = 1e-10) -> bool:
     """Sampled test of h^-1 . word . h = inverse(word) on the torus."""
-    word = MapWord(word) if not isinstance(word, MapWord) else word
-    h = MapWord(h) if not isinstance(h, MapWord) else h
     conjugated = concat(inverse(h), word, h)
     inv = inverse(word)
     z = np.exp(2j * math.pi * np.random.default_rng(373).random((samples, 2)))

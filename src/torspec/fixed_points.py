@@ -248,7 +248,6 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
     sigma = (int(sigma[0]), int(sigma[1]))
     if sigma not in SIGMAS:
         raise ValueError(f"not a sign sector: {sigma!r}")
-    word = MapWord(word) if not isinstance(word, MapWord) else word
     lvl, case = _case_for_sector(cases, sigma)
     active = word if lvl == 1 else inverse(word)
     power = 1 if case == "EP" else 2
@@ -281,23 +280,17 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
         )
 
     # undo the sector conjugation to express the point in original coordinates
-    y = final.extended()
-    point = []
     for i in (0, 1):
         if sigma[i] == 1:
-            zi = y[i]
-            point.append(INF if zi == 0 else (0j if zi is INF else 1 / zi))
-        else:
-            point.append(y[i])
+            final.bits[i] ^= 1
     multipliers = _eigenpair(final.jac)
-    return FixedPointRecord(sigma, lvl, case, tuple(point), multipliers, residual)
+    return FixedPointRecord(sigma, lvl, case, final.extended(), multipliers, residual)
 
 
-def all_fixed_point_data(word, cases: Optional[MappingCase] = None, samples: int = 128) -> FixedPointData:
+def all_fixed_point_data(word, cases: Optional[MappingCase] = None) -> FixedPointData:
     """Fixed-point records for all four sectors, in the canonical sector order."""
-    word = MapWord(word) if not isinstance(word, MapWord) else word
     if cases is None:
-        cases = resolve_cases(word, samples=samples)
+        cases = resolve_cases(word)
     records = tuple(sector_fixed_point(word, sigma, cases) for sigma in SIGMAS)
     return FixedPointData(records, cases)
 

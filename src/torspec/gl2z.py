@@ -46,14 +46,22 @@ class TargetInfeasible(Exception):
 
 
 def _as_mat(m) -> Mat:
-    a = np.asarray(m)
+    """The matrix with exact int entries, each checked before any cast."""
+    a = np.asarray(m, dtype=object)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 integer matrix")
-    if not np.issubdtype(a.dtype, np.integer):
-        if not np.all(a == np.round(a)):
-            raise ValueError("matrix entries must be integers")
-        a = a.astype(np.int64)
-    return ((int(a[0, 0]), int(a[0, 1])), (int(a[1, 0]), int(a[1, 1])))
+    entries = []
+    for v in a.flat:
+        try:
+            n = int(v)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"matrix entries must be integers, got {v!r}") from None
+        if n != v:
+            raise ValueError(f"matrix entries must be integers, got {v!r}")
+        if not -2 ** 63 <= n < 2 ** 63:
+            raise ValueError(f"matrix entry {n} does not fit in int64")
+        entries.append(n)
+    return ((entries[0], entries[1]), (entries[2], entries[3]))
 
 
 def _det(m: Mat) -> int:

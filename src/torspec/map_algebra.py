@@ -11,9 +11,10 @@ A map of the complex 2-torus is represented as a word in five generator atoms:
 
 Words are applied right to left: ``[F, R]`` is the map z -> F(R(z)).
 
-Evaluation works on the extended coordinates (each component a complex number or
-the point at infinity ``INF``); truly indeterminate configurations (0 * inf,
-0/0, inf/inf) raise ``IndeterminatePointError`` naming the offending atom.
+Evaluation works on the extended coordinates: each component is a complex
+number, and the point at infinity is ``INF``, complex infinity, for single
+points and arrays alike.  Truly indeterminate configurations (0 * inf, 0/0,
+inf/inf) raise ``IndeterminatePointError`` naming the offending atom.
 Evaluation and the Jacobians take whole arrays of points as well as single
 points.
 """
@@ -53,24 +54,12 @@ class PoleInChainError(ValueError):
     """
 
 
-class _Infinity:
-    """Sentinel for the point at infinity on one coordinate sphere."""
+# The point at infinity of one coordinate sphere.  Any complex infinity is
+# read as it; every single point at infinity the package returns is this
+# object, so `x is INF` is a valid test on outputs.
+INF = complex(math.inf, 0.0)
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-
-INF = _Infinity()
-
-ExtendedValue = Union[complex, _Infinity]
-ExtendedPoint = Tuple[ExtendedValue, ExtendedValue]
+ExtendedPoint = Tuple[complex, complex]
 
 _DISK_TOL = 1e-12
 
@@ -154,9 +143,8 @@ WordLike = Union[MapWord, Sequence[Atom]]
 
 
 def _atoms(word: WordLike) -> Tuple[Atom, ...]:
-    if isinstance(word, MapWord):
-        return word.atoms
-    return tuple(word)
+    """The atoms of a MapWord or of a sequence of atoms, checked once here."""
+    return word.atoms if isinstance(word, MapWord) else MapWord(word).atoms
 
 
 @dataclass(frozen=True)
@@ -497,28 +485,22 @@ def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
     return state.w, state.inf, state.jac
 
 
-_COMPLEX_INF = complex(math.inf, 0.0)
-
-
 def _extended_in(coords):
     """Values and infinity masks of extended coordinates, and whether all were scalars.
 
     A scalar travels as a 1-element array: numpy runs arithmetic on 0-d arrays
     through its scalar routines, whose complex products round differently from
-    the array loops.  INF and complex infinity both mark the point at infinity.
+    the array loops.  Any complex infinity marks the point at infinity.
     """
-    values, masks = [], []
-    for c in coords:
-        values.append(np.atleast_1d(np.asarray(0j if c is INF else c, dtype=complex)))
-        masks.append(np.full(values[-1].shape, True) if c is INF else np.isinf(values[-1]))
-    return values, masks, all(c is INF or np.ndim(c) == 0 for c in coords)
+    values = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coords]
+    return values, [np.isinf(v) for v in values], all(np.ndim(c) == 0 for c in coords)
 
 
 def _extended_out(w, inf, scalar: bool):
-    """Back to the caller's form: INF or a complex for scalars, complex infinity in arrays."""
+    """Back to the caller's form, with INF at the points at infinity."""
     if scalar:
         return INF if inf[0] else complex(w[0])
-    return np.where(inf, _COMPLEX_INF, w)
+    return np.where(inf, INF, w)
 
 
 def _as_extended(z):
@@ -535,7 +517,7 @@ def _matrix(jac, scalar: bool) -> np.ndarray:
 def blaschke(a: complex, z):
     """The disk automorphism b_a(z) = (z - a) / (1 - conj(a) z), extended to infinity.
 
-    `z` may be an array; there the point at infinity is complex infinity.
+    `z` may be an array.
     """
     a = complex(a)
     (w,), (inf,), scalar = _extended_in((z,))
@@ -548,10 +530,10 @@ def blaschke(a: complex, z):
 def evaluate(word: WordLike, z) -> ExtendedPoint:
     """Apply the word to an extended point, rightmost atom first.
 
-    `z` is a TorusPoint or a pair of coordinates, each a complex number, INF,
-    or an array (all arrays broadcast to one shape).  On arrays the point at
-    infinity is complex infinity, in and out, and the call raises
-    IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf.
+    `z` is a TorusPoint or a pair of coordinates, each a complex number or
+    an array (all arrays broadcast to one shape).  Any complex infinity, INF
+    among them, is the point at infinity; on the way out it is INF.  The call
+    raises IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf.
     """
     values, masks, scalar = _as_extended(z)
     (w1, w2), (m1, m2), _ = _walk(word, values, masks)

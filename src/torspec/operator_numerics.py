@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cone_geometry import QuadrantWeight
-from .map_algebra import MapWord, _extended_in, _walk, inverse, orientation
+from .map_algebra import _extended_in, _walk, inverse, orientation
 
 _BAND_LIMIT = 16
 _TOL = 1e-8
@@ -74,8 +74,8 @@ def _assemble_at_grid(word, weight, band, grid, kind, omega):
             values = p1 * t2 ** n2
             if symbol is not None:
                 values = values * symbol
-            coeffs = np.fft.fft2(values) / grid ** 2
-            col = coeffs[rows] * (nu / nu[i1, i2])
+            # index first: only (2 band + 1)^2 of the grid^2 coefficients are kept
+            col = np.fft.fft2(values)[rows] / grid ** 2 * (nu / nu[i1, i2])
             matrix[:, i1 * width + i2] = col.reshape(-1)
     return matrix
 
@@ -101,12 +101,12 @@ def assemble_operator(
     otherwise drowned in FFT noise that blocks the eigensolver's exact graph
     deflation and smears their nilpotent part into spurious eigenvalues.
     """
-    word = word if isinstance(word, MapWord) else MapWord(word)
     if band < 1:
         raise ValueError("band must be positive")
     if band > _BAND_LIMIT and not force:
         raise TruncationSizeError(
-            f"band {band} exceeds {_BAND_LIMIT}; pass force=True for a dense solve this large"
+            f"band {band} exceeds {_BAND_LIMIT}: assembly time and memory grow fast "
+            "with the band; pass --force (force=True) to assemble it anyway"
         )
     if kind not in ("composition", "transfer"):
         raise ValueError("kind must be 'composition' or 'transfer'")

@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dynamics_checks import MappingCase
 from .fixed_points import FixedPointData, all_fixed_point_data
-from .map_algebra import MapWord, orientation
+from .map_algebra import orientation
 
 _GROUP_TOL = 1e-12
 _TIE_REL = 1e-12
@@ -66,10 +66,9 @@ class EigenvalueEntry:
     multiplicity: int
 
 
-def spectrum_model_from_word(word, cases: Optional[MappingCase] = None, samples: int = 128) -> SpectrumModel:
+def spectrum_model_from_word(word, cases: Optional[MappingCase] = None) -> SpectrumModel:
     """Build the spectrum model from numerically located sector fixed points."""
-    word = MapWord(word) if not isinstance(word, MapWord) else word
-    data = all_fixed_point_data(word, cases=cases, samples=samples)
+    data = all_fixed_point_data(word, cases=cases)
     return spectrum_model_from_fixed_points(data, orientation(word))
 
 

@@ -83,6 +83,18 @@ def test_resonances_verify_mismatch_exit_4(capsys):
     assert report["verify"]["verified"] is False
 
 
+def test_resonances_fixed_point_failure_exit_2(capsys):
+    # the word certifies, then the sector (-1, -1) iteration does not converge
+    word = (
+        "F . R . Finv . G(-0.23111887563107736-0.13845647653183457i,"
+        "0.14288457398717036-0.2709094325504661i) . F . F . F . F"
+    )
+    assert cli.main(["resonances", "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "torspec: error: no convergence for sector (-1, -1) after 200 iterations\n"
+
+
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
 def test_resonances_rejects_bad_tolerance(capsys, tolerance):
     code = cli.main(["resonances", "--word", "F . R", "--verify", "--tolerance", tolerance])
@@ -136,6 +148,34 @@ def test_reduce_rejects_bad_json(capsys):
     assert cli.main(["reduce", "--matrix", "[[2,1],[1"]) == 2
     assert cli.main(["reduce", "--matrix", "[[2.5,1],[1,1]]"]) == 2
     assert cli.main(["reduce", "--matrix", "[[2,1],[1,true]]"]) == 2
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+def test_reduce_int64_bounds(capsys):
+    code, report = run_json(capsys, "reduce", "--matrix", f"[[{_INT64_MAX},1],[-1,0]]")
+    assert code == 0
+    assert report["sign_flips"] == 0
+    assert report["factors"] == [1, _INT64_MAX - 2]
+    code, report = run_json(capsys, "reduce", "--matrix", f"[[{-_INT64_MAX - 1},1],[1,0]]")
+    assert code == 0
+    assert report["matrix"] == [[-_INT64_MAX - 1, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("matrix", [f"[[{_INT64_MAX + 1},1],[-1,0]]", f"[[{-_INT64_MAX - 2},1],[1,0]]"])
+def test_reduce_rejects_entries_beyond_int64(capsys, matrix):
+    assert cli.main(["reduce", "--matrix", matrix]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("torspec: error: matrix entry ")
+
+
+def test_build_rejects_entries_beyond_int64(capsys):
+    # rejected before any word is built: its blocks would expand to 2^63 atoms
+    argv = ["build", "--matrix", f"[[{_INT64_MAX + 1},1],[-1,0]]", "--decay", "stretched", "--eta", "1.0"]
+    assert cli.main(argv) == 2
+    assert "does not fit in int64" in capsys.readouterr().err
 
 
 def test_build_stretched(capsys):

@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from torspec import fixed_points
 from torspec.fixed_points import (
     FixedPointError,
     all_fixed_point_data,
@@ -114,3 +115,43 @@ def test_sector_validation():
         sector_fixed_point(word, (0, 1), data.cases)
     with pytest.raises(KeyError):
         data.record((2, 2))
+
+
+_A = "0.2901470345878846+0.049420375897403i"
+_B = "0.04579515792343081-0.1838908948276068i"
+_C = "0.05410633114216434-0.19813253179877194i"
+
+
+def _shear_counts(monkeypatch, word):
+    """Fixed-point data of the word, with its Finv shears and chart-1 shear results counted."""
+    counts = {"Finv": 0, "chart1": 0}
+    shear = fixed_points._apply_shear
+
+    def counted(state, sign, atom_index):
+        shear(state, sign, atom_index)
+        counts["Finv"] += sign == -1
+        counts["chart1"] += state.bits[0]
+
+    monkeypatch.setattr(fixed_points, "_apply_shear", counted)
+    data = all_fixed_point_data(word)
+    monkeypatch.undo()
+    return data, counts
+
+
+def test_finv_and_chart_one_shears_match_chart_zero(monkeypatch):
+    # the F . Finv pair takes the orbits through Finv shears and chart 1;
+    # cancelling it leaves the same map, iterated in chart 0 only
+    detour, detour_counts = _shear_counts(
+        monkeypatch, parse_word(f"F . G({_A},{_B}) . F . Finv . G(0,{_C}) . R . F . F")
+    )
+    direct, direct_counts = _shear_counts(
+        monkeypatch, parse_word(f"F . G({_A},{_B}) . G(0,{_C}) . R . F . F")
+    )
+    assert detour_counts["Finv"] > 0 and detour_counts["chart1"] > 0
+    assert direct_counts == {"Finv": 0, "chart1": 0}
+    for side in ("forward", "backward"):
+        a, b = getattr(detour.cases, side), getattr(direct.cases, side)
+        assert (a.case, a.t) == (b.case, b.t)
+    for a, b in zip(detour.records, direct.records):
+        assert a.sigma == b.sigma and a.case == b.case
+        assert max(abs(x - y) for x, y in zip(a.multipliers, b.multipliers)) < 1e-12
