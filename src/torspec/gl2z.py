@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .map_algebra import (
+    Atom,
     MapWord,
     _mat2_mul,
     atom_F,
@@ -35,6 +36,9 @@ from .resonance_theory import decay_classification, spectrum_model_psi
 _PEEL_DEPTH = 64
 _PEEL_NODES = 10_000
 _REDUCE_STEPS = 200
+# longest word `build_homotopic_map` expands; seeded matrices with entries
+# up to 20 need about 30 atoms
+_ATOM_BUDGET = 1000
 
 Mat = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -187,31 +191,40 @@ def reduce(m) -> StandardForm:
     return result
 
 
-def matrix_to_word(m) -> MapWord:
-    """A generator word whose induced lattice action is exactly this matrix."""
-    mat = _as_mat(m)
-    if _det(mat) not in (1, -1):
-        raise ValueError("matrix must be unimodular")
+def _generator_runs(mat: Mat) -> List[Tuple[Atom, int]]:
+    """The atoms of `matrix_to_word` as (atom, repeat count) runs.
+
+    A Euclid quotient k becomes one run of |k| shears, so the word's length
+    is known before any run is expanded.
+    """
     x = [list(mat[0]), list(mat[1])]
-    atoms = []
+    runs = []
     for _ in range(4 * (abs(x[0][0]) + abs(x[1][0]) + 2)):
         if x[1][0] == 0:
             break
         if abs(x[0][0]) < abs(x[1][0]):
-            atoms.append(atom_R())
+            runs.append((atom_R(), 1))
             x[0], x[1] = x[1], x[0]
             continue
         k = x[0][0] // x[1][0]
-        atoms.extend([atom_F() if k > 0 else atom_Finv()] * abs(k))
+        runs.append((atom_F() if k > 0 else atom_Finv(), abs(k)))
         x[0] = [x[0][0] - k * x[1][0], x[0][1] - k * x[1][1]]
     u, b = x[0]
     d = x[1][1]
     k = b * d
     if k:
-        atoms.extend([atom_F() if k > 0 else atom_Finv()] * abs(k))
+        runs.append((atom_F() if k > 0 else atom_Finv(), abs(k)))
     if (u, d) != (1, 1):
-        atoms.append(atom_I((1 - u) // 2, (1 - d) // 2))
-    word = MapWord(tuple(atoms))
+        runs.append((atom_I((1 - u) // 2, (1 - d) // 2), 1))
+    return runs
+
+
+def matrix_to_word(m) -> MapWord:
+    """A generator word whose induced lattice action is exactly this matrix."""
+    mat = _as_mat(m)
+    if _det(mat) not in (1, -1):
+        raise ValueError("matrix must be unimodular")
+    word = MapWord(tuple(atom for atom, count in _generator_runs(mat) for _ in range(count)))
     if not np.array_equal(linear_part(word), np.asarray(mat)):
         raise ArithmeticError("word reassembly failed")
     return word
@@ -290,15 +303,34 @@ def _bisect_parameter(factors, s, eta, make_params) -> Tuple[float, int, float]:
     return a, d, achieved
 
 
+def _build_atom_count(form: StandardForm, decay: str) -> int:
+    """Length of the word `build_homotopic_map` makes from this standard form.
+
+    The frame word of the conjugator appears twice (itself and its inverse)
+    around the core: `xi_word` for the trivial family, `psi_word` otherwise.
+    """
+    frame = sum(count for _, count in _generator_runs(form.conjugator))
+    per_block = 2 if decay == "trivial" else 3
+    core = form.sign_flips + sum(form.factors) + per_block * len(form.factors)
+    return 2 * frame + core
+
+
 def build_homotopic_map(m, decay: str, eta: Optional[float] = None) -> HomotopicMap:
     """Torus map homotopic to the given hyperbolic matrix with chosen decay.
 
     decay = "trivial" gives the resonance-free family (spectrum {1}),
     "exponential" a single-axis spectrum with 1D rate eta, "stretched" a
     full planar spectrum with 2D rate eta.  The induced lattice action of
-    the returned word equals the input matrix exactly.
+    the returned word equals the input matrix exactly.  A word longer than
+    _ATOM_BUDGET atoms is refused with ValueError before it is expanded:
+    shear exponents and the conjugator grow with the matrix entries.
     """
     form = reduce(m)
+    atoms = _build_atom_count(form, decay)
+    if atoms > _ATOM_BUDGET:
+        raise ValueError(
+            f"the built word would have {atoms} atoms, over the budget of {_ATOM_BUDGET}"
+        )
     n = len(form.factors)
     frame = matrix_to_word(form.conjugator)
     frame_inv = inverse(frame)

@@ -178,6 +178,13 @@ def test_build_rejects_entries_beyond_int64(capsys):
     assert "does not fit in int64" in capsys.readouterr().err
 
 
+def test_build_rejects_words_over_the_atom_budget(capsys):
+    # one block of 999 shears: a 1002-atom word, refused before it is expanded
+    argv = ["build", "--matrix", "[[999,1],[1,0]]", "--decay", "stretched", "--eta", "1.0"]
+    assert cli.main(argv) == 2
+    assert "atoms, over the budget of 1000" in capsys.readouterr().err
+
+
 def test_build_stretched(capsys):
     code, report = run_json(
         capsys, "build", "--matrix", "[[2,1],[1,1]]", "--decay", "stretched", "--eta", "1.0",

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 from torspec.gl2z import (
+    _ATOM_BUDGET,
     HomotopicMap,
     StandardForm,
     TargetInfeasible,
+    _build_atom_count,
     build_homotopic_map,
     is_hyperbolic,
     matrix_to_word,
     random_hyperbolic,
     reduce,
 )
-from torspec.map_algebra import linear_part, parse_word
+from torspec.map_algebra import linear_part, parse_word, psi_word, xi_word
 from torspec.resonance_theory import (
     decay_classification,
     spectrum_model_from_word,
@@ -158,3 +160,32 @@ def test_build_result_is_record():
     assert isinstance(built, HomotopicMap)
     assert built.standard_form.factors == (1, 1)
     assert built.parameter == 0.5
+
+
+def test_build_atom_count_matches_expanded_words():
+    largest = 0
+    for seed in range(1, 11):
+        rng = random.Random(seed)
+        for _ in range(5):
+            form = reduce(random_hyperbolic(rng, entry_bound=20))
+            frame = len(matrix_to_word(form.conjugator))
+            n = len(form.factors)
+            psi = len(psi_word(form.factors, (0.5,) * n, form.sign_flips))
+            assert _build_atom_count(form, "stretched") == 2 * frame + psi
+            assert _build_atom_count(form, "exponential") == 2 * frame + psi
+            if n >= 2:
+                xi = len(xi_word(form.factors, 0.5, form.sign_flips))
+                assert _build_atom_count(form, "trivial") == 2 * frame + xi
+            largest = max(largest, _build_atom_count(form, "stretched"))
+    # seeded matrices sit far inside the budget
+    assert largest <= 40 < _ATOM_BUDGET
+
+
+def test_build_refuses_words_over_the_atom_budget():
+    # one block of k shears: k + 3 atoms, so k = budget - 2 is one atom over
+    at_budget = ((_ATOM_BUDGET - 3, 1), (1, 0))
+    assert _build_atom_count(reduce(at_budget), "stretched") == _ATOM_BUDGET
+    over = ((_ATOM_BUDGET - 2, 1), (1, 0))
+    assert _build_atom_count(reduce(over), "stretched") == _ATOM_BUDGET + 1
+    with pytest.raises(ValueError, match="over the budget"):
+        build_homotopic_map(over, "stretched", 0.5)

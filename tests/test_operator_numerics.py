@@ -7,18 +7,24 @@ import numpy as np
 import pytest
 
 from torspec.cone_geometry import QuadrantWeight
+from torspec import operator_numerics
 from torspec.dynamics_checks import auto_weight
 from torspec.map_algebra import (
+    _extended_in,
+    _walk,
     atom_I,
     complex_jacobian,
     evaluate,
+    inverse,
     linear_part,
+    orientation,
     parse_word,
     psi_word,
 )
 from torspec.operator_numerics import (
     AssembledOperator,
     TruncationSizeError,
+    _assemble_at_grid,
     _grid_points,
     assemble_operator,
     hs_margin,
@@ -103,6 +109,66 @@ def test_grid_jacobian_matches_finite_differences():
             columns.append([(p - m) / (2 * h) for p, m in zip(plus, minus)])
         (a, c), (b, d) = columns
         assert np.abs(det - (a * d - b * c)).max() < 1e-7
+
+
+def _reference_assemble_at_grid(word, weight, band, grid, kind, omega):
+    """One full fft2 per mode column, the band's coefficients kept."""
+    z1, z2 = _grid_points(grid)
+    # every atom maps the torus to itself, so no point is ever at infinity here
+    values, masks, _ = _extended_in((z1, z2))
+    (t1, t2), _, jac = _walk(word, values, masks, jacobian=kind == "transfer")
+    symbol = None
+    if jac is not None:
+        (j11, j12), (j21, j22) = jac
+        symbol = omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)
+    width = 2 * band + 1
+    modes = np.arange(-band, band + 1)
+    log_nu = weight.log_weight_array(
+        np.repeat(modes, width), np.tile(modes, width)
+    ).reshape(width, width)
+    nu = np.exp(log_nu)
+    rows = np.ix_(modes % grid, modes % grid)
+    matrix = np.empty((width * width, width * width), dtype=complex)
+    for i1, n1 in enumerate(modes):
+        p1 = t1 ** n1
+        for i2, n2 in enumerate(modes):
+            values = p1 * t2 ** n2
+            if symbol is not None:
+                values = values * symbol
+            # index first: only (2 band + 1)^2 of the grid^2 coefficients are kept
+            col = np.fft.fft2(values)[rows] / grid ** 2 * (nu / nu[i1, i2])
+            matrix[:, i1 * width + i2] = col.reshape(-1)
+    return matrix
+
+
+_KERNEL_CASES = [
+    ("two-block", psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0), 8, 64, "composition"),
+    ("two-block", psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0), 8, 64, "transfer"),
+    ("reversing", psi_word((1, 2, 1), (0.5, 0.3 - 0.1j, 0.2j), 1), 6, 64, "composition"),
+    ("reversing", psi_word((1, 2, 1), (0.5, 0.3 - 0.1j, 0.2j), 1), 6, 64, "transfer"),
+    ("cat", CAT, 16, 128, "composition"),
+]
+
+
+@pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize(
+    "name, word, band, grid, kind", _KERNEL_CASES,
+    ids=[f"{c[0]}-{c[4]}" for c in _KERNEL_CASES],
+)
+def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, name, word, band, grid, kind):
+    if small_blocks:
+        # three rows per block: many blocks, and a last partial one
+        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 3 * grid + 1)
+        assert grid % 3
+    weight, _ = auto_weight(word)
+    omega = orientation(word)
+    if name == "reversing":
+        assert omega == -1
+    if kind == "transfer":
+        word, weight = inverse(word), weight.dual()
+    got = _assemble_at_grid(word, weight, band, grid, kind, omega)
+    want = _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_closed_form_spectrum_matches_truncation(psi_operator):
