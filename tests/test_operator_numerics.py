@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from torspec.cone_geometry import QuadrantWeight
 from torspec import operator_numerics
+from torspec.cone_geometry import QuadrantWeight
 from torspec.dynamics_checks import auto_weight
 from torspec.map_algebra import (
     _extended_in,
