@@ -7,9 +7,11 @@ composition operator of a hyperbolic word is bounded on the induced weighted
 Fourier space when the word's degree matrix moves each sector strictly inside
 the weight's decay region.
 
-Sector membership is decided on m = P^T n with an explicit boundary
-convention, chosen so that reindexing n -> A^T n matches replacing the basis
-P by A P exactly (including boundary lattice points).
+The weight has one form, ``QuadrantWeight.log_weight_array``, over integer
+arrays of lattice points.  Sector membership is decided on m = P^T n with an
+explicit boundary convention (see ``_sigma_arrays``), chosen so that
+reindexing n -> A^T n matches replacing the basis P by A P exactly
+(including boundary lattice points).
 """
 
 from __future__ import annotations
@@ -61,28 +63,14 @@ def _as_basis(basis) -> np.ndarray:
     return arr
 
 
-def sigma_of(basis, n) -> Sigma:
-    """Sector of the lattice point n relative to the basis P.
+def _sigma_arrays(p: np.ndarray, n1: np.ndarray, n2: np.ndarray):
+    """Sector sign pairs (s1, s2) of the lattice points n relative to the basis P.
 
     The four sectors tile Z^2 with this boundary convention on m = P^T n:
     nonneg quadrant (origin included) -> (-1, -1); nonpos quadrant minus the
     origin -> (+1, +1); fourth quadrant open -> (-1, +1); second quadrant
     open -> (+1, -1).
     """
-    p = _as_basis(basis)
-    n1, n2 = int(n[0]), int(n[1])
-    m1 = int(p[0, 0]) * n1 + int(p[1, 0]) * n2
-    m2 = int(p[0, 1]) * n1 + int(p[1, 1]) * n2
-    if m1 >= 0 and m2 >= 0:
-        return (-1, -1)
-    if m1 <= 0 and m2 <= 0:
-        return (1, 1)
-    if m1 > 0:
-        return (-1, 1)
-    return (1, -1)
-
-
-def _sigma_arrays(p: np.ndarray, n1: np.ndarray, n2: np.ndarray):
     m1 = p[0, 0] * n1 + p[1, 0] * n2
     m2 = p[0, 1] * n1 + p[1, 1] * n2
     nonneg = (m1 >= 0) & (m2 >= 0)
@@ -147,28 +135,14 @@ class QuadrantWeight:
             (-self.d_mixed[0], -self.d_mixed[1]),
         )
 
-    def _p(self) -> np.ndarray:
-        return np.array(self.basis, dtype=np.int64)
-
-    def sigma(self, n) -> Sigma:
-        return sigma_of(self._p(), n)
-
-    def apex(self, sigma: Sigma) -> np.ndarray:
-        """The vector v with weight(n) = exp(<n, v>) on sector sigma."""
-        d = self.d_same if ell(sigma) == 1 else self.d_mixed
-        p = self._p().astype(float)
-        return p @ np.array([sigma[0] * d[0], sigma[1] * d[1]])
-
-    def log_weight(self, n) -> float:
-        v = self.apex(self.sigma(n))
-        return float(n[0]) * v[0] + float(n[1]) * v[1]
-
-    def weight(self, n) -> float:
-        return math.exp(self.log_weight(n))
-
     def log_weight_array(self, n1, n2) -> np.ndarray:
-        """Vectorized log weight over integer arrays n1, n2."""
-        p = self._p().astype(np.int64)
+        """Log weight <n, P diag(sigma) d> over integer arrays n1, n2.
+
+        sigma is the sector of n under the boundary convention of
+        ``_sigma_arrays``, and d is ``d_same`` on the same-sign sectors and
+        ``d_mixed`` on the mixed ones.
+        """
+        p = np.array(self.basis, dtype=np.int64)
         n1 = np.asarray(n1, dtype=np.int64)
         n2 = np.asarray(n2, dtype=np.int64)
         s1, s2 = _sigma_arrays(p, n1, n2)

@@ -147,28 +147,6 @@ def _atoms(word: WordLike) -> Tuple[Atom, ...]:
     return word.atoms if isinstance(word, MapWord) else MapWord(word).atoms
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of the unit 2-torus; the constructor checks |z1| = |z2| = 1."""
-
-    z1: complex
-    z2: complex
-
-    def __post_init__(self):
-        for name, z in (("z1", self.z1), ("z2", self.z2)):
-            z = complex(z)
-            if abs(abs(z) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must have modulus 1, got |{name}| = {abs(z)}")
-            object.__setattr__(self, name, z)
-
-    def as_tuple(self) -> Tuple[complex, complex]:
-        return (self.z1, self.z2)
-
-    @classmethod
-    def from_angles(cls, x1: float, x2: float) -> "TorusPoint":
-        return cls(cmath.exp(1j * x1), cmath.exp(1j * x2))
-
-
 # ---------------------------------------------------------------------------
 # Parsing and formatting
 # ---------------------------------------------------------------------------
@@ -503,10 +481,6 @@ def _extended_out(w, inf, scalar: bool):
     return np.where(inf, INF, w)
 
 
-def _as_extended(z):
-    return _extended_in(z.as_tuple() if isinstance(z, TorusPoint) else z)
-
-
 def _matrix(jac, scalar: bool) -> np.ndarray:
     """Jacobian rows as one 2x2 array, or a stack of shape point.shape + (2, 2)."""
     (a, b), (c, d) = jac
@@ -514,28 +488,15 @@ def _matrix(jac, scalar: bool) -> np.ndarray:
     return stack[0] if scalar else stack
 
 
-def blaschke(a: complex, z):
-    """The disk automorphism b_a(z) = (z - a) / (1 - conj(a) z), extended to infinity.
-
-    `z` may be an array.
-    """
-    a = complex(a)
-    (w,), (inf,), scalar = _extended_in((z,))
-    if a != 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w, inf, _ = _blaschke(a, w, inf)
-    return _extended_out(w, inf, scalar)
-
-
 def evaluate(word: WordLike, z) -> ExtendedPoint:
     """Apply the word to an extended point, rightmost atom first.
 
-    `z` is a TorusPoint or a pair of coordinates, each a complex number or
-    an array (all arrays broadcast to one shape).  Any complex infinity, INF
-    among them, is the point at infinity; on the way out it is INF.  The call
-    raises IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf.
+    `z` is a pair of coordinates, each a complex number or an array (all
+    arrays broadcast to one shape).  Any complex infinity, INF among them, is
+    the point at infinity; on the way out it is INF.  The call raises
+    IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf.
     """
-    values, masks, scalar = _as_extended(z)
+    values, masks, scalar = _extended_in(z)
     (w1, w2), (m1, m2), _ = _walk(word, values, masks)
     return (_extended_out(w1, m1, scalar), _extended_out(w2, m2, scalar))
 
@@ -567,7 +528,7 @@ def complex_jacobian(word: WordLike, z) -> np.ndarray:
     PoleInChainError is raised (conjugate by an I(k, l) chart first).  On
     array input the result has shape z1.shape + (2, 2).
     """
-    values, masks, scalar = _as_extended(z)
+    values, masks, scalar = _extended_in(z)
     _, _, jac = _walk(word, values, masks, jacobian=True)
     return _matrix(jac, scalar)
 

@@ -7,8 +7,8 @@ in the weighted basis, and diagonalize the truncation.  Grid resolution is
 doubled until the matrix stabilizes, so analytic tails are under control
 rather than assumed.
 Also provides the dual transfer-operator assembly, spectrum bookkeeping
-(sorting, matching against closed-form predictions, trace powers), a
-Hilbert-Schmidt margin diagnostic, and flat-file export.
+(sorting, matching against closed-form predictions, trace powers) and
+flat-file export.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .map_algebra import _extended_in, _walk, inverse, orientation
 
 _BAND_LIMIT = 16
 _TOL = 1e-8
+# relative modulus difference below which two eigenvalues sort as tied
+_TIE_REL = 1e-12
 _MAX_DOUBLINGS = 3
 # grid points walked at once; fixes the assembly's working memory
 _BLOCK_POINTS = 1 << 15
@@ -191,13 +193,27 @@ def assemble_operator(
 
 
 def _sort_eigenvalues(values: np.ndarray) -> np.ndarray:
-    args = np.mod(np.angle(values), 2.0 * np.pi)
-    order = np.lexsort((values.imag, values.real, args, -np.abs(values)))
-    return values[order]
+    """Largest modulus first; a modulus tie is ordered by argument in [0, 2 pi).
+
+    Moduli within a relative _TIE_REL of the largest one not yet placed tie
+    with it, so rounding noise in the last bits cannot swap the members of a
+    conjugate pair.  An imaginary part below _TIE_REL |v| counts as zero, so
+    a near-real value has argument 0 or pi rather than almost 2 pi.
+    """
+    moduli = np.abs(values)
+    group = np.empty(values.size, dtype=np.int64)
+    count, lead = -1, 0.0
+    for i in np.argsort(-moduli, kind="stable"):
+        if count < 0 or lead - moduli[i] > _TIE_REL * lead:
+            count, lead = count + 1, moduli[i]
+        group[i] = count
+    imag = np.where(np.abs(values.imag) < _TIE_REL * moduli, 0.0, values.imag)
+    args = np.mod(np.arctan2(imag, values.real), 2.0 * np.pi)
+    return values[np.lexsort((values.imag, values.real, args, group))]
 
 
 def operator_spectrum(operator) -> np.ndarray:
-    """Eigenvalues of an assembled operator, largest modulus first."""
+    """Eigenvalues of an assembled operator: largest modulus first, ties by argument."""
     matrix = operator.matrix if isinstance(operator, AssembledOperator) else np.asarray(operator)
     return _sort_eigenvalues(np.linalg.eigvals(matrix))
 
@@ -250,28 +266,6 @@ def match_spectra(predicted, computed, floor: float = 0.0) -> MatchReport:
         pairs.append((p, c, rel))
     leftovers = tuple(c for c in pool if abs(c) >= floor)
     return MatchReport(tuple(pairs), tuple(missing), leftovers, worst)
-
-
-def hs_margin(weight: QuadrantWeight, matrix, band: int = 60) -> float:
-    """Largest per-mode growth rate of the mode-permutation column weights.
-
-    For the automorphism with integer matrix `matrix`, mode n is sent to
-    matrix^T n and the matrix entry has modulus nu(matrix^T n)/nu(n); the
-    truncation-independent Hilbert-Schmidt criterion is that the maximum over
-    nonzero modes of log of that ratio per unit L1 norm stays negative.
-    """
-    m = np.asarray(matrix, dtype=np.int64)
-    if m.shape != (2, 2):
-        raise ValueError("matrix must be 2x2")
-    modes = np.arange(-band, band + 1)
-    n1 = np.repeat(modes, modes.size)
-    n2 = np.tile(modes, modes.size)
-    keep = (n1 != 0) | (n2 != 0)
-    n1, n2 = n1[keep], n2[keep]
-    image1 = m[0, 0] * n1 + m[1, 0] * n2
-    image2 = m[0, 1] * n1 + m[1, 1] * n2
-    phi = weight.log_weight_array(image1, image2) - weight.log_weight_array(n1, n2)
-    return float(np.max(phi / (np.abs(n1) + np.abs(n2))))
 
 
 # ---------------------------------------------------------------------------

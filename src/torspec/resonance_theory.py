@@ -22,6 +22,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .cone_geometry import QuadrantWeight
 from .dynamics_checks import MappingCase
 from .fixed_points import FixedPointData, all_fixed_point_data
 from .map_algebra import orientation
@@ -483,19 +484,17 @@ def embedding_eta_formula(alpha, gamma, alpha_out, gamma_out) -> float:
 def embedding_singular_values(alpha, gamma, alpha_out, gamma_out, band: int):
     """Singular values exp(-<gap, |n|>) over the L1 ball of radius `band`.
 
-    Each Fourier mode n contributes one singular value, with the gap vector
-    of the quadrant n falls in (axes count as same-sign, matching the sector
-    convention of the standard-basis weight).  Returned sorted decreasing;
-    the ball holds 2*band^2 + 2*band + 1 modes.
+    Each Fourier mode n contributes one singular value: the identity-basis
+    quadrant weight with the same-sign and mixed gaps as its scales, so the
+    sector of n (axes count as same-sign) follows the weight's own
+    convention.  Returned sorted decreasing; the ball holds
+    2*band^2 + 2*band + 1 modes.
     """
     same, mixed = embedding_gaps(alpha, gamma, alpha_out, gamma_out)
     if band < 1:
         raise ValueError("band must be positive")
-    out = []
-    for n1 in range(-band, band + 1):
-        for n2 in range(-band + abs(n1), band - abs(n1) + 1):
-            same_sign = (n1 >= 0 and n2 >= 0) or (n1 <= 0 and n2 <= 0)
-            g = same if same_sign else mixed
-            out.append(-(g[0] * abs(n1) + g[1] * abs(n2)))
-    out = np.exp(np.sort(np.array(out))[::-1])
-    return out
+    modes = np.arange(-band, band + 1)
+    n1, n2 = np.repeat(modes, modes.size), np.tile(modes, modes.size)
+    ball = np.abs(n1) + np.abs(n2) <= band
+    log_values = QuadrantWeight(None, same, mixed).log_weight_array(n1[ball], n2[ball])
+    return np.exp(np.sort(log_values)[::-1])

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from torspec import cli
+from torspec.operator_numerics import _sort_eigenvalues
 
 
 def run(capsys, *argv):
@@ -248,8 +250,13 @@ def test_spectrum_files(tmp_path, capsys):
     plot_rows = plot.read_text().strip().split("\n")
     assert plot_rows[0] == "index,modulus,sqrt_index,neglog"
     assert plot_rows[1] == "1,1,1,0"
+    values = [complex(float(re), float(im)) for re, im, _ in (r.split(",") for r in rows[1:])]
     moduli = [float(r.split(",")[1]) for r in plot_rows[1:]]
-    assert moduli == sorted(moduli, reverse=True)
+    assert moduli == [abs(v) for v in values]
+    # largest modulus first up to ties at a relative 1e-12, which go by
+    # argument: the rows are in the canonical order of their own values
+    assert all(abs(w) <= abs(v) * (1 + 2e-12) for v, w in zip(values, values[1:]))
+    assert list(_sort_eigenvalues(np.array(values[::-1]))) == values
 
 
 def test_embed_report(capsys):

@@ -1,15 +1,19 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every definition is used.
 
 No linter ships with the test dependencies, so this walks the syntax tree:
 a name bound by an import must appear as a name somewhere in the module,
 in code or in an annotation.  ``__init__.py`` is exempt because its imports
-are the package's exports.
+are the package's exports.  A top-level function or class must be exported
+in ``torspec.__all__`` or be referenced, as a name or an attribute, by some
+module of the package; a definition only tests call is dead code.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import torspec
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "torspec"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -54,3 +58,49 @@ def test_package_has_modules():
 def test_no_unused_imports(module):
     unused = _unused_imports((PACKAGE / module).read_text())
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def _dead_definitions(sources, exported):
+    """(module, name) of top-level functions and classes nothing exports or references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, definitions) and node.name not in exported and node.name not in referenced
+    )
+
+
+def test_dead_definition_walker():
+    sources = {
+        "a.py": (
+            "def dead():\n"
+            "    pass\n"
+            "class Exported:\n"
+            "    def method(self):\n"
+            "        return _helper()\n"
+            "def _helper():\n"
+            "    def inner():\n"
+            "        pass\n"
+            "def by_attribute():\n"
+            "    pass\n"
+            "def by_name():\n"
+            "    pass\n"
+        ),
+        "b.py": "from . import a\nfrom .a import by_name\nvalue = a.by_attribute() + by_name()\n",
+    }
+    assert _dead_definitions(sources, {"Exported"}) == [("a.py", "dead")]
+
+
+def test_no_dead_definitions():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    dead = _dead_definitions(sources, set(torspec.__all__))
+    assert not dead, f"defined but neither exported nor used in the package: {dead}"

@@ -12,14 +12,12 @@ from torspec.map_algebra import (
     IndeterminatePointError,
     MapWord,
     PoleInChainError,
-    TorusPoint,
     WordSyntaxError,
     atom_F,
     atom_Finv,
     atom_G,
     atom_I,
     atom_R,
-    blaschke,
     complex_jacobian,
     concat,
     evaluate,
@@ -142,7 +140,7 @@ def test_cat_word_is_monomial():
 
 def test_blaschke_at_infinity():
     a = 0.5 + 0.1j
-    assert blaschke(0, INF) is INF
+    assert evaluate([atom_G(0, 0)], (INF, 1.0))[0] is INF
     w = evaluate([atom_G(a, 0)], (INF, 1.0))
     assert abs(w[0] - (-1 / a.conjugate())) < 1e-15
     assert w[1] == 1
@@ -226,14 +224,6 @@ def test_array_evaluation_at_infinity():
     assert info.value.atom_index == 1
 
 
-def test_torus_point_validates():
-    TorusPoint(1j, -1)
-    with pytest.raises(ValueError):
-        TorusPoint(0.5, 1)
-    p = TorusPoint.from_angles(0.2, 0.4)
-    assert abs(p.z1 - cmath.exp(0.2j)) < 1e-15
-
-
 # --- Jacobians ------------------------------------------------------------
 
 
@@ -275,7 +265,7 @@ def test_moebius_lift_matches_blaschke():
     for a in [0.5, -0.3 + 0.4j, 0.01j]:
         for theta in [0.0, 0.5, 2.0, -1.3]:
             g, gp = moebius_lift(a, theta)
-            w = blaschke(a, cmath.exp(1j * theta))
+            w, _ = evaluate([atom_G(a, 0)], (cmath.exp(1j * theta), 1.0))
             assert abs(w - cmath.exp(1j * (theta + g))) < 1e-12
             h = 1e-6
             g2, _ = moebius_lift(a, theta + h)

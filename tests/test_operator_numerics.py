@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torspec import operator_numerics
 from torspec.cone_geometry import QuadrantWeight
@@ -26,8 +27,8 @@ from torspec.operator_numerics import (
     TruncationSizeError,
     _assemble_at_grid,
     _grid_points,
+    _sort_eigenvalues,
     assemble_operator,
-    hs_margin,
     match_spectra,
     numeric_trace_power,
     operator_spectrum,
@@ -69,7 +70,7 @@ def test_automorphism_matrix_is_mode_permutation(cat_operator):
         img = (a[0][0] * n1 + a[1][0] * n2, a[0][1] * n1 + a[1][1] * n2)
         col = m[:, _mode_index(n1, n2, 10)]
         expected = math.exp(
-            weight.log_weight(img) - weight.log_weight((n1, n2))
+            weight.log_weight_array(*img) - weight.log_weight_array(n1, n2)
         )
         assert abs(col[_mode_index(img[0], img[1], 10)] - expected) < 1e-12
         assert np.count_nonzero(col) == 1
@@ -222,15 +223,6 @@ def test_match_spectra_bookkeeping():
     assert rep2.unmatched_computed == (0.2,)
 
 
-def test_hs_margin_sign():
-    weight, _ = auto_weight(CAT)
-    m = hs_margin(weight, linear_part(CAT))
-    assert -0.06 < m < -0.04
-    assert hs_margin(weight, ((1, 0), (0, 1))) == 0.0
-    with pytest.raises(ValueError):
-        hs_margin(weight, ((1, 0, 0), (0, 1, 0)))
-
-
 def test_spectrum_csv(tmp_path):
     values = [1.0 + 0j, 0.5 - 0.25j]
     plain = tmp_path / "spec.csv"
@@ -266,3 +258,24 @@ def test_spectrum_sort_order():
     assert spec[0] == 1.0
     # equal moduli ordered by argument in [0, 2pi)
     assert np.allclose(spec[1:], [0.5, 0.5j, -0.5])
+
+
+# conjugate pairs r e^{+-i j pi / 100}: moduli may coincide across pairs, arguments never do
+conjugate_pairs = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 99)), min_size=1, max_size=12, unique_by=lambda p: p[1]
+)
+
+
+@given(conjugate_pairs, st.data())
+@settings(max_examples=100)
+def test_spectrum_sort_ignores_modulus_noise(pairs, data):
+    # moduli a few ulps apart sort as tied, and a tie goes by argument in [0, 2 pi)
+    entries = []
+    for r, j in pairs:
+        theta = j * math.pi / 100
+        entries += [(r / 4, theta), (r / 4, 2 * math.pi - theta)]
+    expected = np.array([r * cmath.exp(1j * arg) for r, arg in sorted(entries, key=lambda e: (-e[0], e[1]))])
+    ulps = data.draw(st.lists(st.integers(-4, 4), min_size=len(entries), max_size=len(entries)))
+    noisy = [r * cmath.exp(1j * arg) * (1.0 + k * 2.0 ** -52) for (r, arg), k in zip(entries, ulps)]
+    data.draw(st.randoms()).shuffle(noisy)
+    assert np.allclose(_sort_eigenvalues(np.array(noisy)), expected, rtol=1e-13, atol=0.0)

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,6 +248,31 @@ def test_embedding_formula_and_ball():
     assert sv[0] == 1.0
     fitted, _ = fit_stretched_rate(sv, 100, 7000)
     assert abs(fitted - eta) / eta < 0.02
+
+
+def _reference_embedding_singular_values(alpha, gamma, alpha_out, gamma_out, band):
+    """The L1 ball walked mode by mode, with the quadrant rule written out."""
+    same, mixed = embedding_gaps(alpha, gamma, alpha_out, gamma_out)
+    out = []
+    for n1 in range(-band, band + 1):
+        for n2 in range(-band + abs(n1), band - abs(n1) + 1):
+            same_sign = (n1 >= 0 and n2 >= 0) or (n1 <= 0 and n2 <= 0)
+            g = same if same_sign else mixed
+            out.append(-(g[0] * abs(n1) + g[1] * abs(n2)))
+    return np.exp(np.sort(np.array(out))[::-1])
+
+
+rate_pairs = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+gap_pairs = st.tuples(st.floats(1e-6, 3.0), st.floats(1e-6, 3.0))
+
+
+@given(rate_pairs, rate_pairs, gap_pairs, gap_pairs, st.integers(1, 60))
+@settings(max_examples=60, deadline=None)
+def test_embedding_singular_values_match_reference(alpha, gamma, same, mixed, band):
+    alpha_out = (alpha[0] + same[0], alpha[1] + same[1])
+    gamma_out = (gamma[0] - mixed[0], gamma[1] - mixed[1])
+    expected = _reference_embedding_singular_values(alpha, gamma, alpha_out, gamma_out, band)
+    assert np.array_equal(embedding_singular_values(alpha, gamma, alpha_out, gamma_out, band), expected)
 
 
 def test_embedding_gap_validation():
