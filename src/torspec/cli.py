@@ -119,7 +119,7 @@ def _emit(report, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _pair(z) -> list:
+def _re_im(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
 
@@ -195,21 +195,26 @@ def _certificate_dict(report) -> dict:
     }
 
 
-def _resonance_payload(word, weight, cases, data, model, cutoff, entries, tuned) -> dict:
+def _resonance_payload(word, weight, cases, cutoff, tuned):
+    """Fixed points, closed-form model and enumeration of a word: its report and entries."""
+    data = all_fixed_point_data(word, cases)
+    model = spectrum_model_from_fixed_points(data, orientation(word))
+    entries = enumerate_eigenvalues(model, cutoff)
     d, eta = decay_classification(model)
-    return {
+    payload = {
         "schema": SCHEMA,
         "word": word_to_text(word),
         "weight": _weight_dict(weight, cases, tuned),
         "case": {"l1": cases.forward.case, "lm1": cases.backward.case},
         "omega": model.omega,
         "multipliers": {
-            sigma_key(rec.sigma): [_pair(m) for m in rec.multipliers] for rec in data.records
+            sigma_key(rec.sigma): [_re_im(m) for m in rec.multipliers] for rec in data.records
         },
         "cutoff": cutoff,
         "eigenvalues": [[e.value.real, e.value.imag, e.multiplicity] for e in entries],
         "decay": {"d": d, "eta": eta},
     }
+    return payload, entries
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +239,7 @@ def _cmd_resonances(args) -> int:
         _emit(report, args.out)
         return EXIT_CERTIFICATION
 
-    data = all_fixed_point_data(word, cases)
-    model = spectrum_model_from_fixed_points(data, orientation(word))
-    entries = enumerate_eigenvalues(model, args.cutoff)
-    report = _resonance_payload(word, weight, cases, data, model, args.cutoff, entries, tuned)
+    report, entries = _resonance_payload(word, weight, cases, args.cutoff, tuned)
 
     code = EXIT_OK
     if args.verify:
@@ -259,8 +261,8 @@ def _cmd_resonances(args) -> int:
             "tolerance": args.tolerance,
             "matched": len(match.pairs),
             "max_rel_err": match.max_rel_err,
-            "unmatched_predicted": [_pair(v) for v in match.unmatched_predicted],
-            "unmatched_computed": [_pair(v) for v in strays],
+            "unmatched_predicted": [_re_im(v) for v in match.unmatched_predicted],
+            "unmatched_computed": [_re_im(v) for v in strays],
             "verified": verified,
         }
         if not verified:
@@ -301,9 +303,6 @@ def _cmd_build(args) -> int:
 
     word = built.word
     weight, cases = auto_weight(word)
-    data = all_fixed_point_data(word, cases)
-    model = spectrum_model_from_fixed_points(data, orientation(word))
-    entries = enumerate_eigenvalues(model, args.cutoff)
     report = {
         "schema": SCHEMA,
         "matrix": [list(row) for row in matrix],
@@ -318,7 +317,7 @@ def _cmd_build(args) -> int:
             "factors": list(built.standard_form.factors),
             "conjugator": [list(row) for row in built.standard_form.conjugator],
         },
-        "report": _resonance_payload(word, weight, cases, data, model, args.cutoff, entries, True),
+        "report": _resonance_payload(word, weight, cases, args.cutoff, True)[0],
     }
     _emit(report, args.out)
     return EXIT_OK

@@ -11,6 +11,13 @@ values with an exact finite derivative in these charts, which removes all
 0 * inf chain-rule breakdowns; the multipliers are read off the composed
 chart Jacobian, whose eigenvalues agree with the intrinsic multipliers of
 the fixed point.
+
+This chart engine runs on Python complex scalars and stays apart from the
+array interpreter `map_algebra._walk`.  numpy's complex multiply and divide
+round differently from Python's: on 20000 random pairs from the unit box,
+9265 products and 8664 quotients differed in their last bits (numpy 2.4).
+Running the engine on arrays would move the last digits of every multiplier,
+and with them every reported eigenvalue.
 """
 
 from __future__ import annotations

@@ -70,20 +70,19 @@ def _accumulate(matrix, columns, v, ratio, left, right):
 def _assemble_at_grid(word, weight, band, grid, kind, omega):
     """Band Fourier coefficients of the transformed monomials at one grid.
 
-    Column n holds the coefficients k of V_n = t1^n1 t2^n2 (times the
-    Jacobian symbol for `transfer`), where t = word(z) on the grid.  They
+    Column n holds the coefficients k of V_n = s t1^n1 t2^n2, where t =
+    word(z) on the grid; the symbol s is 1 for `composition` and, for
+    `transfer`, omega times the Jacobian determinant of the word in angle
+    coordinates (`assemble_operator` passes the inverse word).  They
     are E V_n E^T / grid^2 with E[k, x] = exp(-2 pi i k x / grid), a sum
     over grid rows, so the grid is walked in blocks of about _BLOCK_POINTS
-    points and only the band's coefficients are ever formed.
+    points and only the band's coefficients are ever formed.  Both kinds sum
+    only the columns n >= 0 (lexicographically) and mirror the rest.
     """
     width = 2 * band + 1
     modes = np.arange(-band, band + 1)
     dft = np.exp(-2j * np.pi * (np.outer(modes, np.arange(grid)) % grid) / grid)
     matrix = np.zeros((width * width, width * width), dtype=complex)
-    # t^-1 = conj(t) on the torus, and for `composition` V_-n = conj(V_n), so
-    # coefficient k of column -n is conj(coefficient -k of column n): only the
-    # columns n >= 0 (lexicographically) are summed, the rest mirrored below
-    half = kind == "composition"
     step = max(1, _BLOCK_POINTS // grid)
     for start in range(0, grid, step):
         rows = slice(start, min(start + step, grid))
@@ -91,35 +90,34 @@ def _assemble_at_grid(word, weight, band, grid, kind, omega):
         # every atom maps the torus to itself, so no point is ever at infinity here
         values, masks, _ = _extended_in((z1, z2))
         (t1, t2), _, jac = _walk(word, values, masks, jacobian=kind == "transfer")
-        symbol = None
+        # powers by recurrence outward from the symbol: exact ones for
+        # `composition`, so that its column 0 is the exact constant
+        p1 = np.ones_like(t1)
         if jac is not None:
             (j11, j12), (j21, j22) = jac
-            symbol = omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)
+            # the determinant of the real lifted derivative; rounding is all
+            # that makes its imaginary part nonzero
+            p1.real = (omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)).real
         left, right = dft[:, rows], dft.T
         t2_inverse = np.conj(t2)
-        p1 = np.ones_like(t1)
         v = np.empty_like(t1)
-        # powers by recurrence outward from exact ones, so that column 0 of
-        # `composition` is the exact constant
         for n1 in range(band + 1):
             if n1:
                 p1 *= t1
-            for sign in (1,) if half or not n1 else (1, -1):
-                q = p1 if sign == 1 else np.conj(p1)
-                if symbol is not None:
-                    q = q * symbol
-                column = (sign * n1 + band) * width + band  # mode (sign n1, 0)
-                np.copyto(v, q)
-                _accumulate(matrix, range(column, column + band + 1), v, t2, left, right)
-                if n1 or not half:
-                    np.multiply(q, t2_inverse, out=v)
-                    _accumulate(
-                        matrix, range(column - 1, column - band - 1, -1), v, t2_inverse,
-                        left, right,
-                    )
-    if half:
-        centre = width * width // 2
-        np.conjugate(matrix[::-1, :centre:-1], out=matrix[:, :centre])
+            column = (n1 + band) * width + band  # mode (n1, 0)
+            np.copyto(v, p1)
+            _accumulate(matrix, range(column, column + band + 1), v, t2, left, right)
+            if n1:
+                np.multiply(p1, t2_inverse, out=v)
+                _accumulate(
+                    matrix, range(column - 1, column - band - 1, -1), v, t2_inverse,
+                    left, right,
+                )
+    # t^-1 = conj(t) on the torus and the symbol is real there, so V_-n =
+    # conj(V_n) and coefficient k of column -n is conj(coefficient -k of
+    # column n): the columns before mode (0, 0) are mirrored from those after
+    centre = width * width // 2
+    np.conjugate(matrix[::-1, :centre:-1], out=matrix[:, :centre])
     matrix /= grid ** 2
     nu = np.exp(weight.log_weight_array(np.repeat(modes, width), np.tile(modes, width)))
     matrix *= nu[:, None]

@@ -26,9 +26,9 @@ from .cone_geometry import QuadrantWeight
 from .dynamics_checks import MappingCase
 from .fixed_points import FixedPointData, all_fixed_point_data
 from .map_algebra import orientation
+from .operator_numerics import _TIE_REL, _sort_eigenvalues
 
 _GROUP_TOL = 1e-12
-_TIE_REL = 1e-12
 _MAX_ENUMERATED = 2_000_000
 
 
@@ -237,19 +237,15 @@ def _snap(value: complex) -> complex:
     return complex(re, im)
 
 
-def _arg_key(value: complex) -> float:
-    a = cmath.phase(value)
-    if a < 0:
-        a += 2.0 * math.pi
-    return a
-
-
 def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[EigenvalueEntry, ...]:
     """All predicted eigenvalues of modulus >= cutoff, grouped with multiplicity.
 
-    The list starts with the simple eigenvalue 1 and is sorted by decreasing
-    modulus, then by argument in [0, 2*pi).  Values closer than 1e-12 are
-    merged into one entry.
+    The list starts with the simple eigenvalue 1; the rest are ordered as
+    `operator_spectrum` orders a computed spectrum: by decreasing modulus,
+    moduli within a relative 1e-12 tied and a tie ordered by argument in
+    [0, 2*pi).  Adjacent values closer than a relative 1e-12 are then merged
+    into one entry, so rounding noise in the moduli never splits the copies
+    of one eigenvalue.
     """
     if not (0.0 < cutoff <= 1.0):
         raise ValueError("cutoff must lie in (0, 1]")
@@ -267,10 +263,9 @@ def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[Eigenval
                 w = cmath.sqrt(v)
                 values += (w, -w)
 
-    values = [_snap(v) for v in values]
-    values.sort(key=lambda v: (-abs(v), _arg_key(v), v.real, v.imag))
+    ordered = _sort_eigenvalues(np.array([_snap(v) for v in values], dtype=complex))
     entries: List[EigenvalueEntry] = [EigenvalueEntry(1.0 + 0j, 1)]
-    for v in values:
+    for v in ordered.tolist():
         last = entries[-1]
         tol = _GROUP_TOL * max(abs(v), abs(last.value))
         if abs(v - last.value) <= tol and last.value != 1.0:

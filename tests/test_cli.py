@@ -48,6 +48,17 @@ def test_resonances_report_shape(capsys):
     assert report["decay"]["d"] == 2
 
 
+def test_resonances_merges_copies_of_one_value(capsys):
+    # copies of one eigenvalue that differ in their last bits form one entry,
+    # even when other values of the same modulus sort between them
+    code, report = run_json(
+        capsys, "resonances", "--word", "U(1,0.5) . U(2,0.3i) . U(1,0.4)", "--cutoff", "1e-5"
+    )
+    assert code == 0
+    assert [e[2] for e in report["eigenvalues"]] == [1, 2, 2, 3, 5, 6, 6, 9, 7, 10, 10]
+    assert report["eigenvalues"][3][:2] == [0.018, 0]
+
+
 def test_resonances_parse_error_exit_2(capsys):
     code = cli.main(["resonances", "--word", "G(1.5,0)"])
     assert code == 2

@@ -5,7 +5,9 @@ a name bound by an import must appear as a name somewhere in the module,
 in code or in an annotation.  ``__init__.py`` is exempt because its imports
 are the package's exports.  A top-level function or class must be exported
 in ``torspec.__all__`` or be referenced, as a name or an attribute, by some
-module of the package; a definition only tests call is dead code.
+module of the package; a definition only tests call is dead code.  No
+top-level name is defined in two modules, so each constant and helper has
+one home.
 """
 
 import ast
@@ -104,3 +106,39 @@ def test_no_dead_definitions():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     dead = _dead_definitions(sources, set(torspec.__all__))
     assert not dead, f"defined but neither exported nor used in the package: {dead}"
+
+
+def _duplicate_definitions(sources):
+    """(name, modules) of top-level names bound by def, class or assignment in two or more modules."""
+    owners = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                owners.setdefault(name, set()).add(module)
+    return sorted((name, sorted(modules)) for name, modules in owners.items() if len(modules) > 1)
+
+
+def test_duplicate_definition_walker():
+    sources = {
+        "a.py": "from .b import shared\nTOL = 1e-12\nX: int = 1\ndef helper():\n    local = 1\nclass K:\n    TOL = 2\n",
+        "b.py": "TOL, other = 1e-9, 0\ndef shared():\n    pass\nclass helper:\n    pass\n",
+        "c.py": "X = 2\nif True:\n    other = 1\n",
+    }
+    assert _duplicate_definitions(sources) == [
+        ("TOL", ["a.py", "b.py"]),
+        ("X", ["a.py", "c.py"]),
+        ("helper", ["a.py", "b.py"]),
+    ]
+
+
+def test_no_name_defined_twice():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    duplicates = _duplicate_definitions(sources)
+    assert not duplicates, f"top-level names defined in more than one module: {duplicates}"

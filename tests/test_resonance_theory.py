@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from torspec.fixed_points import all_fixed_point_data
 from torspec.map_algebra import orientation, parse_word, psi_word
+from torspec.operator_numerics import _sort_eigenvalues
 from torspec.resonance_theory import (
     _GROUP_TOL,
     EigenvalueEntry,
     SpectrumModel,
-    _arg_key,
     _count_quadrant,
     _lattice_values,
     _snap,
@@ -316,8 +316,7 @@ def _reference_enumerate_eigenvalues(model, cutoff):
             values.append(w)
             values.append(-w)
 
-    values = [_snap(v) for v in values]
-    values.sort(key=lambda v: (-abs(v), _arg_key(v), v.real, v.imag))
+    values = _sort_eigenvalues(np.array([_snap(v) for v in values], dtype=complex)).tolist()
     entries = [EigenvalueEntry(1.0 + 0j, 1)]
     for v in values:
         last = entries[-1]
@@ -349,11 +348,12 @@ def _reference_decay_classification(model):
 
 _signed_zero = st.sampled_from([0.0, -0.0])
 _axis = st.floats(0.05, 0.9) | st.floats(-0.9, -0.05)
+_disk = st.builds(cmath.rect, st.floats(0.05, 0.9), st.floats(-math.pi, math.pi))
 multipliers = st.one_of(
     st.just(0j),
     st.builds(complex, _axis, _signed_zero),
     st.builds(complex, _signed_zero, _axis),
-    st.builds(cmath.rect, st.floats(0.05, 0.9), st.floats(-math.pi, math.pi)),
+    _disk,
 )
 models = st.builds(
     SpectrumModel,
@@ -372,3 +372,16 @@ def test_family_table_matches_reference(model, cutoff):
         _reference_enumerate_eigenvalues(model, cutoff)
     )
     assert repr(decay_classification(model)) == repr(_reference_decay_classification(model))
+
+
+@given(_disk, _disk, st.sampled_from([(1, 1), (2, 2), (1, 1, 1), (1, 2, 1), (2, 1, 1)]), st.sampled_from([0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_enumeration_merges_every_repeated_value(a, b, ks, s):
+    # repeated multipliers (a, a), and the (v, -v) pairs of odd block counts,
+    # give each value many copies that differ only in the last bits
+    params = (a, a) if len(ks) == 2 else (a, b, a)
+    values = np.array([e.value for e in enumerate_eigenvalues(spectrum_model_psi(ks, params, s), 1e-3)])
+    gaps = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    scale = np.maximum(np.abs(values)[:, None], np.abs(values)[None, :])
+    assert np.all(gaps > _GROUP_TOL * scale)
