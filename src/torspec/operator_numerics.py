@@ -5,7 +5,9 @@ the band's discrete Fourier coefficients of the transformed monomials (two
 small DFT-matrix products per row block of the grid) to get matrix columns
 in the weighted basis, and diagonalize the truncation.  Grid resolution is
 doubled until the matrix stabilizes, so analytic tails are under control
-rather than assumed.
+rather than assumed.  The grids are nested, so each doubling sums only the
+points it adds to raw sums kept from the coarser grids, and the weighted
+matrix is formed once, on the final grid.
 Also provides the dual transfer-operator assembly, spectrum bookkeeping
 (sorting, matching against closed-form predictions, trace powers) and
 flat-file export.
@@ -27,8 +29,13 @@ _TOL = 1e-8
 # relative modulus difference below which two eigenvalues sort as tied
 _TIE_REL = 1e-12
 _MAX_DOUBLINGS = 3
-# grid points walked at once; fixes the assembly's working memory
+# grid points walked, or matrix entries formed, at once; fixes the
+# assembly's working memory
 _BLOCK_POINTS = 1 << 15
+# (rows, columns) pieces of a grid: all of its points, and the points of
+# grid 2g that grid g lacks (odd rows x all columns, even rows x odd columns)
+_ALL_POINTS = ((slice(None), slice(None)),)
+_NEW_POINTS = ((slice(1, None, 2), slice(None)), (slice(0, None, 2), slice(1, None, 2)))
 
 
 class TruncationSizeError(ValueError):
@@ -51,77 +58,143 @@ class AssembledOperator:
     converged: bool
 
 
-def _grid_points(grid: int, rows: slice = slice(None)) -> Tuple[np.ndarray, np.ndarray]:
-    """The torus grid's coordinate arrays, restricted to a slice of its rows."""
+def _grid_points(grid: int, rows=slice(None), cols=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
+    """The torus grid's coordinate arrays at its points rows x cols (slices).
+
+    Point (x1, x2) of grid g is point (2 x1, 2 x2) of grid 2g, bit for bit.
+    """
     angles = 2.0 * np.pi * np.arange(grid) / grid
     ring = np.exp(1j * angles)
-    z1 = ring[rows, None] * np.ones((1, grid))
-    return z1, np.ones((z1.shape[0], 1)) * ring[None, :]
+    z1 = ring[rows, None] * np.ones((1, ring[cols].size))
+    return z1, np.ones((z1.shape[0], 1)) * ring[None, cols]
 
 
-def _accumulate(matrix, columns, v, ratio, left, right):
-    """Add the band coefficients of v, v ratio, v ratio^2, ... to the columns; v is overwritten."""
+def _band_dft(band: int, grid: int) -> np.ndarray:
+    """E[k, x] = exp(-2 pi i k x / grid) for the band's modes k; E at g is E at 2g[:, ::2], bit for bit."""
+    modes = np.arange(-band, band + 1)
+    return np.exp(-2j * np.pi * (np.outer(modes, np.arange(grid)) % grid) / grid)
+
+
+def _mode_weights(weight, band: int) -> np.ndarray:
+    """nu(n) over the band's modes in lexicographic (n1, n2) order; mode -n sits at the mirrored index."""
+    modes = np.arange(-band, band + 1)
+    width = modes.size
+    return np.exp(weight.log_weight_array(np.repeat(modes, width), np.tile(modes, width)))
+
+
+def _accumulate(sums, columns, v, ratio, left, right):
+    """Add the band sums of v, v ratio, v ratio^2, ... to the columns; v is overwritten."""
     for i, column in enumerate(columns):
         if i:
             v *= ratio
-        matrix[:, column] += (left @ (v @ right)).reshape(-1)
+        sums[:, column] += (left @ (v @ right)).reshape(-1)
 
 
-def _assemble_at_grid(word, weight, band, grid, kind, omega):
-    """Band Fourier coefficients of the transformed monomials at one grid.
+def _band_sums(word, band, grid, kind, omega, pieces):
+    """Raw band sums of the transformed monomials over pieces of one grid.
 
-    Column n holds the coefficients k of V_n = s t1^n1 t2^n2, where t =
-    word(z) on the grid; the symbol s is 1 for `composition` and, for
-    `transfer`, omega times the Jacobian determinant of the word in angle
-    coordinates (`assemble_operator` passes the inverse word).  They
-    are E V_n E^T / grid^2 with E[k, x] = exp(-2 pi i k x / grid), a sum
-    over grid rows, so the grid is walked in blocks of about _BLOCK_POINTS
-    points and only the band's coefficients are ever formed.  Both kinds sum
-    only the columns n >= 0 (lexicographically) and mirror the rest.
+    Only the modes n >= 0 (lexicographically) get a column, from mode
+    (0, 0) on; column n holds, for every band mode k, the sum of
+    V_n(x) exp(-2 pi i k.x / grid) over the points x of the pieces, where
+    V_n = s t1^n1 t2^n2 and t = word(z); the
+    symbol s is 1 for `composition` and, for `transfer`, omega times the
+    Jacobian determinant of the word in angle coordinates
+    (`assemble_operator` passes the inverse word).  A piece is a (rows,
+    columns) pair of grid slices, so its sum is E[:, rows] V E[:, cols]^T
+    with E from `_band_dft`; the rows are walked in blocks of about
+    _BLOCK_POINTS points, and only the band's coefficients are formed.
     """
     width = 2 * band + 1
-    modes = np.arange(-band, band + 1)
-    dft = np.exp(-2j * np.pi * (np.outer(modes, np.arange(grid)) % grid) / grid)
-    matrix = np.zeros((width * width, width * width), dtype=complex)
-    step = max(1, _BLOCK_POINTS // grid)
-    for start in range(0, grid, step):
-        rows = slice(start, min(start + step, grid))
-        z1, z2 = _grid_points(grid, rows)
-        # every atom maps the torus to itself, so no point is ever at infinity here
-        values, masks, _ = _extended_in((z1, z2))
-        (t1, t2), _, jac = _walk(word, values, masks, jacobian=kind == "transfer")
-        # powers by recurrence outward from the symbol: exact ones for
-        # `composition`, so that its column 0 is the exact constant
-        p1 = np.ones_like(t1)
-        if jac is not None:
-            (j11, j12), (j21, j22) = jac
-            # the determinant of the real lifted derivative; rounding is all
-            # that makes its imaginary part nonzero
-            p1.real = (omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)).real
-        left, right = dft[:, rows], dft.T
-        t2_inverse = np.conj(t2)
-        v = np.empty_like(t1)
-        for n1 in range(band + 1):
-            if n1:
-                p1 *= t1
-            column = (n1 + band) * width + band  # mode (n1, 0)
-            np.copyto(v, p1)
-            _accumulate(matrix, range(column, column + band + 1), v, t2, left, right)
-            if n1:
-                np.multiply(p1, t2_inverse, out=v)
-                _accumulate(
-                    matrix, range(column - 1, column - band - 1, -1), v, t2_inverse,
-                    left, right,
-                )
-    # t^-1 = conj(t) on the torus and the symbol is real there, so V_-n =
-    # conj(V_n) and coefficient k of column -n is conj(coefficient -k of
-    # column n): the columns before mode (0, 0) are mirrored from those after
-    centre = width * width // 2
-    np.conjugate(matrix[::-1, :centre:-1], out=matrix[:, :centre])
-    matrix /= grid ** 2
-    nu = np.exp(weight.log_weight_array(np.repeat(modes, width), np.tile(modes, width)))
-    matrix *= nu[:, None]
-    matrix /= nu
+    dft = _band_dft(band, grid)
+    sums = np.zeros((width * width, width * width // 2 + 1), dtype=complex)
+    for rows, cols in pieces:
+        # contiguous copies: BLAS takes no matrix with a stride in both axes
+        right = np.ascontiguousarray(dft[:, cols]).T
+        row_dft = np.ascontiguousarray(dft[:, rows])
+        row_range = range(grid)[rows]
+        step = max(1, _BLOCK_POINTS // right.shape[0])
+        for start in range(0, len(row_range), step):
+            left = row_dft[:, start:start + step]
+            block = row_range[start:start + step]
+            block = slice(block.start, block.stop, block.step)
+            z1, z2 = _grid_points(grid, block, cols)
+            # every atom maps the torus to itself, so no point is ever at infinity here
+            values, masks, _ = _extended_in((z1, z2))
+            (t1, t2), _, jac = _walk(word, values, masks, jacobian=kind == "transfer")
+            # powers by recurrence outward from the symbol: exact ones for
+            # `composition`, so that its column 0 is the exact constant
+            p1 = np.ones_like(t1)
+            if jac is not None:
+                (j11, j12), (j21, j22) = jac
+                # the determinant of the real lifted derivative; rounding is
+                # all that makes its imaginary part nonzero
+                p1.real = (omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)).real
+            t2_inverse = np.conj(t2)
+            v = np.empty_like(t1)
+            for n1 in range(band + 1):
+                if n1:
+                    p1 *= t1
+                column = n1 * width  # mode (n1, 0)
+                np.copyto(v, p1)
+                _accumulate(sums, range(column, column + band + 1), v, t2, left, right)
+                if n1:
+                    np.multiply(p1, t2_inverse, out=v)
+                    _accumulate(
+                        sums, range(column - 1, column - band - 1, -1), v, t2_inverse,
+                        left, right,
+                    )
+    return sums
+
+
+def _refine(sums, word, band, grid, kind, omega, nu):
+    """Add the points of `grid` that grid // 2 lacks to `sums`; return max |M_(grid/2) - M_grid|.
+
+    With S the sums over grid g = grid // 2, R those over the new points and
+    W[k, n] = nu(k) / nu(n), M_g = S W / g^2 and M_grid = (S + R) W / grid^2,
+    so M_g - M_grid = (3 S - R) W / grid^2.  A column n > 0 also stands for
+    its mirror -n, whose entry (-k, -n) has the same modulus and the weight
+    nu(-k) / nu(-n) (equal to nu(k) / nu(n) for a QuadrantWeight, which is
+    even, but the check does not rely on that).  The rows are taken in
+    chunks of about _BLOCK_POINTS entries.
+    """
+    new = _band_sums(word, band, grid, kind, omega, _NEW_POINTS)
+    size, centre = nu.size, nu.size // 2
+    mirror = nu[::-1]
+    worst = 0.0
+    step = max(1, _BLOCK_POINTS // sums.shape[1])
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        change = np.abs(3.0 * sums[rows] - new[rows])
+        worst = max(
+            worst,
+            float(np.max(change * (nu[rows, None] / nu[centre:]))),
+            float(np.max(change[:, 1:] * (mirror[rows, None] / mirror[centre + 1:]))),
+        )
+        sums[rows] += new[rows]
+    return worst / grid ** 2
+
+
+def _operator_matrix(sums, nu, grid, floor):
+    """The weighted matrix S W / grid^2 from the sums of the columns n >= 0; entries below floor become 0.
+
+    t^-1 = conj(t) on the torus and the symbol is real there, so V_-n =
+    conj(V_n) and coefficient k of column -n is conj(coefficient -k of
+    column n): the columns before mode (0, 0) are mirrored from the sums.
+    The rows are formed in chunks of about _BLOCK_POINTS entries.
+    """
+    size, centre = nu.size, nu.size // 2
+    matrix = np.empty((size, size), dtype=complex)
+    flipped = sums[::-1, :0:-1]
+    step = max(1, _BLOCK_POINTS // size)
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        block = matrix[rows]
+        block[:, centre:] = sums[rows]
+        np.conjugate(flipped[rows], out=block[:, :centre])
+        block /= grid ** 2
+        block *= nu[rows, None]
+        block /= nu
+        block[np.abs(block) < floor] = 0.0
     return matrix
 
 
@@ -137,12 +210,16 @@ def assemble_operator(
     Modes n with max(|n1|, |n2|) <= band are ordered lexicographically by
     (n1, n2).  The starting grid max(8*band, 64) is doubled, at most three
     times, until the matrix moves by less than 1e-8; a matrix that never
-    settles is returned with a warning rather than silently trusted.  Each
-    grid computes only the band's coefficients, walking the grid in row
-    blocks of a fixed size, so a pass costs about (2 band + 1)^3 grid^2
-    complex multiply-adds and holds the matrix plus one block.  Bands above
-    16 need force=True: assembly time grows like band^5 and the matrix like
-    band^4 (the dense eigensolve stays cheap).
+    settles is returned with a warning rather than silently trusted.  The
+    grids are nested (grid g holds the even points of grid 2g), so the first
+    grid sums all of its points and each doubling only the three quarters it
+    adds, into raw sums of the band's coefficients for the columns n >= 0,
+    walking the grid in row blocks of a fixed size.  The whole schedule
+    costs about (2 band + 1)^3 G^2 / 2 complex multiply-adds for the final
+    grid G and holds at most two half-width accumulators; the weighted
+    matrix is formed once, on the final grid.  Bands above 16 need
+    force=True: assembly time grows like band^5 and the matrix like band^4
+    (the dense eigensolve stays cheap).
 
     Entries smaller than the certified resolution of the doubling pass are
     snapped to exact zero.  Mode-permutation truncations (automorphisms) are
@@ -162,16 +239,14 @@ def assemble_operator(
     if kind == "transfer":
         word = inverse(word)
         weight = weight.dual()
+    nu = _mode_weights(weight, band)
     grid = max(8 * band, 64)
-    current = _assemble_at_grid(word, weight, band, grid, kind, omega)
+    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
     max_change = np.inf
     converged = False
     for _ in range(_MAX_DOUBLINGS):
         grid *= 2
-        refined = _assemble_at_grid(word, weight, band, grid, kind, omega)
-        current -= refined
-        max_change = float(np.max(np.abs(current)))
-        current = refined
+        max_change = _refine(sums, word, band, grid, kind, omega, nu)
         if max_change < _TOL:
             converged = True
             break
@@ -181,8 +256,8 @@ def assemble_operator(
             RuntimeWarning,
         )
     floor = min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
-    current[np.abs(current) < floor] = 0.0
-    return AssembledOperator(current, band, grid, kind, max_change, converged)
+    matrix = _operator_matrix(sums, nu, grid, floor)
+    return AssembledOperator(matrix, band, grid, kind, max_change, converged)
 
 
 # ---------------------------------------------------------------------------

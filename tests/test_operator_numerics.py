@@ -1,7 +1,9 @@
 """Truncated operator assembly: structure oracles, matching, duality, export."""
 
 import cmath
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +32,13 @@ from torspec.map_algebra import (
 from torspec.operator_numerics import (
     AssembledOperator,
     TruncationSizeError,
-    _assemble_at_grid,
+    _ALL_POINTS,
+    _band_dft,
+    _band_sums,
     _grid_points,
+    _mode_weights,
+    _operator_matrix,
+    _refine,
     _sort_eigenvalues,
     assemble_operator,
     match_spectra,
@@ -181,25 +188,135 @@ _KERNEL_CASES = [
 ]
 
 
+def _kernel_case(word, kind):
+    """The word, weight and orientation the assembly of `kind` works with."""
+    weight, _ = auto_weight(word)
+    omega = orientation(word)
+    if kind == "transfer":
+        word, weight = inverse(word), weight.dual()
+    return word, weight, omega
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_case(index, grid):
+    """`_reference_assemble_at_grid` for a `_KERNEL_CASES` entry, shared by its block variants."""
+    _, word, band, _, kind = _KERNEL_CASES[index]
+    word, weight, omega = _kernel_case(word, kind)
+    return _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
+
+
+def _first_grid_sums(word, band, grid, kind, omega):
+    return _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
+
+
+_CASE_IDS = [f"{c[0]}-{c[4]}" for c in _KERNEL_CASES]
+
+
 @pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "row-blocks"])
-@pytest.mark.parametrize(
-    "name, word, band, grid, kind", _KERNEL_CASES,
-    ids=[f"{c[0]}-{c[4]}" for c in _KERNEL_CASES],
-)
-def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, name, word, band, grid, kind):
+@pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
+def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
+    name, word, band, grid, kind = _KERNEL_CASES[index]
     if small_blocks:
         # three rows per block: many blocks, and a last partial one
         monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 3 * grid + 1)
         assert grid % 3
-    weight, _ = auto_weight(word)
-    omega = orientation(word)
     if name == "reversing":
-        assert omega == -1
+        assert orientation(word) == -1
+    word, weight, omega = _kernel_case(word, kind)
+    sums = _first_grid_sums(word, band, grid, kind, omega)
+    got = _operator_matrix(sums, _mode_weights(weight, band), grid, 0.0)
+    assert np.max(np.abs(got - _reference_case(index, grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("band", range(1, 17))
+def test_nested_grids_share_points(band):
+    # every doubling the schedule makes, g -> 2g: the points and the band DFT
+    # matrix of grid g are the even-indexed ones of grid 2g, bit for bit, so
+    # a doubling only has to sum the points it adds
+    for j in range(3):
+        grid = max(8 * band, 64) * 2 ** j
+        fine = _grid_points(2 * grid)
+        for coarse, finer in zip(_grid_points(grid), fine):
+            assert np.array_equal(coarse, finer[::2, ::2])
+        assert np.array_equal(_band_dft(band, grid), _band_dft(band, 2 * grid)[:, ::2])
+
+
+@pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
+def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
+    _, word, band, grid, kind = _KERNEL_CASES[index]
+    if small_blocks:
+        # the new points of grid 2g are g odd rows of 2g points and g even
+        # rows of g points: 3 and 6 rows per block, each with a partial last one
+        points = 3 * 2 * grid + 1
+        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", points)
+        for columns in (2 * grid, grid):
+            step = points // columns
+            assert step < grid and grid % step
+    word, weight, omega = _kernel_case(word, kind)
+    nu = _mode_weights(weight, band)
+    sums = _first_grid_sums(word, band, grid, kind, omega)
+    _refine(sums, word, band, 2 * grid, kind, omega, nu)
+    got = _operator_matrix(sums, nu, 2 * grid, 0.0)
+    assert np.max(np.abs(got - _reference_case(index, 2 * grid))) <= 1e-13
+
+
+class _TiltedWeight:
+    """nu(n) = exp(<n, tilt>), so nu(-n) = 1 / nu(n).
+
+    Every QuadrantWeight is even under n -> -n (the sector signs flip with
+    n), so none of them can show a mirrored entry tested with the wrong
+    weight; the assembly reads nothing of a weight but its log_weight_array.
+    """
+
+    def log_weight_array(self, n1, n2):
+        return 0.3 * np.asarray(n1) - 0.2 * np.asarray(n2)
+
+
+@pytest.mark.parametrize("kind", ["composition", "transfer"])
+def test_half_width_change_matches_full_matrices(kind):
+    # a coarse grid, so that the change is far above rounding
+    band, grid = 4, 16
+    word = psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0)
+    omega = orientation(word)
     if kind == "transfer":
-        word, weight = inverse(word), weight.dual()
-    got = _assemble_at_grid(word, weight, band, grid, kind, omega)
-    want = _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
-    assert np.max(np.abs(got - want)) <= 1e-13
+        word = inverse(word)
+    weight = _TiltedWeight()
+    nu = _mode_weights(weight, band)
+    # the weight of entry (k, n) differs from that of its mirror (-k, -n)
+    ratio = nu[:, None] / nu
+    assert np.max(np.abs(ratio / ratio[::-1, ::-1] - 1.0)) > 0.1
+    sums = _first_grid_sums(word, band, grid, kind, omega)
+    got = _refine(sums, word, band, 2 * grid, kind, omega, nu)
+    change = np.abs(
+        _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
+        - _reference_assemble_at_grid(word, weight, band, 2 * grid, kind, omega)
+    )
+    want = np.max(change)
+    # the largest change sits in a mirrored column n < 0, so a check that
+    # skipped the mirrors, or weighed them as their originals, would miss it
+    assert np.max(change[:, nu.size // 2:]) < 0.5 * want
+    assert want > 1e-6
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "text, band, bound", [("U(1,0.5) . U(1,0.3)", 12, 2.5), ("F . F . R", 16, 2.0)]
+)
+def test_assembly_peak_memory(text, band, bound):
+    # the raw sums hold half the columns, the new points' sums another half,
+    # and the weighted matrix is formed once, in row chunks
+    word = parse_word(text)
+    weight, _ = auto_weight(word)
+    full = (2 * band + 1) ** 4 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        op = assemble_operator(word, weight, band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.converged
+    assert peak < bound * full
 
 
 def test_closed_form_spectrum_matches_truncation(psi_operator):
