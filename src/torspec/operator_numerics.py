@@ -43,7 +43,7 @@ class TruncationSizeError(ValueError):
 
     Assembly time and memory, not the dense eigensolve, grow fast with the
     band.  For U(1,0.4) . U(1,0.3) at band 16 (2-core machine, one BLAS
-    thread) assembly up to grid 256 took 0.7 s and the eigensolve of the
+    thread) assembly up to grid 256 took 0.5 s and the eigensolve of the
     snapped matrix, 18% nonzero, took 0.1 s.
     """
 
