@@ -58,7 +58,9 @@ class AssembledOperator:
     converged: bool
 
 
-def _grid_points(grid: int, rows=slice(None), cols=slice(None)) -> Tuple[np.ndarray, np.ndarray]:
+def _grid_points(
+    grid: int, rows: slice = slice(None), cols: slice = slice(None)
+) -> Tuple[np.ndarray, np.ndarray]:
     """The torus grid's coordinate arrays at its points rows x cols (slices).
 
     Point (x1, x2) of grid g is point (2 x1, 2 x2) of grid 2g, bit for bit.
@@ -96,13 +98,13 @@ def _band_sums(word, band, grid, kind, omega, pieces):
     Only the modes n >= 0 (lexicographically) get a column, from mode
     (0, 0) on; column n holds, for every band mode k, the sum of
     V_n(x) exp(-2 pi i k.x / grid) over the points x of the pieces, where
-    V_n = s t1^n1 t2^n2 and t = word(z); the
-    symbol s is 1 for `composition` and, for `transfer`, omega times the
-    Jacobian determinant of the word in angle coordinates
-    (`assemble_operator` passes the inverse word).  A piece is a (rows,
-    columns) pair of grid slices, so its sum is E[:, rows] V E[:, cols]^T
-    with E from `_band_dft`; the rows are walked in blocks of about
-    _BLOCK_POINTS points, and only the band's coefficients are formed.
+    V_n = s t1^n1 t2^n2 and t = word(z); the symbol s is 1 for
+    `composition` and, for `transfer`, omega times the Jacobian determinant
+    of the word in angle coordinates (`assemble_operator` passes the
+    inverse word).  A piece is a (rows, columns) pair of grid slices, so
+    its sum is E[:, rows] V E[:, cols]^T with E from `_band_dft`; the rows
+    are walked in blocks of about _BLOCK_POINTS points, and only the band's
+    coefficients are formed.
     """
     width = 2 * band + 1
     dft = _band_dft(band, grid)
@@ -115,8 +117,8 @@ def _band_sums(word, band, grid, kind, omega, pieces):
         step = max(1, _BLOCK_POINTS // right.shape[0])
         for start in range(0, len(row_range), step):
             left = row_dft[:, start:start + step]
-            block = row_range[start:start + step]
-            block = slice(block.start, block.stop, block.step)
+            block_rows = row_range[start:start + step]
+            block = slice(block_rows.start, block_rows.stop, block_rows.step)
             z1, z2 = _grid_points(grid, block, cols)
             # every atom maps the torus to itself, so no point is ever at infinity here
             values, masks, _ = _extended_in((z1, z2))

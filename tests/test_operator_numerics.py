@@ -205,10 +205,6 @@ def _reference_case(index, grid):
     return _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
 
 
-def _first_grid_sums(word, band, grid, kind, omega):
-    return _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
-
-
 _CASE_IDS = [f"{c[0]}-{c[4]}" for c in _KERNEL_CASES]
 
 
@@ -223,7 +219,7 @@ def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
     if name == "reversing":
         assert orientation(word) == -1
     word, weight, omega = _kernel_case(word, kind)
-    sums = _first_grid_sums(word, band, grid, kind, omega)
+    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
     got = _operator_matrix(sums, _mode_weights(weight, band), grid, 0.0)
     assert np.max(np.abs(got - _reference_case(index, grid))) <= 1e-13
 
@@ -255,7 +251,7 @@ def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
             assert step < grid and grid % step
     word, weight, omega = _kernel_case(word, kind)
     nu = _mode_weights(weight, band)
-    sums = _first_grid_sums(word, band, grid, kind, omega)
+    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
     _refine(sums, word, band, 2 * grid, kind, omega, nu)
     got = _operator_matrix(sums, nu, 2 * grid, 0.0)
     assert np.max(np.abs(got - _reference_case(index, 2 * grid))) <= 1e-13
@@ -286,7 +282,7 @@ def test_half_width_change_matches_full_matrices(kind):
     # the weight of entry (k, n) differs from that of its mirror (-k, -n)
     ratio = nu[:, None] / nu
     assert np.max(np.abs(ratio / ratio[::-1, ::-1] - 1.0)) > 0.1
-    sums = _first_grid_sums(word, band, grid, kind, omega)
+    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
     got = _refine(sums, word, band, 2 * grid, kind, omega, nu)
     change = np.abs(
         _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
