@@ -12,8 +12,8 @@ Subcommands:
 
 All reports are JSON with a top-level "schema": 1 and floats printed with
 %.17g, so identical inputs give byte-identical output.  Exit codes: 0 ok,
-2 bad input or a sector fixed point that cannot be located, 3 certification
-failed, 4 verification mismatch.
+2 bad input, an input too large to hold in memory, or a sector fixed point
+that cannot be located, 3 certification failed, 4 verification mismatch.
 """
 
 from __future__ import annotations
@@ -436,7 +436,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TargetInfeasible, ArithmeticError, OSError, FixedPointError) as exc:
+    except (ValueError, TargetInfeasible, ArithmeticError, OSError, FixedPointError, MemoryError) as exc:
         print(f"torspec: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CertificationError as exc:

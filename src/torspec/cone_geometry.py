@@ -127,14 +127,6 @@ class QuadrantWeight:
     def gamma(self) -> Tuple[float, float]:
         return (-self.d_mixed[0], -self.d_mixed[1])
 
-    def dual(self) -> "QuadrantWeight":
-        """The reciprocal weight, used by the adjoint-side transfer operator."""
-        return QuadrantWeight(
-            np.array(self.basis),
-            (-self.d_same[0], -self.d_same[1]),
-            (-self.d_mixed[0], -self.d_mixed[1]),
-        )
-
     def log_weight_array(self, n1, n2) -> np.ndarray:
         """Log weight <n, P diag(sigma) d> over integer arrays n1, n2.
 

@@ -8,9 +8,10 @@ doubled until the matrix stabilizes, so analytic tails are under control
 rather than assumed.  The grids are nested, so each doubling sums only the
 points it adds to raw sums kept from the coarser grids, and the weighted
 matrix is formed once, on the final grid.
-Also provides the dual transfer-operator assembly, spectrum bookkeeping
-(sorting, matching against closed-form predictions, trace powers) and
-flat-file export.
+The transfer operator is the adjoint of the composition operator on the
+dual weighted space, and its truncation is the mirrored transpose of the
+composition matrix.  Also provides spectrum bookkeeping (sorting, matching
+against closed-form predictions, trace powers) and flat-file export.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cone_geometry import QuadrantWeight
-from .map_algebra import _extended_in, _walk, inverse, orientation
+from .map_algebra import _extended_in, _walk
 
 _BAND_LIMIT = 16
 _TOL = 1e-8
@@ -92,19 +93,16 @@ def _accumulate(sums, columns, v, ratio, left, right):
         sums[:, column] += (left @ (v @ right)).reshape(-1)
 
 
-def _band_sums(word, band, grid, kind, omega, pieces):
+def _band_sums(word, band, grid, pieces):
     """Raw band sums of the transformed monomials over pieces of one grid.
 
     Only the modes n >= 0 (lexicographically) get a column, from mode
     (0, 0) on; column n holds, for every band mode k, the sum of
     V_n(x) exp(-2 pi i k.x / grid) over the points x of the pieces, where
-    V_n = s t1^n1 t2^n2 and t = word(z); the symbol s is 1 for
-    `composition` and, for `transfer`, omega times the Jacobian determinant
-    of the word in angle coordinates (`assemble_operator` passes the
-    inverse word).  A piece is a (rows, columns) pair of grid slices, so
-    its sum is E[:, rows] V E[:, cols]^T with E from `_band_dft`; the rows
-    are walked in blocks of about _BLOCK_POINTS points, and only the band's
-    coefficients are formed.
+    V_n = t1^n1 t2^n2 and t = word(z).  A piece is a (rows, columns) pair of
+    grid slices, so its sum is E[:, rows] V E[:, cols]^T with E from
+    `_band_dft`; the rows are walked in blocks of about _BLOCK_POINTS
+    points, and only the band's coefficients are formed.
     """
     width = 2 * band + 1
     dft = _band_dft(band, grid)
@@ -122,15 +120,10 @@ def _band_sums(word, band, grid, kind, omega, pieces):
             z1, z2 = _grid_points(grid, block, cols)
             # every atom maps the torus to itself, so no point is ever at infinity here
             values, masks, _ = _extended_in((z1, z2))
-            (t1, t2), _, jac = _walk(word, values, masks, jacobian=kind == "transfer")
-            # powers by recurrence outward from the symbol: exact ones for
-            # `composition`, so that its column 0 is the exact constant
+            (t1, t2), _, _ = _walk(word, values, masks)
+            # powers by recurrence outward from exact ones, so that column 0
+            # is the exact constant
             p1 = np.ones_like(t1)
-            if jac is not None:
-                (j11, j12), (j21, j22) = jac
-                # the determinant of the real lifted derivative; rounding is
-                # all that makes its imaginary part nonzero
-                p1.real = (omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)).real
             t2_inverse = np.conj(t2)
             v = np.empty_like(t1)
             for n1 in range(band + 1):
@@ -148,30 +141,25 @@ def _band_sums(word, band, grid, kind, omega, pieces):
     return sums
 
 
-def _refine(sums, word, band, grid, kind, omega, nu):
+def _refine(sums, word, band, grid, nu):
     """Add the points of `grid` that grid // 2 lacks to `sums`; return max |M_(grid/2) - M_grid|.
 
     With S the sums over grid g = grid // 2, R those over the new points and
     W[k, n] = nu(k) / nu(n), M_g = S W / g^2 and M_grid = (S + R) W / grid^2,
     so M_g - M_grid = (3 S - R) W / grid^2.  A column n > 0 also stands for
-    its mirror -n, whose entry (-k, -n) has the same modulus and the weight
-    nu(-k) / nu(-n) (equal to nu(k) / nu(n) for a QuadrantWeight, which is
-    even, but the check does not rely on that).  The rows are taken in
-    chunks of about _BLOCK_POINTS entries.
+    its mirror -n, whose entry (-k, -n) has the same modulus and, nu being
+    even (`assemble_operator` checks it), the same weight, so the columns
+    n >= 0 hold every change.  The rows are taken in chunks of about
+    _BLOCK_POINTS entries.
     """
-    new = _band_sums(word, band, grid, kind, omega, _NEW_POINTS)
+    new = _band_sums(word, band, grid, _NEW_POINTS)
     size, centre = nu.size, nu.size // 2
-    mirror = nu[::-1]
     worst = 0.0
     step = max(1, _BLOCK_POINTS // sums.shape[1])
     for start in range(0, size, step):
         rows = slice(start, start + step)
         change = np.abs(3.0 * sums[rows] - new[rows])
-        worst = max(
-            worst,
-            float(np.max(change * (nu[rows, None] / nu[centre:]))),
-            float(np.max(change[:, 1:] * (mirror[rows, None] / mirror[centre + 1:]))),
-        )
+        worst = max(worst, float(np.max(change * (nu[rows, None] / nu[centre:]))))
         sums[rows] += new[rows]
     return worst / grid ** 2
 
@@ -179,9 +167,9 @@ def _refine(sums, word, band, grid, kind, omega, nu):
 def _operator_matrix(sums, nu, grid, floor):
     """The weighted matrix S W / grid^2 from the sums of the columns n >= 0; entries below floor become 0.
 
-    t^-1 = conj(t) on the torus and the symbol is real there, so V_-n =
-    conj(V_n) and coefficient k of column -n is conj(coefficient -k of
-    column n): the columns before mode (0, 0) are mirrored from the sums.
+    t^-1 = conj(t) on the torus, so V_-n = conj(V_n) and coefficient k of
+    column -n is conj(coefficient -k of column n): the columns before mode
+    (0, 0) are mirrored from the sums.
     The rows are formed in chunks of about _BLOCK_POINTS entries.
     """
     size, centre = nu.size, nu.size // 2
@@ -207,15 +195,24 @@ def assemble_operator(
     kind: str = "composition",
     force: bool = False,
 ) -> AssembledOperator:
-    """Matrix of the (transfer or composition) operator on the mode band.
+    """Matrix of the (composition or transfer) operator on the mode band.
 
     Modes n with max(|n1|, |n2|) <= band are ordered lexicographically by
-    (n1, n2).  The starting grid max(8*band, 64) is doubled, at most three
-    times, until the matrix moves by less than 1e-8; a matrix that never
-    settles is returned with a warning rather than silently trusted.  The
-    grids are nested (grid g holds the even points of grid 2g), so the first
-    grid sums all of its points and each doubling only the three quarters it
-    adds, into raw sums of the band's coefficients for the columns n >= 0,
+    (n1, n2), so mode -n sits at the mirrored index.  Only the weighted
+    composition matrix M_C of `word` is assembled.  Substituting x = h(y) in
+    the transfer integral gives L[k, n] = C[-n, -k] for the unweighted
+    matrices, and the transfer operator acts on the dual space, weighted by
+    1 / nu; for an even weight, nu(-n) = nu(n), its truncation is therefore
+    M_C[::-1, ::-1].T, and `transfer` returns that view of M_C, not a copy.
+    Every QuadrantWeight is even; any other weight raises ValueError, since
+    the transposition and the change check both rest on it.
+
+    The starting grid max(8*band, 64) is doubled, at most three times,
+    until the matrix moves by less than 1e-8; a matrix that never settles is
+    returned with a warning rather than silently trusted.  The grids are
+    nested (grid g holds the even points of grid 2g), so the first grid sums
+    all of its points and each doubling only the three quarters it adds,
+    into raw sums of the band's coefficients for the columns n >= 0,
     walking the grid in row blocks of a fixed size.  The whole schedule
     costs about (2 band + 1)^3 G^2 / 2 complex multiply-adds for the final
     grid G and holds at most two half-width accumulators; the weighted
@@ -237,18 +234,16 @@ def assemble_operator(
         )
     if kind not in ("composition", "transfer"):
         raise ValueError("kind must be 'composition' or 'transfer'")
-    omega = orientation(word)
-    if kind == "transfer":
-        word = inverse(word)
-        weight = weight.dual()
     nu = _mode_weights(weight, band)
+    if not np.array_equal(nu, nu[::-1]):
+        raise ValueError("the weight must be even under n -> -n")
     grid = max(8 * band, 64)
-    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
+    sums = _band_sums(word, band, grid, _ALL_POINTS)
     max_change = np.inf
     converged = False
     for _ in range(_MAX_DOUBLINGS):
         grid *= 2
-        max_change = _refine(sums, word, band, grid, kind, omega, nu)
+        max_change = _refine(sums, word, band, grid, nu)
         if max_change < _TOL:
             converged = True
             break
@@ -259,6 +254,8 @@ def assemble_operator(
         )
     floor = min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
     matrix = _operator_matrix(sums, nu, grid, floor)
+    if kind == "transfer":
+        matrix = matrix[::-1, ::-1].T
     return AssembledOperator(matrix, band, grid, kind, max_change, converged)
 
 

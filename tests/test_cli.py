@@ -291,6 +291,17 @@ def test_embed_rejects_nonpositive_gap(capsys):
         assert code == 2
 
 
+def test_embed_band_beyond_memory_exit_2(capsys):
+    # the L1 ball of radius 3e6 has 1.8e13 modes: 262 TiB of int64 indices,
+    # beyond a 47-bit user address space, so the allocation fails at once
+    code = cli.main([
+        "embed", "--alpha", "0.1,0.1", "--gamma", "0.3,0.3",
+        "--alpha-out", "0.2,0.2", "--gamma-out", "0.2,0.2", "--band", "3000000",
+    ])
+    assert code == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
 def test_reports_byte_stable(tmp_path):
     paths = []
     for name in ("a.json", "b.json"):

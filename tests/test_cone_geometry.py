@@ -17,6 +17,7 @@ from torspec.cone_geometry import (
     sigma_key,
     torus_radii,
 )
+from torspec.operator_numerics import _mode_weights
 
 I2 = np.eye(2, dtype=np.int64)
 
@@ -105,13 +106,18 @@ def test_alpha_gamma_roundtrip():
     assert w.gamma == (0.4, 0.3)
 
 
-@given(st.lists(lattice_points, min_size=1, max_size=20))
-@settings(max_examples=100)
-def test_dual_weight_is_reciprocal(points):
-    w = QuadrantWeight.standard(alpha=(0.13, 0.21), gamma=(0.4, 0.35))
-    n1, n2 = np.array(points).T
-    product = np.exp(w.log_weight_array(n1, n2)) * np.exp(w.dual().log_weight_array(n1, n2))
-    assert np.allclose(product, 1.0, rtol=1e-10, atol=0.0)
+rates = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@given(st.sampled_from(range(len(UNIMODULAR) + 1)), rates, rates, st.integers(1, 16))
+@settings(max_examples=200)
+def test_mode_weights_are_even(idx, d_same, d_mixed, band):
+    # the sector signs flip with n, so nu(-n) = nu(n) bit for bit; the
+    # transfer matrix as the mirrored transpose of the composition matrix
+    # rests on this (mode -n sits at the mirrored index)
+    basis = UNIMODULAR[idx] if idx < len(UNIMODULAR) else I2
+    nu = _mode_weights(QuadrantWeight(basis, d_same, d_mixed), band)
+    assert np.array_equal(nu, nu[::-1])
 
 
 @given(st.lists(lattice_points, min_size=1, max_size=20), st.sampled_from(range(len(UNIMODULAR))))

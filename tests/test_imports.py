@@ -5,7 +5,8 @@ a name bound by an import must appear as a name somewhere in the module,
 in code or in an annotation.  ``__init__.py`` is exempt because its imports
 are the package's exports.  A top-level function or class must be exported
 in ``torspec.__all__`` or be referenced, as a name or an attribute, by some
-module of the package; a definition only tests call is dead code.  No
+module of the package, and so must every method of a top-level class apart
+from the dunder ones; a definition only tests call is dead code.  No
 top-level name is defined in two modules, so each constant and helper has
 one home.
 """
@@ -63,7 +64,13 @@ def test_no_unused_imports(module):
 
 
 def _dead_definitions(sources, exported):
-    """(module, name) of top-level functions and classes nothing exports or references."""
+    """(module, name) of definitions nothing exports or references.
+
+    A definition is a top-level function or class, or a method of a
+    top-level class, named "Class.method"; dunder methods are called by
+    Python itself, and a method counts as used if its name is referenced
+    anywhere, whatever the object.
+    """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     referenced = set()
     for tree in trees.values():
@@ -72,13 +79,23 @@ def _dead_definitions(sources, exported):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return sorted(
-        (module, node.name)
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, definitions) and node.name not in exported and node.name not in referenced
-    )
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, functions + (ast.ClassDef,)):
+                continue
+            if node.name not in exported and node.name not in referenced:
+                dead.append((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                dead.extend(
+                    (module, f"{node.name}.{method.name}")
+                    for method in node.body
+                    if isinstance(method, functions)
+                    and not (method.name.startswith("__") and method.name.endswith("__"))
+                    and method.name not in referenced
+                )
+    return sorted(dead)
 
 
 def test_dead_definition_walker():
@@ -87,8 +104,13 @@ def test_dead_definition_walker():
             "def dead():\n"
             "    pass\n"
             "class Exported:\n"
+            "    def __init__(self):\n"
+            "        pass\n"
             "    def method(self):\n"
             "        return _helper()\n"
+            "    @property\n"
+            "    def unused(self):\n"
+            "        pass\n"
             "def _helper():\n"
             "    def inner():\n"
             "        pass\n"
@@ -97,9 +119,12 @@ def test_dead_definition_walker():
             "def by_name():\n"
             "    pass\n"
         ),
-        "b.py": "from . import a\nfrom .a import by_name\nvalue = a.by_attribute() + by_name()\n",
+        "b.py": (
+            "from . import a\nfrom .a import by_name\n"
+            "value = a.by_attribute() + by_name() + a.Exported().method()\n"
+        ),
     }
-    assert _dead_definitions(sources, {"Exported"}) == [("a.py", "dead")]
+    assert _dead_definitions(sources, {"Exported"}) == [("a.py", "Exported.unused"), ("a.py", "dead")]
 
 
 def test_no_dead_definitions():

@@ -13,14 +13,8 @@ from torspec import operator_numerics
 from torspec.cone_geometry import QuadrantWeight
 from torspec.dynamics_checks import auto_weight
 from torspec.map_algebra import (
-    MapWord,
     _extended_in,
     _walk,
-    atom_F,
-    atom_Finv,
-    atom_G,
-    atom_I,
-    atom_R,
     complex_jacobian,
     evaluate,
     inverse,
@@ -133,31 +127,13 @@ def _grid_image(word, grid, omega):
     return t1, t2, omega * (j11 * j22 - j12 * j21) * (z1 * z2) / (t1 * t2)
 
 
-_disk = st.builds(cmath.rect, st.floats(0.0, 0.9), st.floats(-math.pi, math.pi))
-_atom = st.one_of(
-    st.just(atom_F()),
-    st.just(atom_Finv()),
-    st.just(atom_R()),
-    st.builds(atom_I, st.integers(0, 1), st.integers(0, 1)),
-    st.builds(atom_G, _disk, _disk),
-)
+def _reference_assemble_at_grid(word, weight, band, grid, kind="composition", omega=1):
+    """One full fft2 per mode column, the band's coefficients kept.
 
-
-@given(st.lists(_atom, min_size=1, max_size=4))
-@settings(max_examples=100, deadline=None)
-def test_transfer_symbol_is_real_and_positive(atoms):
-    # the assembly mirrors the negative `transfer` columns on this property.
-    # Four atoms at most: the determinant of the composed Jacobian loses
-    # digits to cancellation with every atom (Im s reached 2e-9 of max |s|
-    # at eight atoms of |a| = 0.9), and this pins the symbol, not that loss
-    word = MapWord(atoms)
-    _, _, symbol = _grid_image(word, 64, orientation(word))
-    assert np.all(np.abs(symbol.imag) <= 1e-12 * np.abs(symbol))
-    assert np.all(symbol.real > 0.0)
-
-
-def _reference_assemble_at_grid(word, weight, band, grid, kind, omega):
-    """One full fft2 per mode column, the band's coefficients kept."""
+    `transfer` sums the transfer integral directly, with the symbol of
+    `_grid_image`: pass the inverse word, the reciprocal weight and the
+    orientation of the word.
+    """
     t1, t2, symbol = _grid_image(word, grid, omega)
     if kind == "composition":
         symbol = np.ones_like(symbol)
@@ -188,21 +164,31 @@ _KERNEL_CASES = [
 ]
 
 
+def _reciprocal(weight):
+    """The weight 1 / nu of the dual space, on which the transfer operator acts."""
+    return QuadrantWeight(
+        weight.basis, tuple(-d for d in weight.d_same), tuple(-d for d in weight.d_mixed)
+    )
+
+
 def _kernel_case(word, kind):
-    """The word, weight and orientation the assembly of `kind` works with."""
+    """The word and weight the kernel sums for a `_KERNEL_CASES` entry.
+
+    The kernel only assembles composition matrices; a `transfer` entry runs
+    it on the inverse word under the reciprocal weight, the pair that the
+    transfer integral is taken over.
+    """
     weight, _ = auto_weight(word)
-    omega = orientation(word)
     if kind == "transfer":
-        word, weight = inverse(word), weight.dual()
-    return word, weight, omega
+        word, weight = inverse(word), _reciprocal(weight)
+    return word, weight
 
 
 @functools.lru_cache(maxsize=None)
 def _reference_case(index, grid):
     """`_reference_assemble_at_grid` for a `_KERNEL_CASES` entry, shared by its block variants."""
     _, word, band, _, kind = _KERNEL_CASES[index]
-    word, weight, omega = _kernel_case(word, kind)
-    return _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
+    return _reference_assemble_at_grid(*_kernel_case(word, kind), band, grid)
 
 
 _CASE_IDS = [f"{c[0]}-{c[4]}" for c in _KERNEL_CASES]
@@ -218,8 +204,8 @@ def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
         assert grid % 3
     if name == "reversing":
         assert orientation(word) == -1
-    word, weight, omega = _kernel_case(word, kind)
-    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
+    word, weight = _kernel_case(word, kind)
+    sums = _band_sums(word, band, grid, _ALL_POINTS)
     got = _operator_matrix(sums, _mode_weights(weight, band), grid, 0.0)
     assert np.max(np.abs(got - _reference_case(index, grid))) <= 1e-13
 
@@ -249,51 +235,64 @@ def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
         for columns in (2 * grid, grid):
             step = points // columns
             assert step < grid and grid % step
-    word, weight, omega = _kernel_case(word, kind)
+    word, weight = _kernel_case(word, kind)
     nu = _mode_weights(weight, band)
-    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
-    _refine(sums, word, band, 2 * grid, kind, omega, nu)
+    sums = _band_sums(word, band, grid, _ALL_POINTS)
+    _refine(sums, word, band, 2 * grid, nu)
     got = _operator_matrix(sums, nu, 2 * grid, 0.0)
     assert np.max(np.abs(got - _reference_case(index, 2 * grid))) <= 1e-13
-
-
-class _TiltedWeight:
-    """nu(n) = exp(<n, tilt>), so nu(-n) = 1 / nu(n).
-
-    Every QuadrantWeight is even under n -> -n (the sector signs flip with
-    n), so none of them can show a mirrored entry tested with the wrong
-    weight; the assembly reads nothing of a weight but its log_weight_array.
-    """
-
-    def log_weight_array(self, n1, n2):
-        return 0.3 * np.asarray(n1) - 0.2 * np.asarray(n2)
 
 
 @pytest.mark.parametrize("kind", ["composition", "transfer"])
 def test_half_width_change_matches_full_matrices(kind):
     # a coarse grid, so that the change is far above rounding
     band, grid = 4, 16
-    word = psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0)
-    omega = orientation(word)
-    if kind == "transfer":
-        word = inverse(word)
-    weight = _TiltedWeight()
+    word, weight = _kernel_case(psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0), kind)
     nu = _mode_weights(weight, band)
-    # the weight of entry (k, n) differs from that of its mirror (-k, -n)
-    ratio = nu[:, None] / nu
-    assert np.max(np.abs(ratio / ratio[::-1, ::-1] - 1.0)) > 0.1
-    sums = _band_sums(word, band, grid, kind, omega, _ALL_POINTS)
-    got = _refine(sums, word, band, 2 * grid, kind, omega, nu)
-    change = np.abs(
-        _reference_assemble_at_grid(word, weight, band, grid, kind, omega)
-        - _reference_assemble_at_grid(word, weight, band, 2 * grid, kind, omega)
-    )
-    want = np.max(change)
-    # the largest change sits in a mirrored column n < 0, so a check that
-    # skipped the mirrors, or weighed them as their originals, would miss it
-    assert np.max(change[:, nu.size // 2:]) < 0.5 * want
+    assert np.array_equal(nu, nu[::-1])
+    sums = _band_sums(word, band, grid, _ALL_POINTS)
+    got = _refine(sums, word, band, 2 * grid, nu)
+    # every column, the mirrored ones n < 0 included
+    want = np.max(np.abs(
+        _reference_assemble_at_grid(word, weight, band, grid)
+        - _reference_assemble_at_grid(word, weight, band, 2 * grid)
+    ))
     assert want > 1e-6
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+_TRANSFER_CASES = [c for c in _KERNEL_CASES if c[4] == "transfer"]
+
+
+@pytest.mark.parametrize("name, word, band, grid, kind", _TRANSFER_CASES, ids=[c[0] for c in _TRANSFER_CASES])
+def test_transfer_matches_jacobian_route(name, word, band, grid, kind):
+    # the transfer integral summed directly on the final grid, with the
+    # symbol omega det Dh^-1, against the mirrored transpose of the
+    # composition matrix: two quadratures of one integral
+    weight, _ = auto_weight(word)
+    op = assemble_operator(word, weight, band, kind="transfer")
+    composition = assemble_operator(word, weight, band)
+    assert op.converged and op.grid == composition.grid
+    assert op.matrix.base is not None
+    assert np.array_equal(op.matrix, composition.matrix[::-1, ::-1].T)
+    want = _reference_assemble_at_grid(
+        inverse(word), _reciprocal(weight), band, op.grid, "transfer", orientation(word)
+    )
+    assert np.max(np.abs(op.matrix - want)) <= 1e-10
+
+
+class _TiltedWeight:
+    """nu(n) = exp(<n, tilt>), so nu(-n) = 1 / nu(n): no QuadrantWeight is like it."""
+
+    def log_weight_array(self, n1, n2):
+        return 0.3 * np.asarray(n1) - 0.2 * np.asarray(n2)
+
+
+@pytest.mark.parametrize("kind", ["composition", "transfer"])
+def test_assembly_rejects_uneven_weight(kind):
+    # the mirrored transpose and the half-width change check both need nu(-n) = nu(n)
+    with pytest.raises(ValueError, match="even"):
+        assemble_operator(parse_word("U(1,0.5) . U(1,0.3)"), _TiltedWeight(), 4, kind=kind)
 
 
 @pytest.mark.parametrize(
