@@ -19,6 +19,7 @@ that cannot be located, 3 certification failed, 4 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -370,7 +371,9 @@ def _cmd_embed(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="torspec",
         description="Closed-form resonance spectra of rational torus maps, with numerical verification.",

@@ -5,9 +5,11 @@ the band's discrete Fourier coefficients of the transformed monomials (two
 small DFT-matrix products per row block of the grid) to get matrix columns
 in the weighted basis, and diagonalize the truncation.  Grid resolution is
 doubled until the matrix stabilizes, so analytic tails are under control
-rather than assumed.  The grids are nested, so each doubling sums only the
-points it adds to raw sums kept from the coarser grids, and the weighted
-matrix is formed once, on the final grid.
+rather than assumed; each column settles on its own two-grid test, and a
+doubling sums only the columns still moving.  The grids are nested, so each
+doubling sums only the points it adds to raw sums kept from the coarser
+grids, and the weighted matrix is formed once, each column on its own final
+grid.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  Also provides spectrum bookkeeping (sorting, matching
@@ -57,6 +59,7 @@ class AssembledOperator:
     kind: str
     max_change: float
     converged: bool
+    columns_per_grid: Tuple[int, ...]
 
 
 def _grid_points(
@@ -85,26 +88,48 @@ def _mode_weights(weight, band: int) -> np.ndarray:
     return np.exp(weight.log_weight_array(np.repeat(modes, width), np.tile(modes, width)))
 
 
+def _chain(columns, active):
+    """A recurrence chain's columns up to its last active one, None for an inactive one."""
+    kept = [column if active[column] else None for column in columns]
+    while kept and kept[-1] is None:
+        kept.pop()
+    return kept
+
+
 def _accumulate(sums, columns, v, ratio, left, right):
-    """Add the band sums of v, v ratio, v ratio^2, ... to the columns; v is overwritten."""
+    """Add the band sums of v, v ratio, v ratio^2, ... to the columns, skipping None; v is overwritten."""
     for i, column in enumerate(columns):
         if i:
             v *= ratio
-        sums[:, column] += (left @ (v @ right)).reshape(-1)
+        if column is not None:
+            sums[:, column] += (left @ (v @ right)).reshape(-1)
 
 
-def _band_sums(word, band, grid, pieces):
+def _band_sums(word, band, grid, pieces, active):
     """Raw band sums of the transformed monomials over pieces of one grid.
 
     Only the modes n >= 0 (lexicographically) get a column, from mode
-    (0, 0) on; column n holds, for every band mode k, the sum of
-    V_n(x) exp(-2 pi i k.x / grid) over the points x of the pieces, where
-    V_n = t1^n1 t2^n2 and t = word(z).  A piece is a (rows, columns) pair of
-    grid slices, so its sum is E[:, rows] V E[:, cols]^T with E from
-    `_band_dft`; the rows are walked in blocks of about _BLOCK_POINTS
-    points, and only the band's coefficients are formed.
+    (0, 0) on, and only the columns where the boolean mask `active` is set
+    are summed; the others stay zero.  Column n holds, for every band mode
+    k, the sum of V_n(x) exp(-2 pi i k.x / grid) over the points x of the
+    pieces, where V_n = t1^n1 t2^n2 and t = word(z).  A piece is a
+    (rows, columns) pair of grid slices, so its sum is E[:, rows] V E[:, cols]^T
+    with E from `_band_dft`; the rows are walked in blocks of about
+    _BLOCK_POINTS points, and only the band's coefficients are formed.
+    The powers come by recurrence along chains (n1, 0), (n1, 1), ... and
+    (n1, -1), (n1, -2), ...; a chain steps over its inactive columns without
+    summing them and ends at its last active one.
     """
     width = 2 * band + 1
+    chains = [
+        (
+            _chain(range(n1 * width, n1 * width + band + 1), active),  # from mode (n1, 0)
+            _chain(range(n1 * width - 1, n1 * width - band - 1, -1), active) if n1 else [],
+        )
+        for n1 in range(band + 1)
+    ]
+    while chains and not any(chains[-1]):
+        chains.pop()
     dft = _band_dft(band, grid)
     sums = np.zeros((width * width, width * width // 2 + 1), dtype=complex)
     for rows, cols in pieces:
@@ -126,62 +151,64 @@ def _band_sums(word, band, grid, pieces):
             p1 = np.ones_like(t1)
             t2_inverse = np.conj(t2)
             v = np.empty_like(t1)
-            for n1 in range(band + 1):
+            for n1, (up, down) in enumerate(chains):
                 if n1:
                     p1 *= t1
-                column = n1 * width  # mode (n1, 0)
-                np.copyto(v, p1)
-                _accumulate(sums, range(column, column + band + 1), v, t2, left, right)
-                if n1:
+                if up:
+                    np.copyto(v, p1)
+                    _accumulate(sums, up, v, t2, left, right)
+                if down:
                     np.multiply(p1, t2_inverse, out=v)
-                    _accumulate(
-                        sums, range(column - 1, column - band - 1, -1), v, t2_inverse,
-                        left, right,
-                    )
+                    _accumulate(sums, down, v, t2_inverse, left, right)
     return sums
 
 
-def _refine(sums, word, band, grid, nu):
-    """Add the points of `grid` that grid // 2 lacks to `sums`; return max |M_(grid/2) - M_grid|.
+def _refine(sums, word, band, grid, nu, active):
+    """Add the points of `grid` that grid // 2 lacks to the active columns of `sums`; return their changes.
 
     With S the sums over grid g = grid // 2, R those over the new points and
     W[k, n] = nu(k) / nu(n), M_g = S W / g^2 and M_grid = (S + R) W / grid^2,
     so M_g - M_grid = (3 S - R) W / grid^2.  A column n > 0 also stands for
     its mirror -n, whose entry (-k, -n) has the same modulus and, nu being
     even (`assemble_operator` checks it), the same weight, so the columns
-    n >= 0 hold every change.  The rows are taken in chunks of about
+    n >= 0 hold every change.  The result is max_k |M_g - M_grid|[k, n]
+    for each active column n, in column order; the inactive columns are
+    neither summed nor changed.  The rows are taken in chunks of about
     _BLOCK_POINTS entries.
     """
-    new = _band_sums(word, band, grid, _NEW_POINTS)
+    new = _band_sums(word, band, grid, _NEW_POINTS, active)
     size, centre = nu.size, nu.size // 2
-    worst = 0.0
+    worst = np.zeros(sums.shape[1])
     step = max(1, _BLOCK_POINTS // sums.shape[1])
     for start in range(0, size, step):
         rows = slice(start, start + step)
-        change = np.abs(3.0 * sums[rows] - new[rows])
-        worst = max(worst, float(np.max(change * (nu[rows, None] / nu[centre:]))))
+        change = np.abs(3.0 * sums[rows] - new[rows]) * (nu[rows, None] / nu[centre:])
+        np.maximum(worst, change.max(axis=0), out=worst)
         sums[rows] += new[rows]
-    return worst / grid ** 2
+    return worst[active] / grid ** 2
 
 
-def _operator_matrix(sums, nu, grid, floor):
-    """The weighted matrix S W / grid^2 from the sums of the columns n >= 0; entries below floor become 0.
+def _operator_matrix(sums, nu, grids, floor):
+    """The weighted matrix from the sums of the columns n >= 0; entries below floor become 0.
 
-    t^-1 = conj(t) on the torus, so V_-n = conj(V_n) and coefficient k of
-    column -n is conj(coefficient -k of column n): the columns before mode
-    (0, 0) are mirrored from the sums.
+    Column n >= 0 was summed on the grid grids[n], so it and its mirror -n
+    are S W / grids[n]^2 with W[k, n] = nu(k) / nu(n).  t^-1 = conj(t) on
+    the torus, so V_-n = conj(V_n) and coefficient k of column -n is
+    conj(coefficient -k of column n): the columns before mode (0, 0) are
+    mirrored from the sums.
     The rows are formed in chunks of about _BLOCK_POINTS entries.
     """
     size, centre = nu.size, nu.size // 2
     matrix = np.empty((size, size), dtype=complex)
     flipped = sums[::-1, :0:-1]
+    points = np.concatenate((grids[:0:-1], grids)) ** 2
     step = max(1, _BLOCK_POINTS // size)
     for start in range(0, size, step):
         rows = slice(start, start + step)
         block = matrix[rows]
         block[:, centre:] = sums[rows]
         np.conjugate(flipped[rows], out=block[:, :centre])
-        block /= grid ** 2
+        block /= points
         block *= nu[rows, None]
         block /= nu
         block[np.abs(block) < floor] = 0.0
@@ -207,16 +234,26 @@ def assemble_operator(
     Every QuadrantWeight is even; any other weight raises ValueError, since
     the transposition and the change check both rest on it.
 
-    The starting grid max(8*band, 64) is doubled, at most three times,
-    until the matrix moves by less than 1e-8; a matrix that never settles is
-    returned with a warning rather than silently trusted.  The grids are
-    nested (grid g holds the even points of grid 2g), so the first grid sums
-    all of its points and each doubling only the three quarters it adds,
-    into raw sums of the band's coefficients for the columns n >= 0,
-    walking the grid in row blocks of a fixed size.  The whole schedule
-    costs about (2 band + 1)^3 G^2 / 2 complex multiply-adds for the final
-    grid G and holds at most two half-width accumulators; the weighted
-    matrix is formed once, on the final grid.  Bands above 16 need
+    The starting grid max(8*band, 64) is doubled, at most three times, and
+    each column settles on its own: a column n >= 0 (standing also for its
+    mirror -n) is final once it moves by less than 1e-8 between two grids,
+    and later doublings leave it alone.  So every column passes the same
+    two-grid test, and no column is accepted on another column's test;
+    since the spread of the coefficients of t^n grows with |n|, most
+    columns settle one doubling before the worst ones.  A matrix with a
+    column that never settles is returned with a warning rather than
+    silently trusted.  `grid` is the finest grid any column reached,
+    `max_change` the largest change measured at the last doubling (over the
+    columns refined there), `converged` says that every column settled, and
+    `columns_per_grid` counts the columns summed on each grid of the
+    schedule, e.g. (221, 221, 16).  The grids are nested (grid g holds the
+    even points of grid 2g), so the first grid sums all of its points and
+    each doubling only the three quarters it adds, into raw sums of the
+    band's coefficients for the columns n >= 0, walking the grid in row
+    blocks of a fixed size.  A column summed up to grid G costs about
+    (2 band + 1) G^2 complex multiply-adds over the schedule, and the
+    assembly holds at most two half-width accumulators; the weighted matrix
+    is formed once, each column on its own final grid.  Bands above 16 need
     force=True: assembly time grows like band^5 and the matrix like band^4
     (the dense eigensolve stays cheap).
 
@@ -238,25 +275,34 @@ def assemble_operator(
     if not np.array_equal(nu, nu[::-1]):
         raise ValueError("the weight must be even under n -> -n")
     grid = max(8 * band, 64)
-    sums = _band_sums(word, band, grid, _ALL_POINTS)
+    active = np.ones(nu.size // 2 + 1, dtype=bool)
+    grids = np.full(active.size, grid)
+    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
+    columns_per_grid = [active.size]
     max_change = np.inf
-    converged = False
     for _ in range(_MAX_DOUBLINGS):
         grid *= 2
-        max_change = _refine(sums, word, band, grid, nu)
-        if max_change < _TOL:
-            converged = True
+        change = _refine(sums, word, band, grid, nu, active)
+        columns_per_grid.append(change.size)
+        grids[active] = grid
+        max_change = float(change.max())
+        # written as "not below" so that a NaN change keeps its column moving
+        active[active] = ~(change < _TOL)
+        if not active.any():
             break
+    converged = not active.any()
     if not converged:
         warnings.warn(
             f"operator matrix still moving by {max_change:.3e} at grid {grid}",
             RuntimeWarning,
         )
     floor = min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
-    matrix = _operator_matrix(sums, nu, grid, floor)
+    matrix = _operator_matrix(sums, nu, grids, floor)
     if kind == "transfer":
         matrix = matrix[::-1, ::-1].T
-    return AssembledOperator(matrix, band, grid, kind, max_change, converged)
+    return AssembledOperator(
+        matrix, band, grid, kind, max_change, converged, tuple(columns_per_grid)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +337,20 @@ def operator_spectrum(operator) -> np.ndarray:
 
 
 def numeric_trace_power(operator, k: int) -> complex:
+    """tr(M^k) as sum(M^a * (M^b).T) with a = ceil(k/2), b = floor(k/2).
+
+    Only M^b and, for odd k, M^a = M^b M are formed: k = 1..5 take 4 matrix
+    products in all, where matrix_power would take 8.
+    """
     matrix = operator.matrix if isinstance(operator, AssembledOperator) else np.asarray(operator)
     if int(k) != k or k < 1:
         raise ValueError("k must be a positive integer")
-    return complex(np.trace(np.linalg.matrix_power(matrix, int(k))))
+    k = int(k)
+    if k == 1:
+        return complex(np.trace(matrix))
+    low = np.linalg.matrix_power(matrix, k // 2)
+    high = low @ matrix if k % 2 else low
+    return complex(np.sum(high * low.T))
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,24 @@ def test_reports_byte_stable(tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_main_repeats_byte_identical(capsys):
+    # the parser is built once per process; neither a parse nor a parse
+    # error (argparse's SystemExit(2)) may leave anything behind in it
+    calls = (
+        ["resonances", "--word", "U(1,0.5) . U(1,0.3)"],
+        ["reduce", "--matrix", "[[2,1],[1,1]]"],
+        ["spectrum", "--word", "F . R", "--band", "2"],
+    )
+    first = [(cli.main(argv), capsys.readouterr()) for argv in calls]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["resonances", "--band", "3"])
+        assert exc.value.code == 2
+        assert "--word" in capsys.readouterr().err
+        assert [(cli.main(argv), capsys.readouterr()) for argv in calls] == first
+    assert [code for code, _ in first] == [0, 0, 0]
+
+
 def test_render_json_tokens():
     assert cli.render_json({"x": 0.1}) == '{\n  "x": 0.10000000000000001\n}'
     assert cli.render_json([1, True, None]) == "[1, true, null]"

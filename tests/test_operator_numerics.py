@@ -194,6 +194,18 @@ def _reference_case(index, grid):
 _CASE_IDS = [f"{c[0]}-{c[4]}" for c in _KERNEL_CASES]
 
 
+def _all_columns(band):
+    """The mask that sums every column n >= 0 of the band."""
+    return np.ones((2 * band + 1) ** 2 // 2 + 1, dtype=bool)
+
+
+def _column_changes(coarse, fine):
+    """max_k |coarse - fine|[k, n] over column n and its mirror -n, for each n >= 0."""
+    centre = coarse.shape[1] // 2
+    change = np.abs(coarse - fine).max(axis=0)
+    return np.maximum(change[centre:], change[centre::-1])
+
+
 @pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "row-blocks"])
 @pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
 def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
@@ -205,8 +217,9 @@ def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
     if name == "reversing":
         assert orientation(word) == -1
     word, weight = _kernel_case(word, kind)
-    sums = _band_sums(word, band, grid, _ALL_POINTS)
-    got = _operator_matrix(sums, _mode_weights(weight, band), grid, 0.0)
+    active = _all_columns(band)
+    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
+    got = _operator_matrix(sums, _mode_weights(weight, band), np.full(active.size, grid), 0.0)
     assert np.max(np.abs(got - _reference_case(index, grid))) <= 1e-13
 
 
@@ -237,9 +250,10 @@ def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
             assert step < grid and grid % step
     word, weight = _kernel_case(word, kind)
     nu = _mode_weights(weight, band)
-    sums = _band_sums(word, band, grid, _ALL_POINTS)
-    _refine(sums, word, band, 2 * grid, nu)
-    got = _operator_matrix(sums, nu, 2 * grid, 0.0)
+    active = _all_columns(band)
+    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
+    _refine(sums, word, band, 2 * grid, nu, active)
+    got = _operator_matrix(sums, nu, np.full(active.size, 2 * grid), 0.0)
     assert np.max(np.abs(got - _reference_case(index, 2 * grid))) <= 1e-13
 
 
@@ -250,15 +264,101 @@ def test_half_width_change_matches_full_matrices(kind):
     word, weight = _kernel_case(psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0), kind)
     nu = _mode_weights(weight, band)
     assert np.array_equal(nu, nu[::-1])
-    sums = _band_sums(word, band, grid, _ALL_POINTS)
-    got = _refine(sums, word, band, 2 * grid, nu)
-    # every column, the mirrored ones n < 0 included
-    want = np.max(np.abs(
-        _reference_assemble_at_grid(word, weight, band, grid)
-        - _reference_assemble_at_grid(word, weight, band, 2 * grid)
-    ))
-    assert want > 1e-6
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    active = _all_columns(band)
+    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
+    got = _refine(sums, word, band, 2 * grid, nu, active)
+    # column n >= 0 and its mirror -n
+    want = _column_changes(
+        _reference_assemble_at_grid(word, weight, band, grid),
+        _reference_assemble_at_grid(word, weight, band, 2 * grid),
+    )
+    assert want.max() > 1e-6
+    assert got.max() == pytest.approx(want.max(), rel=1e-12, abs=0.0)
+    # column by column, to the rounding of the largest change: the constant
+    # column 0 changes by exactly 0 in the reference and by rounding here
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@functools.lru_cache(maxsize=None)
+def _two_block_sums():
+    """The band sums of `_KERNEL_CASES[0]` on its grid, every column summed."""
+    _, word, band, grid, kind = _KERNEL_CASES[0]
+    word, _ = _kernel_case(word, kind)
+    return _band_sums(word, band, grid, _ALL_POINTS, _all_columns(band))
+
+
+def _masks(band):
+    """Column masks that leave gaps inside chains, whole chains, and the tail of the band."""
+    columns = _all_columns(band).size
+    width = 2 * band + 1
+    first = np.zeros(columns, dtype=bool)
+    first[0] = True
+    last = np.zeros(columns, dtype=bool)
+    last[-1] = True
+    chain = np.zeros(columns, dtype=bool)
+    chain[2 * width - band:2 * width] = True  # mode (2, -band) up to (2, -1) only
+    return {
+        "random": np.random.default_rng(1).random(columns) < 0.3,
+        "first": first,
+        "last": last,
+        "one-chain": chain,
+        "alternate": np.arange(columns) % 2 == 1,
+    }
+
+
+@pytest.mark.parametrize("mask", list(_masks(_KERNEL_CASES[0][2])))
+def test_band_sums_skip_inactive_columns(mask):
+    # the active columns come out bit for bit as when every column is summed,
+    # and the inactive ones are not summed at all
+    _, word, band, grid, kind = _KERNEL_CASES[0]
+    word, _ = _kernel_case(word, kind)
+    active = _masks(band)[mask]
+    got = _band_sums(word, band, grid, _ALL_POINTS, active)
+    assert np.array_equal(got[:, active], _two_block_sums()[:, active])
+    assert not np.any(got[:, ~active])
+
+
+README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
+
+
+@pytest.mark.parametrize(
+    "word, band", [(README_WORD, 10), (_KERNEL_CASES[0][1], 8)], ids=["readme", "two-block"]
+)
+def test_columns_settle_one_by_one(word, band):
+    # each column passes its own two-grid test: the columns that move by at
+    # least 1e-8 between the first two grids, and only they, are summed on
+    # the third; every column still matches the full sum on the final grid
+    word, weight = _kernel_case(word, "composition")
+    op = assemble_operator(word, weight, band)
+    first = max(8 * band, 64)
+    assert op.converged and op.grid == 4 * first
+    columns = _all_columns(band).size
+    changes = _column_changes(
+        _reference_assemble_at_grid(word, weight, band, first),
+        _reference_assemble_at_grid(word, weight, band, 2 * first),
+    )
+    moving = int(np.count_nonzero(changes >= 1e-8))
+    assert 0 < moving < columns
+    assert op.columns_per_grid == (columns, columns, moving)
+    want = _reference_assemble_at_grid(word, weight, band, op.grid)
+    assert np.max(np.abs(op.matrix - want)) <= 1e-13
+
+
+def test_unconverged_columns_warn(monkeypatch):
+    monkeypatch.setattr(operator_numerics, "_MAX_DOUBLINGS", 1)
+    weight, _ = auto_weight(README_WORD)
+    with pytest.warns(RuntimeWarning, match="still moving"):
+        op = assemble_operator(README_WORD, weight, 10)
+    assert not op.converged and op.max_change >= 1e-8
+    assert op.grid == 160
+    assert op.columns_per_grid == (221, 221)
+
+
+def test_linear_word_settles_at_first_doubling():
+    weight, _ = auto_weight(CAT)
+    op = assemble_operator(CAT, weight, 16)
+    assert op.converged and op.grid == 256
+    assert op.columns_per_grid == (545, 545)
 
 
 _TRANSFER_CASES = [c for c in _KERNEL_CASES if c[4] == "transfer"]
@@ -343,6 +443,16 @@ def test_trace_powers_cat(cat_operator):
     _, op = cat_operator
     for k in (1, 2, 5):
         assert abs(numeric_trace_power(op, k) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("size", [1, 7, 40])
+def test_trace_powers_match_matrix_power(size):
+    rng = np.random.default_rng(size)
+    m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    m /= np.sqrt(2 * size)
+    for k in range(1, 7):
+        want = np.trace(np.linalg.matrix_power(m, k))
+        assert abs(numeric_trace_power(m, k) - want) <= 1e-12 * abs(want)
 
 
 def test_trace_powers_match_closed_form():
