@@ -9,7 +9,9 @@ rather than assumed; each column settles on its own two-grid test, and a
 doubling sums only the columns still moving.  The grids are nested, so each
 doubling sums only the points it adds to raw sums kept from the coarser
 grids, and the weighted matrix is formed once, each column on its own final
-grid.
+grid.  Each row block's columns are summed by one thread per CPU the process
+may use, every column by the same operations as with one thread, so the
+matrix does not depend on the number of CPUs, bit for bit.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  Also provides spectrum bookkeeping (sorting, matching
@@ -18,6 +20,8 @@ against closed-form predictions, trace powers) and flat-file export.
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -35,6 +39,8 @@ _MAX_DOUBLINGS = 3
 # grid points walked, or matrix entries formed, at once; fixes the
 # assembly's working memory
 _BLOCK_POINTS = 1 << 15
+# threads that sum a block's columns: one per CPU this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # (rows, columns) pieces of a grid: all of its points, and the points of
 # grid 2g that grid g lacks (odd rows x all columns, even rows x odd columns)
 _ALL_POINTS = ((slice(None), slice(None)),)
@@ -45,9 +51,10 @@ class TruncationSizeError(ValueError):
     """Band too large to assemble without an explicit override.
 
     Assembly time and memory, not the dense eigensolve, grow fast with the
-    band.  For U(1,0.4) . U(1,0.3) at band 16 (2-core machine, one BLAS
-    thread) assembly up to grid 256 took 0.5 s and the eigensolve of the
-    snapped matrix, 18% nonzero, took 0.1 s.
+    band.  For U(1,0.4) . U(1,0.3) at band 16 (2-core AMD EPYC VM, one BLAS
+    thread) assembly up to grid 256 took 0.10 s with two workers (0.16 s
+    pinned to one CPU) and the eigensolve of the snapped matrix, 18%
+    nonzero, took 0.015 s.
     """
 
 
@@ -96,13 +103,82 @@ def _chain(columns, active):
     return kept
 
 
-def _accumulate(sums, columns, v, ratio, left, right):
-    """Add the band sums of v, v ratio, v ratio^2, ... to the columns, skipping None; v is overwritten."""
-    for i, column in enumerate(columns):
-        if i:
-            v *= ratio
-        if column is not None:
-            sums[:, column] += (left @ (v @ right)).reshape(-1)
+def _shares(band, active, workers):
+    """The active columns cut into at most `workers` runs of the walk, each a list of (n1, down, chain).
+
+    The walk takes n1 = 0, 1, ... in turn, each first up the chain
+    (n1, 0), (n1, 1), ... and then down the chain (n1, -1), (n1, -2), ...;
+    its active columns, in that order, are cut into runs of nearly equal
+    length.  A run's chain holds None for every column before its own
+    (and for every inactive one), so that it steps over them, and ends at
+    its last own column.
+    """
+    width = 2 * band + 1
+    walk = []
+    for n1 in range(band + 1):
+        walk.append((n1, False, range(n1 * width, n1 * width + band + 1)))  # from mode (n1, 0)
+        if n1:
+            walk.append((n1, True, range(n1 * width - 1, n1 * width - band - 1, -1)))
+    order = [column for _, _, columns in walk for column in columns if active[column]]
+    owner = np.full(active.size, -1)
+    owner[order] = np.arange(len(order)) * workers // max(1, len(order))
+    shares = []
+    for worker in range(workers):
+        mine = owner == worker
+        share = [(n1, down, chain) for n1, down, columns in walk if (chain := _chain(columns, mine))]
+        if share:
+            shares.append(share)
+    return shares
+
+
+def _sum_share(sums, share, t1, t2, t2_inverse, left, right, p1, v):
+    """Add one block's band sums of a share's columns; p1 and v are the worker's own buffers.
+
+    t1^n1 is rebuilt from exact ones by the products p1 *= t1, and each
+    chain steps from t1^n1 (up) or t1^n1 / t2 (down) by v *= t2 or
+    v *= 1 / t2, so every column is formed by the same operations, in the
+    same order, whichever share holds it.  1 / t2 = conj(t2) on the torus.
+    """
+    p1.fill(1.0)
+    power = 0
+    for n1, down, columns in share:
+        for _ in range(power, n1):
+            p1 *= t1
+        power = n1
+        if down:
+            ratio = t2_inverse
+            np.multiply(p1, ratio, out=v)
+        else:
+            ratio = t2
+            np.copyto(v, p1)
+        for i, column in enumerate(columns):
+            if i:
+                v *= ratio
+            if column is not None:
+                sums[:, column] += (left @ (v @ right)).reshape(-1)
+
+
+def _in_threads(target, argument_lists):
+    """target(*arguments) for each list in its own thread; all are joined, then the first error is raised."""
+    errors = []
+
+    def run(arguments):
+        try:
+            target(*arguments)
+        except BaseException as error:  # re-raised in the calling thread below
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(arguments,)) for arguments in argument_lists]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _band_sums(word, band, grid, pieces, active):
@@ -119,17 +195,17 @@ def _band_sums(word, band, grid, pieces, active):
     The powers come by recurrence along chains (n1, 0), (n1, 1), ... and
     (n1, -1), (n1, -2), ...; a chain steps over its inactive columns without
     summing them and ends at its last active one.
+
+    The calling thread walks the word once per block; then _WORKERS threads,
+    started and joined inside the block, each add the sums of their own run
+    of the active columns (`_shares`), sharing the block's read-only arrays
+    and writing only their own columns of the result.  Each run replays the
+    power recurrence from exact ones (`_sum_share`), so a column gets the
+    same products and the same additions, block after block, for any number
+    of workers: the sums are bit for bit those of one worker.
     """
     width = 2 * band + 1
-    chains = [
-        (
-            _chain(range(n1 * width, n1 * width + band + 1), active),  # from mode (n1, 0)
-            _chain(range(n1 * width - 1, n1 * width - band - 1, -1), active) if n1 else [],
-        )
-        for n1 in range(band + 1)
-    ]
-    while chains and not any(chains[-1]):
-        chains.pop()
+    shares = _shares(band, active, _WORKERS)
     dft = _band_dft(band, grid)
     sums = np.zeros((width * width, width * width // 2 + 1), dtype=complex)
     for rows, cols in pieces:
@@ -146,20 +222,17 @@ def _band_sums(word, band, grid, pieces, active):
             # every atom maps the torus to itself, so no point is ever at infinity here
             values, masks, _ = _extended_in((z1, z2))
             (t1, t2), _, _ = _walk(word, values, masks)
-            # powers by recurrence outward from exact ones, so that column 0
-            # is the exact constant
-            p1 = np.ones_like(t1)
             t2_inverse = np.conj(t2)
-            v = np.empty_like(t1)
-            for n1, (up, down) in enumerate(chains):
-                if n1:
-                    p1 *= t1
-                if up:
-                    np.copyto(v, p1)
-                    _accumulate(sums, up, v, t2, left, right)
-                if down:
-                    np.multiply(p1, t2_inverse, out=v)
-                    _accumulate(sums, down, v, t2_inverse, left, right)
+            # each worker's p1 and v come from the calling thread: allocated
+            # in the workers, they would come from per-thread heaps and raise
+            # the peak memory
+            _in_threads(
+                _sum_share,
+                [
+                    (sums, share, t1, t2, t2_inverse, left, right, np.empty_like(t1), np.empty_like(t1))
+                    for share in shares
+                ],
+            )
     return sums
 
 
@@ -256,6 +329,18 @@ def assemble_operator(
     is formed once, each column on its own final grid.  Bands above 16 need
     force=True: assembly time grows like band^5 and the matrix like band^4
     (the dense eigensolve stays cheap).
+
+    The column sums run on every CPU the process may use
+    (os.sched_getaffinity, else os.cpu_count), with no setting: for each
+    row block the calling thread walks the word, then one thread per CPU
+    sums its own run of the active columns, and all of them are joined
+    before the next block, so no thread outlives the call.  A worker
+    rebuilds the powers of its columns from exact ones by the same
+    products as a single thread would, and each column is added to block
+    by block in grid order, so the matrix is bit for bit the same on any
+    number of CPUs.  BLAS should run one thread per call (importing torspec
+    sets OPENBLAS_NUM_THREADS=1 unless it is already set), or its threads
+    compete with the workers for the same cores.
 
     Entries smaller than the certified resolution of the doubling pass are
     snapped to exact zero.  Mode-permutation truncations (automorphisms) are
@@ -368,7 +453,7 @@ def match_spectra(predicted, computed, floor: float = 0.0) -> MatchReport:
     bare complex numbers; values of modulus below `floor` are ignored on the
     predicted side and reported unmatched on the computed side.  Pairing runs
     through predictions by decreasing modulus, each taking the closest
-    still-unused computed eigenvalue.
+    still-unused computed eigenvalue, the first one listed on a tie.
     """
     flat: list = []
     for item in predicted:
@@ -378,21 +463,27 @@ def match_spectra(predicted, computed, floor: float = 0.0) -> MatchReport:
             flat.append(complex(item))
     flat = [v for v in flat if abs(v) >= floor]
     flat.sort(key=lambda v: -abs(v))
-    pool = list(np.asarray(computed, dtype=complex))
+    pool = np.asarray(computed, dtype=complex)
+    used = np.zeros(pool.size, dtype=bool)
     pairs = []
     missing = []
     worst = 0.0
     for p in flat:
-        if not pool:
+        if len(pairs) == pool.size:
             missing.append(p)
             continue
-        dist = [abs(p - c) for c in pool]
+        # hypot, not np.abs: numpy's vectorised complex modulus can differ
+        # from the scalar abs(p - c) in the last bit, which would reorder ties
+        gap = p - pool
+        dist = np.hypot(gap.real, gap.imag)
+        dist[used] = np.inf
         i = int(np.argmin(dist))
-        c = pool.pop(i)
+        used[i] = True
+        c = pool[i]
         rel = abs(p - c) / max(abs(p), 1e-300)
         worst = max(worst, rel)
         pairs.append((p, c, rel))
-    leftovers = tuple(c for c in pool if abs(c) >= floor)
+    leftovers = tuple(c for c in pool[~used] if abs(c) >= floor)
     return MatchReport(tuple(pairs), tuple(missing), leftovers, worst)
 
 

@@ -12,6 +12,9 @@ one home.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,3 +170,32 @@ def test_no_name_defined_twice():
     sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
     duplicates = _duplicate_definitions(sources)
     assert not duplicates, f"top-level names defined in more than one module: {duplicates}"
+
+
+# prints OPENBLAS_NUM_THREADS as numpy first loads, and after the import
+_BLAS_PROBE = """
+import os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+import torspec
+print(seen[0], os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_import_caps_blas_unless_set(given, expected):
+    # the assembly runs a worker per CPU, so OpenBLAS gets one thread per
+    # call, set before numpy loads; a caller's own setting wins
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [expected, expected]

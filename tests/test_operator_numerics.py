@@ -3,6 +3,8 @@
 import cmath
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,6 +29,7 @@ from torspec.operator_numerics import (
     AssembledOperator,
     TruncationSizeError,
     _ALL_POINTS,
+    _NEW_POINTS,
     _band_dft,
     _band_sums,
     _grid_points,
@@ -41,6 +44,7 @@ from torspec.operator_numerics import (
     write_spectrum_csv,
 )
 from torspec.resonance_theory import (
+    EigenvalueEntry,
     closed_trace,
     enumerate_eigenvalues,
     spectrum_model_psi,
@@ -321,6 +325,64 @@ def test_band_sums_skip_inactive_columns(mask):
 README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
 
 
+@pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
+def test_band_sums_same_for_any_worker_count(monkeypatch, index):
+    # each worker replays the power recurrence of its own columns from exact
+    # ones, so the sums come out bit for bit the same for 1, 2 or 3 workers
+    # (3 is more than this suite's 2 CPUs), on the whole grid and on the
+    # points a doubling adds, with every column or only some of them active
+    _, word, band, grid, kind = _KERNEL_CASES[index]
+    word, _ = _kernel_case(word, kind)
+    # ten rows per block: many blocks, and a last partial one
+    monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 10 * grid + 1)
+    assert grid % 10
+    masks = {"all": _all_columns(band), **_masks(band)}
+    interval = sys.getswitchinterval()
+    # switch threads far more often than by default, to shake out a lost update
+    sys.setswitchinterval(1e-5)
+    try:
+        for pieces in (_ALL_POINTS, _NEW_POINTS):
+            for name, active in masks.items():
+                sums = []
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(operator_numerics, "_WORKERS", workers)
+                    sums.append(_band_sums(word, band, grid, pieces, active))
+                assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2]), name
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_assembly_leaves_no_thread(monkeypatch, workers):
+    monkeypatch.setattr(operator_numerics, "_WORKERS", workers)
+    weight, _ = auto_weight(README_WORD)
+    before = threading.active_count()
+    op = assemble_operator(README_WORD, weight, 6)
+    assert op.converged
+    assert threading.active_count() == before
+
+
+def test_worker_error_reaches_caller(monkeypatch):
+    # a worker that fails (here as if out of memory) fails the assembly, and
+    # every other worker has been joined by then
+    calls = []
+
+    def failing(sums, share, *arrays):
+        calls.append(share)
+        if len(calls) == 2:
+            raise MemoryError("worker")
+
+    monkeypatch.setattr(operator_numerics, "_WORKERS", 3)
+    monkeypatch.setattr(operator_numerics, "_sum_share", failing)
+    weight, _ = auto_weight(README_WORD)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="worker"):
+        assemble_operator(README_WORD, weight, 6)
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+
 @pytest.mark.parametrize(
     "word, band", [(README_WORD, 10), (_KERNEL_CASES[0][1], 8)], ids=["readme", "two-block"]
 )
@@ -464,6 +526,70 @@ def test_trace_powers_match_closed_form():
     # the identity is far inside tolerance
     for k in range(2, 6):
         assert abs(numeric_trace_power(op, k) - closed_trace(model, k)) < 1e-6
+
+
+def _list_matcher(predicted, computed, floor=0.0):
+    """match_spectra as it was written first: a Python list of distances per prediction."""
+    flat = []
+    for item in predicted:
+        if hasattr(item, "multiplicity"):
+            flat.extend([complex(item.value)] * item.multiplicity)
+        else:
+            flat.append(complex(item))
+    flat = [v for v in flat if abs(v) >= floor]
+    flat.sort(key=lambda v: -abs(v))
+    pool = list(np.asarray(computed, dtype=complex))
+    pairs, missing, worst = [], [], 0.0
+    for p in flat:
+        if not pool:
+            missing.append(p)
+            continue
+        dist = [abs(p - c) for c in pool]
+        c = pool.pop(int(np.argmin(dist)))
+        rel = abs(p - c) / max(abs(p), 1e-300)
+        worst = max(worst, rel)
+        pairs.append((p, c, rel))
+    leftovers = tuple(c for c in pool if abs(c) >= floor)
+    return pairs, missing, leftovers, worst
+
+
+# quarter-integer points give exact duplicates and exact distance ties
+_quarters = st.builds(complex, st.integers(-6, 6).map(lambda a: a / 4), st.integers(-6, 6).map(lambda b: b / 4))
+_spectrum_values = st.one_of(_quarters, st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+
+
+@given(
+    st.lists(st.tuples(_spectrum_values, st.integers(0, 3)), max_size=25),
+    st.lists(_spectrum_values, max_size=25),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.randoms(),
+)
+@settings(max_examples=300, deadline=None)
+def test_match_spectra_matches_list_loop(predicted, computed, floor, rng):
+    # multiplicity 0 stands for a bare value, the others for enumeration entries
+    predicted = [EigenvalueEntry(v, m) if m else v for v, m in predicted]
+    computed = computed + computed[: len(computed) // 3]  # exact duplicates
+    rng.shuffle(predicted)
+    rng.shuffle(computed)
+    report = match_spectra(predicted, np.array(computed, dtype=complex), floor=floor)
+    pairs, missing, leftovers, worst = _list_matcher(predicted, np.array(computed, dtype=complex), floor)
+    assert list(report.pairs) == pairs
+    assert list(report.unmatched_predicted) == missing
+    assert report.unmatched_computed == leftovers
+    assert report.max_rel_err == worst
+
+
+def test_match_spectra_ties_on_scalar_distance():
+    # both values lie at the same distance abs(p - c) from the prediction, so
+    # the first one listed wins; numpy's vectorised complex modulus puts the
+    # second one an ulp closer on SIMD builds
+    p = 0.5 + 0.25j
+    computed = [0.31010379447980946 + 0.04974104584966138j, 0.2251063840577927 + 0.22555173825049946j]
+    assert abs(p - computed[0]) == abs(p - computed[1])
+    for order in (computed, computed[::-1]):
+        report = match_spectra([p], np.array(order))
+        assert report.pairs[0][1] == order[0]
+        assert report.unmatched_computed == (order[1],)
 
 
 def test_match_spectra_bookkeeping():
