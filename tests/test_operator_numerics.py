@@ -382,7 +382,6 @@ def test_worker_error_reaches_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-
 @pytest.mark.parametrize(
     "word, band", [(README_WORD, 10), (_KERNEL_CASES[0][1], 8)], ids=["readme", "two-block"]
 )
