@@ -4,7 +4,21 @@ Construct hyperbolic rational maps of the complex 2-torus as generator words,
 predict their full resonance spectrum in closed form from fixed-point data,
 and verify the prediction against truncated composition-operator matrices on
 anisotropically weighted Fourier bases.
+
+Operator assembly already runs one thread per CPU (up to four), so importing
+the package sets OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and BLIS_NUM_THREADS
+to 1 wherever the caller has not set them.  That caps an OpenBLAS, MKL or
+BLIS build of numpy at one thread per call, but only if numpy has not been
+imported yet; a BLAS threaded through OpenMP alone, by OMP_NUM_THREADS, is
+not capped.  The variables stay in os.environ, so subprocesses inherit them.
 """
+
+import os
+
+# before numpy first loads: with BLAS threads of their own, the assembly's
+# workers would oversubscribe the cores they already fill
+for _name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 __version__ = "0.1.0"
 

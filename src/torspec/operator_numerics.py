@@ -10,8 +10,9 @@ doubling sums only the columns still moving.  The grids are nested, so each
 doubling sums only the points it adds to raw sums kept from the coarser
 grids, and the weighted matrix is formed once, each column on its own final
 grid.  Each row block's columns are summed by one thread per CPU the process
-may use, every column by the same operations as with one thread, so the
-matrix does not depend on the number of CPUs, bit for bit.
+may use, up to a fixed cap that bounds the threads' working memory, every
+column by the same operations as with one thread, so the matrix does not
+depend on the number of threads, bit for bit.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  Also provides spectrum bookkeeping (sorting, matching
@@ -39,8 +40,12 @@ _MAX_DOUBLINGS = 3
 # grid points walked, or matrix entries formed, at once; fixes the
 # assembly's working memory
 _BLOCK_POINTS = 1 << 15
-# threads that sum a block's columns: one per CPU this process may run on
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# CPUs this process may run on (its affinity set; a cgroup CPU quota is not read)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# threads that sum a block's columns: one per CPU, but never more than this,
+# since each holds two block-sized buffers (about 1 MB together); so the
+# workers' memory is bounded whatever the CPU count
+_MAX_WORKERS = 4
 # (rows, columns) pieces of a grid: all of its points, and the points of
 # grid 2g that grid g lacks (odd rows x all columns, even rows x odd columns)
 _ALL_POINTS = ((slice(None), slice(None)),)
@@ -159,7 +164,11 @@ def _sum_share(sums, share, t1, t2, t2_inverse, left, right, p1, v):
 
 
 def _in_threads(target, argument_lists):
-    """target(*arguments) for each list in its own thread; all are joined, then the first error is raised."""
+    """target(*arguments) for each list in its own thread; all are joined, then the first error is raised.
+
+    Plain threads rather than concurrent.futures: importing that package
+    loads logging, which raised a verify run's peak RSS by about 0.5 MB.
+    """
     errors = []
 
     def run(arguments):
@@ -196,16 +205,18 @@ def _band_sums(word, band, grid, pieces, active):
     (n1, -1), (n1, -2), ...; a chain steps over its inactive columns without
     summing them and ends at its last active one.
 
-    The calling thread walks the word once per block; then _WORKERS threads,
-    started and joined inside the block, each add the sums of their own run
-    of the active columns (`_shares`), sharing the block's read-only arrays
-    and writing only their own columns of the result.  Each run replays the
-    power recurrence from exact ones (`_sum_share`), so a column gets the
-    same products and the same additions, block after block, for any number
-    of workers: the sums are bit for bit those of one worker.
+    The calling thread walks the word once per block; then min(_CPUS,
+    _MAX_WORKERS) threads, started and joined inside the block, each add the
+    sums of their own run of the active columns (`_shares`), sharing the
+    block's read-only arrays and writing only their own columns of the
+    result.  Each run replays the power recurrence from exact ones
+    (`_sum_share`), so a column gets the same products and the same
+    additions, block after block, for any number of workers: the sums are
+    bit for bit those of one worker.  The blocks themselves do not depend on
+    the number of workers.
     """
     width = 2 * band + 1
-    shares = _shares(band, active, _WORKERS)
+    shares = _shares(band, active, min(_CPUS, _MAX_WORKERS))
     dft = _band_dft(band, grid)
     sums = np.zeros((width * width, width * width // 2 + 1), dtype=complex)
     for rows, cols in pieces:
@@ -330,17 +341,20 @@ def assemble_operator(
     force=True: assembly time grows like band^5 and the matrix like band^4
     (the dense eigensolve stays cheap).
 
-    The column sums run on every CPU the process may use
-    (os.sched_getaffinity, else os.cpu_count), with no setting: for each
-    row block the calling thread walks the word, then one thread per CPU
-    sums its own run of the active columns, and all of them are joined
-    before the next block, so no thread outlives the call.  A worker
-    rebuilds the powers of its columns from exact ones by the same
+    The column sums run on the CPUs the process may use
+    (os.sched_getaffinity, else os.cpu_count; a cgroup CPU quota is not
+    read), at most four, with no setting: for each row block the calling
+    thread walks the word, then one thread per CPU sums its own run of the
+    active columns, and all of them are joined before the next block, so
+    no thread outlives the call.  Each thread holds two block-sized
+    buffers, and the cap keeps that memory bounded on hosts with many CPUs.
+    A worker rebuilds the powers of its columns from exact ones by the same
     products as a single thread would, and each column is added to block
-    by block in grid order, so the matrix is bit for bit the same on any
-    number of CPUs.  BLAS should run one thread per call (importing torspec
-    sets OPENBLAS_NUM_THREADS=1 unless it is already set), or its threads
-    compete with the workers for the same cores.
+    by block in grid order, with blocks that do not depend on the thread
+    count, so the matrix is bit for bit the same on any number of CPUs.
+    BLAS should run one thread per call (importing torspec sets the
+    OpenBLAS, MKL and BLIS thread counts to 1 unless already set), or its
+    threads compete with the workers for the same cores.
 
     Entries smaller than the certified resolution of the doubling pass are
     snapped to exact zero.  Mode-permutation truncations (automorphisms) are
@@ -474,10 +488,9 @@ def match_spectra(predicted, computed, floor: float = 0.0) -> MatchReport:
             continue
         # hypot, not np.abs: numpy's vectorised complex modulus can differ
         # from the scalar abs(p - c) in the last bit, which would reorder ties
-        gap = p - pool
-        dist = np.hypot(gap.real, gap.imag)
-        dist[used] = np.inf
-        i = int(np.argmin(dist))
+        free = np.flatnonzero(~used)
+        gap = p - pool[free]
+        i = int(free[np.argmin(np.hypot(gap.real, gap.imag))])
         used[i] = True
         c = pool[i]
         rel = abs(p - c) / max(abs(p), 1e-300)

@@ -172,30 +172,36 @@ def test_no_name_defined_twice():
     assert not duplicates, f"top-level names defined in more than one module: {duplicates}"
 
 
-# prints OPENBLAS_NUM_THREADS as numpy first loads, and after the import
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+# prints the BLAS thread variables as numpy first loads, and after the import
 _BLAS_PROBE = """
 import os, sys
+names = %r
 seen = []
 class Probe:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy" and not seen:
-            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            seen.append([os.environ.get(n) for n in names])
 sys.meta_path.insert(0, Probe())
 import torspec
-print(seen[0], os.environ.get("OPENBLAS_NUM_THREADS"))
-"""
+print(*seen[0], *[os.environ.get(n) for n in names])
+""" % (_BLAS_VARIABLES,)
 
 
-@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+@pytest.mark.parametrize(
+    "given, expected",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}, ["3", "2", "1"])],
+    ids=["unset", "set"],
+)
 def test_import_caps_blas_unless_set(given, expected):
-    # the assembly runs a worker per CPU, so OpenBLAS gets one thread per
-    # call, set before numpy loads; a caller's own setting wins
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if given is not None:
-        env["OPENBLAS_NUM_THREADS"] = given
+    # the assembly runs a worker per CPU, so OpenBLAS, MKL and BLIS get one
+    # thread per call, set before numpy loads; a caller's own setting wins
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
+    env.update(given)
     env["PYTHONPATH"] = str(PACKAGE.parent)
     done = subprocess.run(
         [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [expected, expected]
+    assert done.stdout.split() == expected + expected
