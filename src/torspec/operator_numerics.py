@@ -1,9 +1,13 @@
 """Truncated composition-operator matrices on weighted Fourier modes.
 
-The independent verification route: sample the word on a torus grid, take
-the band's discrete Fourier coefficients of the transformed monomials (two
-small DFT-matrix products per row block of the grid) to get matrix columns
-in the weighted basis, and diagonalize the truncation.  Grid resolution is
+The independent verification route.  Two word families get their matrix in
+closed form, with no grid: linear words (no G atom), whose composition
+operator permutes the modes, and one or two twisted-shear blocks
+`u_block`, optionally prefixed by the antipode I11, whose entries are
+products of Fourier coefficients of Blaschke powers.  Every other word is
+sampled on a torus grid: take the band's discrete Fourier coefficients of
+the transformed monomials (two small DFT-matrix products per row block of
+the grid) to get matrix columns in the weighted basis.  Grid resolution is
 doubled until the matrix stabilizes, so analytic tails are under control
 rather than assumed; each column settles on its own two-grid test, and a
 doubling sums only the columns still moving.  The grids are nested, so each
@@ -12,7 +16,8 @@ grids, and the weighted matrix is formed once, each column on its own final
 grid.  Each row block's columns are summed by one thread per CPU the process
 may use, up to a fixed cap that bounds the threads' working memory, every
 column by the same operations as with one thread, so the matrix does not
-depend on the number of threads, bit for bit.
+depend on the number of threads, bit for bit.  The grid route also checks
+the closed form in the tests.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  Also provides spectrum bookkeeping (sorting, matching
@@ -30,7 +35,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cone_geometry import QuadrantWeight
-from .map_algebra import _extended_in, _walk
+from .map_algebra import _atoms, _extended_in, _walk, linear_part
 
 _BAND_LIMIT = 16
 _TOL = 1e-8
@@ -55,11 +60,16 @@ _NEW_POINTS = ((slice(1, None, 2), slice(None)), (slice(0, None, 2), slice(1, No
 class TruncationSizeError(ValueError):
     """Band too large to assemble without an explicit override.
 
-    Assembly time and memory, not the dense eigensolve, grow fast with the
-    band.  For U(1,0.4) . U(1,0.3) at band 16 (2-core AMD EPYC VM, one BLAS
-    thread) assembly up to grid 256 took 0.10 s with two workers (0.16 s
-    pinned to one CPU) and the eigensolve of the snapped matrix, 18%
-    nonzero, took 0.015 s.
+    The limit, band 16, is the same on both routes.  On the grid route,
+    assembly time and memory grow fast with the band: for
+    U(1,0.4) . U(1,0.3) at band 16 (2-core AMD EPYC VM, one BLAS thread)
+    assembly up to grid 256 took 0.10 s with two workers (0.16 s pinned to
+    one CPU).  That word is now built in closed form, and for such words
+    the limit guards the dense eigensolve and the (2 band + 1)^4 matrix
+    instead: on the same VM, assembly took 0.024 s at band 16, 0.12 s at
+    band 24 and 0.46 s at band 32, the eigensolve of the snapped matrix
+    (18%, 16% and 14% nonzero) 0.05 s, 0.45 s and 1.8 s, and the matrix
+    holds 18, 88 and 272 MiB.
     """
 
 
@@ -272,6 +282,18 @@ def _refine(sums, word, band, grid, nu, active):
     return worst[active] / grid ** 2
 
 
+def _weigh(block, nu, rows, floor):
+    """Rows `rows` of the unweighted matrix C, in place, to M = nu(k) C / nu(n) with entries below floor set to 0."""
+    block *= nu[rows, None]
+    block /= nu
+    block[np.abs(block) < floor] = 0.0
+
+
+def _snap_floor(max_change, converged):
+    """Twice the certified resolution of the matrix, kept within [1e-13, _TOL]; smaller entries snap to 0."""
+    return min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
+
+
 def _operator_matrix(sums, nu, grids, floor):
     """The weighted matrix from the sums of the columns n >= 0; entries below floor become 0.
 
@@ -293,86 +315,19 @@ def _operator_matrix(sums, nu, grids, floor):
         block[:, centre:] = sums[rows]
         np.conjugate(flipped[rows], out=block[:, :centre])
         block /= points
-        block *= nu[rows, None]
-        block /= nu
-        block[np.abs(block) < floor] = 0.0
+        _weigh(block, nu, rows, floor)
     return matrix
 
 
-def assemble_operator(
-    word,
-    weight: QuadrantWeight,
-    band: int,
-    kind: str = "composition",
-    force: bool = False,
-) -> AssembledOperator:
-    """Matrix of the (composition or transfer) operator on the mode band.
+def _operator(matrix, band, grid, kind, max_change, converged, columns_per_grid):
+    """The AssembledOperator of a composition matrix; `transfer` takes the view M[::-1, ::-1].T."""
+    if kind == "transfer":
+        matrix = matrix[::-1, ::-1].T
+    return AssembledOperator(matrix, band, grid, kind, max_change, converged, tuple(columns_per_grid))
 
-    Modes n with max(|n1|, |n2|) <= band are ordered lexicographically by
-    (n1, n2), so mode -n sits at the mirrored index.  Only the weighted
-    composition matrix M_C of `word` is assembled.  Substituting x = h(y) in
-    the transfer integral gives L[k, n] = C[-n, -k] for the unweighted
-    matrices, and the transfer operator acts on the dual space, weighted by
-    1 / nu; for an even weight, nu(-n) = nu(n), its truncation is therefore
-    M_C[::-1, ::-1].T, and `transfer` returns that view of M_C, not a copy.
-    Every QuadrantWeight is even; any other weight raises ValueError, since
-    the transposition and the change check both rest on it.
 
-    The starting grid max(8*band, 64) is doubled, at most three times, and
-    each column settles on its own: a column n >= 0 (standing also for its
-    mirror -n) is final once it moves by less than 1e-8 between two grids,
-    and later doublings leave it alone.  So every column passes the same
-    two-grid test, and no column is accepted on another column's test;
-    since the spread of the coefficients of t^n grows with |n|, most
-    columns settle one doubling before the worst ones.  A matrix with a
-    column that never settles is returned with a warning rather than
-    silently trusted.  `grid` is the finest grid any column reached,
-    `max_change` the largest change measured at the last doubling (over the
-    columns refined there), `converged` says that every column settled, and
-    `columns_per_grid` counts the columns summed on each grid of the
-    schedule, e.g. (221, 221, 16).  The grids are nested (grid g holds the
-    even points of grid 2g), so the first grid sums all of its points and
-    each doubling only the three quarters it adds, into raw sums of the
-    band's coefficients for the columns n >= 0, walking the grid in row
-    blocks of a fixed size.  A column summed up to grid G costs about
-    (2 band + 1) G^2 complex multiply-adds over the schedule, and the
-    assembly holds at most two half-width accumulators; the weighted matrix
-    is formed once, each column on its own final grid.  Bands above 16 need
-    force=True: assembly time grows like band^5 and the matrix like band^4
-    (the dense eigensolve stays cheap).
-
-    The column sums run on the CPUs the process may use
-    (os.sched_getaffinity, else os.cpu_count; a cgroup CPU quota is not
-    read), at most four, with no setting: for each row block the calling
-    thread walks the word, then one thread per CPU sums its own run of the
-    active columns, and all of them are joined before the next block, so
-    no thread outlives the call.  Each thread holds two block-sized
-    buffers, and the cap keeps that memory bounded on hosts with many CPUs.
-    A worker rebuilds the powers of its columns from exact ones by the same
-    products as a single thread would, and each column is added to block
-    by block in grid order, with blocks that do not depend on the thread
-    count, so the matrix is bit for bit the same on any number of CPUs.
-    BLAS should run one thread per call (importing torspec sets the
-    OpenBLAS, MKL and BLIS thread counts to 1 unless already set), or its
-    threads compete with the workers for the same cores.
-
-    Entries smaller than the certified resolution of the doubling pass are
-    snapped to exact zero.  Mode-permutation truncations (automorphisms) are
-    otherwise drowned in rounding noise that blocks the eigensolver's exact
-    graph deflation and smears their nilpotent part into spurious eigenvalues.
-    """
-    if band < 1:
-        raise ValueError("band must be positive")
-    if band > _BAND_LIMIT and not force:
-        raise TruncationSizeError(
-            f"band {band} exceeds {_BAND_LIMIT}: assembly time and memory grow fast "
-            "with the band; pass --force (force=True) to assemble it anyway"
-        )
-    if kind not in ("composition", "transfer"):
-        raise ValueError("kind must be 'composition' or 'transfer'")
-    nu = _mode_weights(weight, band)
-    if not np.array_equal(nu, nu[::-1]):
-        raise ValueError("the weight must be even under n -> -n")
+def _grid_operator(word, nu, band, kind="composition"):
+    """The grid route of `assemble_operator`, for a weight nu from `_mode_weights` that is even."""
     grid = max(8 * band, 64)
     active = np.ones(nu.size // 2 + 1, dtype=bool)
     grids = np.full(active.size, grid)
@@ -395,13 +350,253 @@ def assemble_operator(
             f"operator matrix still moving by {max_change:.3e} at grid {grid}",
             RuntimeWarning,
         )
-    floor = min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
-    matrix = _operator_matrix(sums, nu, grids, floor)
-    if kind == "transfer":
-        matrix = matrix[::-1, ::-1].T
-    return AssembledOperator(
-        matrix, band, grid, kind, max_change, converged, tuple(columns_per_grid)
-    )
+    matrix = _operator_matrix(sums, nu, grids, _snap_floor(max_change, converged))
+    return _operator(matrix, band, grid, kind, max_change, converged, columns_per_grid)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form matrices
+# ---------------------------------------------------------------------------
+
+
+def _blaschke_powers(a: complex, top: int, span: int) -> np.ndarray:
+    """Fourier coefficients of b^p, b(z) = (z + a) / (1 + conj(a) z), for |p| <= top and |j| <= span.
+
+    Entry [p + top, j + span] is coefficient j of b^p on the unit circle.
+    b is analytic in the closed disk, so b^p (p >= 0) has only j >= 0:
+    c[1]_0 = a and c[1]_j = (1 - |a|^2) (-conj(a))^(j - 1) for j >= 1, and
+    c[p] = c[p - 1] * c[1] (convolution), which the truncation at j = span
+    leaves exact since no j > span feeds a lower one.  On the circle
+    b^-p = conj(b^p), so c[-p]_j = conj(c[p]_-j).
+    """
+    first = np.zeros(span + 1, dtype=complex)
+    first[0] = a
+    ratio = np.full(span, -a.conjugate())
+    ratio[0] = 1.0
+    first[1:] = (1.0 - abs(a) ** 2) * np.cumprod(ratio)
+    table = np.zeros((2 * top + 1, 2 * span + 1), dtype=complex)
+    table[top, span] = 1.0
+    power = table[top, span:]
+    for p in range(1, top + 1):
+        power = np.convolve(power, first)[: span + 1]
+        table[top + p, span:] = power
+        table[top - p, span::-1] = power.conj()
+    return table
+
+
+def _u_blocks(atoms):
+    """The (k, a) of the u_blocks that the atoms spell, in word order, or None if they spell anything else.
+
+    u_block(k, a) is G(0, a) . F^k . R . G(-a, 0), read off the atoms: a
+    G atom with first parameter 0, k >= 1 F atoms, R, and a G atom with
+    second parameter 0 whose first parameter is exactly minus the head's
+    second one, so that G(0, a) undoes G(-a, 0) in the second coordinate.
+    """
+    blocks = []
+    i = 0
+    while i < len(atoms):
+        head = atoms[i]
+        if head.kind != "G" or head.a != 0:
+            return None
+        i += 1
+        k = 0
+        while i < len(atoms) and atoms[i].kind == "F":
+            k, i = k + 1, i + 1
+        if not k or i + 1 >= len(atoms) or atoms[i].kind != "R":
+            return None
+        tail = atoms[i + 1]
+        if tail.kind != "G" or tail.b != 0 or tail.a != -head.b:
+            return None
+        blocks.append((k, head.b))
+        i += 2
+    return blocks
+
+
+def _linear_matrix(atoms, nu, band, floor):
+    """The weighted matrix of a word with no G atom: M[A^T n, n] = nu(A^T n) / nu(n), A = linear_part.
+
+    z^n composed with z -> z^A is z^(A^T n), so each column holds one entry
+    or, where A^T n leaves the band, none.  The images are taken in Python
+    integers, since A may be near the int64 range.
+    """
+    (a11, a12), (a21, a22) = linear_part(atoms).tolist()
+    modes = np.arange(-band, band + 1)
+    width = modes.size
+    n1 = np.repeat(modes, width).astype(object)
+    n2 = np.tile(modes, width).astype(object)
+    k1, k2 = a11 * n1 + a21 * n2, a12 * n1 + a22 * n2
+    inside = (np.abs(k1) <= band) & (np.abs(k2) <= band)
+    columns = np.flatnonzero(inside)
+    rows = ((k1[inside] + band) * width + k2[inside] + band).astype(np.int64)
+    values = nu[rows] / nu[columns]
+    values[values < floor] = 0.0
+    matrix = np.zeros((nu.size, nu.size), dtype=complex)
+    matrix[rows, columns] = values
+    return matrix
+
+
+def _coefficient_cube(k: int, a: complex, band: int) -> np.ndarray:
+    """cube[x, y, z] = c[k y]_(x - z) over the band's modes x, y, z, with c from `_blaschke_powers`."""
+    modes = np.arange(-band, band + 1)
+    table = _blaschke_powers(a, k * band, 2 * band)
+    # row k y + k band of the table is p = k y, column x - z + 2 band is j = x - z
+    return table[k * (modes + band)[None, :, None], (modes[:, None] - modes + 2 * band)[:, None, :]]
+
+
+def _block_matrix(blocks, mirror, nu, band, floor):
+    """The weighted matrix of one or two u_blocks, with the columns mirrored for an I11 prefix.
+
+    With c[p]_j from `_blaschke_powers`, one block (k, a) sends z^n to
+    b(z1)^(k n1) z1^n2 z2^n1, so C[(m1, m2), (n1, n2)] = [m2 = n1] c[k n1]_(m1 - n2).
+    Composing two such maps needs no intermediate sum: with block 1 the
+    rightmost one, C[(m1, m2), (n1, n2)] = c1[k1 m2]_(m1 - n1) c2[k2 n1]_(m2 - n2),
+    a product of two (2 band + 1)^3 cubes from `_coefficient_cube`, into
+    which the weights nu(m) and 1 / nu(n) are folded.  The prefix I11 sends
+    z^n to z^-n before the blocks act, so column n is column -n of the
+    blocks' matrix: both column axes reversed, with the same weight since
+    nu is even.  Every index j lies in [-2 band, 2 band].  The rows are
+    formed in chunks of about _BLOCK_POINTS entries, each straight into the
+    matrix.
+    """
+    width = 2 * band + 1
+    size = nu.size
+    row_weights = nu.reshape(width, width)
+    column_weights = 1.0 / row_weights
+    # block 1 is applied first, and is the last one in the word
+    k1, a1 = blocks[-1]
+    first = _coefficient_cube(k1, complex(a1), band)
+    if len(blocks) == 1:
+        # [m1, m2, n2], the entries of row (m1, m2) at n1 = m2
+        first *= row_weights[:, :, None] * column_weights[None, :, :]
+        if mirror:
+            first = first[:, :, ::-1]
+    else:
+        first *= row_weights[:, :, None]
+        k2, a2 = blocks[0]
+        second = _coefficient_cube(k2, complex(a2), band) * column_weights
+        if mirror:
+            first, second = first[:, :, ::-1], second[:, ::-1, ::-1]
+    matrix = np.zeros((size, size), dtype=complex)
+    step = max(1, _BLOCK_POINTS // size)
+    for start in range(0, size, step):
+        index = np.arange(start, min(start + step, size))
+        m1, m2 = index // width, index % width
+        block = matrix[start:start + index.size]
+        cube = block.reshape(index.size, width, width)
+        if len(blocks) == 1:
+            cube[np.arange(index.size), width - 1 - m2 if mirror else m2] = first[m1, m2]
+        else:
+            np.multiply(first[m1, m2][:, :, None], second[m2], out=cube)
+        block[np.abs(block) < floor] = 0.0
+    return matrix
+
+
+def _closed_form_matrix(atoms, nu, band, floor):
+    """The weighted matrix of a linear word or of [I11 .] one or two u_blocks; None for any other word."""
+    if all(atom.kind != "G" for atom in atoms):
+        return _linear_matrix(atoms, nu, band, floor)
+    mirror = atoms[0].kind == "I" and atoms[0].k == 1 and atoms[0].l == 1
+    blocks = _u_blocks(atoms[mirror:])
+    if blocks is None or len(blocks) > 2:
+        return None
+    return _block_matrix(blocks, mirror, nu, band, floor)
+
+
+def assemble_operator(
+    word,
+    weight: QuadrantWeight,
+    band: int,
+    kind: str = "composition",
+    force: bool = False,
+) -> AssembledOperator:
+    """Matrix of the (composition or transfer) operator on the mode band.
+
+    Modes n with max(|n1|, |n2|) <= band are ordered lexicographically by
+    (n1, n2), so mode -n sits at the mirrored index.  Only the weighted
+    composition matrix M_C of `word` is assembled.  Substituting x = h(y) in
+    the transfer integral gives L[k, n] = C[-n, -k] for the unweighted
+    matrices, and the transfer operator acts on the dual space, weighted by
+    1 / nu; for an even weight, nu(-n) = nu(n), its truncation is therefore
+    M_C[::-1, ::-1].T, and `transfer` returns that view of M_C, not a copy.
+    Every QuadrantWeight is even; any other weight raises ValueError, since
+    the transposition and the change check both rest on it.
+
+    Two families of words, read off the atoms rather than the text, are
+    built in closed form with no grid.  A linear word (no G atom) gives the
+    weighted partial permutation M[A^T n, n] = nu(A^T n) / nu(n), with
+    A = linear_part(word).  One or two u_blocks, optionally prefixed by
+    I11, give entries that are products of Fourier coefficients of
+    Blaschke powers, exact to a few ulps (`_block_matrix`).  Both snap
+    entries below 1e-13 to zero, the floor of a grid with no change, and
+    form the matrix in row chunks.  Such an operator reports
+    converged=True, max_change=0.0, columns_per_grid=() and
+    grid = 4 band + 1: not a torus grid, but the mode span |j| <= 2 band
+    that the coefficient tables cover.  Every other word (three or more
+    blocks, W blocks, the frame-conjugated words of `build`, stray G
+    atoms) takes the grid route below, which is also the closed form's
+    reference in the tests.
+
+    On the grid route, the starting grid max(8*band, 64) is doubled, at
+    most three times, and each column settles on its own: a column n >= 0
+    (standing also for its mirror -n) is final once it moves by less than
+    1e-8 between two grids, and later doublings leave it alone.  So every
+    column passes the same two-grid test, and no column is accepted on
+    another column's test; since the spread of the coefficients of t^n
+    grows with |n|, most columns settle one doubling before the worst ones.  A matrix with a
+    column that never settles is returned with a warning rather than
+    silently trusted.  `grid` is the finest grid any column reached,
+    `max_change` the largest change measured at the last doubling (over the
+    columns refined there), `converged` says that every column settled, and
+    `columns_per_grid` counts the columns summed on each grid of the
+    schedule, e.g. (221, 221, 16).  The grids are nested (grid g holds the
+    even points of grid 2g), so the first grid sums all of its points and
+    each doubling only the three quarters it adds, into raw sums of the
+    band's coefficients for the columns n >= 0, walking the grid in row
+    blocks of a fixed size.  A column summed up to grid G costs about
+    (2 band + 1) G^2 complex multiply-adds over the schedule, and the
+    assembly holds at most two half-width accumulators; the weighted matrix
+    is formed once, each column on its own final grid.  Bands above 16 need
+    force=True on either route: the matrix grows like band^4 and the dense
+    eigensolve like band^6, and the grid route's assembly like band^5.
+
+    The column sums run on the CPUs the process may use
+    (os.sched_getaffinity, else os.cpu_count; a cgroup CPU quota is not
+    read), at most four, with no setting: for each row block the calling
+    thread walks the word, then one thread per CPU sums its own run of the
+    active columns, and all of them are joined before the next block, so
+    no thread outlives the call.  Each thread holds two block-sized
+    buffers, and the cap keeps that memory bounded on hosts with many CPUs.
+    A worker rebuilds the powers of its columns from exact ones by the same
+    products as a single thread would, and each column is added to block
+    by block in grid order, with blocks that do not depend on the thread
+    count, so the matrix is bit for bit the same on any number of CPUs.
+    BLAS should run one thread per call (importing torspec sets the
+    OpenBLAS, MKL and BLIS thread counts to 1 unless already set), or its
+    threads compete with the workers for the same cores.
+
+    Entries smaller than the certified resolution of the doubling pass (on
+    the grid route) are snapped to exact zero.  Mode-permutation
+    truncations (automorphisms) are otherwise drowned in rounding noise
+    that blocks the eigensolver's exact graph deflation and smears their
+    nilpotent part into spurious eigenvalues.
+    """
+    if band < 1:
+        raise ValueError("band must be positive")
+    if band > _BAND_LIMIT and not force:
+        raise TruncationSizeError(
+            f"band {band} exceeds {_BAND_LIMIT}: assembly time and memory grow fast "
+            "with the band; pass --force (force=True) to assemble it anyway"
+        )
+    if kind not in ("composition", "transfer"):
+        raise ValueError("kind must be 'composition' or 'transfer'")
+    nu = _mode_weights(weight, band)
+    if not np.array_equal(nu, nu[::-1]):
+        raise ValueError("the weight must be even under n -> -n")
+    atoms = _atoms(word)
+    matrix = _closed_form_matrix(atoms, nu, band, _snap_floor(0.0, True))
+    if matrix is None:
+        return _grid_operator(word, nu, band, kind)
+    return _operator(matrix, band, 4 * band + 1, kind, 0.0, True, ())
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +612,11 @@ def _sort_eigenvalues(values: np.ndarray) -> np.ndarray:
     conjugate pair.  An imaginary part below _TIE_REL |v| counts as zero, so
     a near-real value has argument 0 or pi rather than almost 2 pi.
     """
+    return values[_sort_order(values)[0]]
+
+
+def _sort_order(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The order of `_sort_eigenvalues`, and each value's tie group (0 for the largest moduli)."""
     moduli = np.abs(values)
     group = np.empty(values.size, dtype=np.int64)
     count, lead = -1, 0.0
@@ -426,7 +626,7 @@ def _sort_eigenvalues(values: np.ndarray) -> np.ndarray:
         group[i] = count
     imag = np.where(np.abs(values.imag) < _TIE_REL * moduli, 0.0, values.imag)
     args = np.mod(np.arctan2(imag, values.real), 2.0 * np.pi)
-    return values[np.lexsort((values.imag, values.real, args, group))]
+    return np.lexsort((values.imag, values.real, args, group)), group
 
 
 def operator_spectrum(operator) -> np.ndarray:

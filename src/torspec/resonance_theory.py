@@ -26,7 +26,7 @@ from .cone_geometry import QuadrantWeight
 from .dynamics_checks import MappingCase
 from .fixed_points import FixedPointData, all_fixed_point_data
 from .map_algebra import orientation
-from .operator_numerics import _TIE_REL, _sort_eigenvalues
+from .operator_numerics import _TIE_REL, _sort_order
 
 _GROUP_TOL = 1e-12
 _MAX_ENUMERATED = 2_000_000
@@ -243,9 +243,10 @@ def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[Eigenval
     The list starts with the simple eigenvalue 1; the rest are ordered as
     `operator_spectrum` orders a computed spectrum: by decreasing modulus,
     moduli within a relative 1e-12 tied and a tie ordered by argument in
-    [0, 2*pi).  Adjacent values closer than a relative 1e-12 are then merged
-    into one entry, so rounding noise in the moduli never splits the copies
-    of one eigenvalue.
+    [0, 2*pi).  A value closer than a relative 1e-12 to an entry of its
+    modulus-tie group is then merged into that entry, so rounding noise
+    never splits the copies of one eigenvalue, even where they straddle the
+    argument seam at 0 and so are not adjacent.
     """
     if not (0.0 < cutoff <= 1.0):
         raise ValueError("cutoff must lie in (0, 1]")
@@ -263,13 +264,21 @@ def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[Eigenval
                 w = cmath.sqrt(v)
                 values += (w, -w)
 
-    ordered = _sort_eigenvalues(np.array([_snap(v) for v in values], dtype=complex))
+    snapped = np.array([_snap(v) for v in values], dtype=complex)
+    order, groups = _sort_order(snapped)
     entries: List[EigenvalueEntry] = [EigenvalueEntry(1.0 + 0j, 1)]
-    for v in ordered.tolist():
-        last = entries[-1]
-        tol = _GROUP_TOL * max(abs(v), abs(last.value))
-        if abs(v - last.value) <= tol and last.value != 1.0:
-            entries[-1] = EigenvalueEntry(last.value, last.multiplicity + 1)
+    current, start = -1, 1
+    for v, group in zip(snapped[order].tolist(), groups[order].tolist()):
+        if group != current:
+            current, start = group, len(entries)
+        # the first entry of the tie group within the tolerance: two values
+        # that close can sit apart in their group, on either side of the
+        # argument seam at 0
+        for i in range(start, len(entries)):
+            entry = entries[i]
+            if abs(v - entry.value) <= _GROUP_TOL * max(abs(v), abs(entry.value)):
+                entries[i] = EigenvalueEntry(entry.value, entry.multiplicity + 1)
+                break
         else:
             entries.append(EigenvalueEntry(v, 1))
     return tuple(entries)

@@ -32,6 +32,8 @@ from torspec.operator_numerics import (
     _NEW_POINTS,
     _band_dft,
     _band_sums,
+    _blaschke_powers,
+    _grid_operator,
     _grid_points,
     _mode_weights,
     _operator_matrix,
@@ -354,12 +356,13 @@ def test_band_sums_same_for_any_worker_count(monkeypatch, index):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_assembly_leaves_no_thread(monkeypatch, cpus):
+    # both routes: the grid route's workers, and the closed form of this word
     monkeypatch.setattr(operator_numerics, "_CPUS", cpus)
     weight, _ = auto_weight(README_WORD)
     before = threading.active_count()
-    op = assemble_operator(README_WORD, weight, 6)
-    assert op.converged
-    assert threading.active_count() == before
+    for op in (assemble_operator(README_WORD, weight, 6), _grid_operator(README_WORD, _mode_weights(weight, 6), 6)):
+        assert op.converged
+        assert threading.active_count() == before
 
 
 def test_worker_error_reaches_caller(monkeypatch):
@@ -377,7 +380,7 @@ def test_worker_error_reaches_caller(monkeypatch):
     weight, _ = auto_weight(README_WORD)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="worker"):
-        assemble_operator(README_WORD, weight, 6)
+        _grid_operator(README_WORD, _mode_weights(weight, 6), 6)
     assert len(calls) == 3
     assert threading.active_count() == before
 
@@ -390,7 +393,7 @@ def test_columns_settle_one_by_one(word, band):
     # least 1e-8 between the first two grids, and only they, are summed on
     # the third; every column still matches the full sum on the final grid
     word, weight = _kernel_case(word, "composition")
-    op = assemble_operator(word, weight, band)
+    op = _grid_operator(word, _mode_weights(weight, band), band)
     first = max(8 * band, 64)
     assert op.converged and op.grid == 4 * first
     columns = _all_columns(band).size
@@ -409,7 +412,7 @@ def test_unconverged_columns_warn(monkeypatch):
     monkeypatch.setattr(operator_numerics, "_MAX_DOUBLINGS", 1)
     weight, _ = auto_weight(README_WORD)
     with pytest.warns(RuntimeWarning, match="still moving"):
-        op = assemble_operator(README_WORD, weight, 10)
+        op = _grid_operator(README_WORD, _mode_weights(weight, 10), 10)
     assert not op.converged and op.max_change >= 1e-8
     assert op.grid == 160
     assert op.columns_per_grid == (221, 221)
@@ -417,7 +420,7 @@ def test_unconverged_columns_warn(monkeypatch):
 
 def test_linear_word_settles_at_first_doubling():
     weight, _ = auto_weight(CAT)
-    op = assemble_operator(CAT, weight, 16)
+    op = _grid_operator(CAT, _mode_weights(weight, 16), 16)
     assert op.converged and op.grid == 256
     assert op.columns_per_grid == (545, 545)
 
@@ -431,8 +434,9 @@ def test_transfer_matches_jacobian_route(name, word, band, grid, kind):
     # symbol omega det Dh^-1, against the mirrored transpose of the
     # composition matrix: two quadratures of one integral
     weight, _ = auto_weight(word)
-    op = assemble_operator(word, weight, band, kind="transfer")
-    composition = assemble_operator(word, weight, band)
+    nu = _mode_weights(weight, band)
+    op = _grid_operator(word, nu, band, kind="transfer")
+    composition = _grid_operator(word, nu, band)
     assert op.converged and op.grid == composition.grid
     assert op.matrix.base is not None
     assert np.array_equal(op.matrix, composition.matrix[::-1, ::-1].T)
@@ -440,6 +444,89 @@ def test_transfer_matches_jacobian_route(name, word, band, grid, kind):
         inverse(word), _reciprocal(weight), band, op.grid, "transfer", orientation(word)
     )
     assert np.max(np.abs(op.matrix - want)) <= 1e-10
+
+
+# (word, band, weight): None takes auto_weight's
+_CLOSED_FORM_CASES = [("U(1,0.5) . U(1,0.3)", band, None) for band in range(4, 13)] + [
+    ("U(2,0.3+0.2i) . U(1,-0.4i)", 8, None),
+    ("U(2,0.4-0.1i) . U(2,0.3i)", 6, None),
+    ("U(1,0) . U(2,0)", 6, None),
+    ("U(1,0.5) . U(2,0)", 6, None),
+    ("I11 . U(2,0.4) . U(1,0.3)", 8, None),
+    ("I11 . U(1,-0.2+0.3i) . U(2,0.25)", 6, None),
+    ("U(1,0.5)", 6, None),
+    ("U(2,0.4)", 6, QuadrantWeight.standard((0.1, 0.2), (0.15, 0.1))),
+    ("I11 . U(2,0.4)", 6, None),
+    ("F . F . R", 8, None),
+    ("F . R . F . R", 8, None),
+    ("R . F . F", 8, None),
+    ("I01 . Finv . R . F . F", 8, None),
+    ("I00", 3, QuadrantWeight.standard((0.1, 0.2), (0.15, 0.1))),
+]
+
+
+@pytest.mark.parametrize("kind", ["composition", "transfer"])
+@pytest.mark.parametrize("text, band, weight", _CLOSED_FORM_CASES, ids=[f"{c[0]}-{c[1]}" for c in _CLOSED_FORM_CASES])
+def test_closed_form_matches_grid_route(text, band, weight, kind):
+    # linear words and one or two u_blocks, after an optional I11, are built
+    # from Blaschke-power coefficients with no grid; the converged grid route
+    # is their reference, within 1e-13 or its own snap floor 2 max_change
+    word = parse_word(text)
+    if weight is None:
+        weight, _ = auto_weight(word)
+    grid = _grid_operator(word, _mode_weights(weight, band), band, kind)
+    op = assemble_operator(word, weight, band, kind=kind)
+    assert grid.converged and grid.columns_per_grid
+    assert op.converged and op.max_change == 0.0 and op.columns_per_grid == ()
+    assert op.grid == 4 * band + 1
+    assert np.max(np.abs(op.matrix - grid.matrix)) <= max(1e-13, 2.0 * grid.max_change)
+    if kind == "transfer":
+        assert op.matrix.base is not None
+
+
+def _mp_blaschke_powers(a, top, span):
+    """`_blaschke_powers` by the binomial series in mpmath: (z + a)^p times (1 + conj(a) z)^-p."""
+    import mpmath
+
+    a = mpmath.mpc(a.real, a.imag)
+    table = np.zeros((2 * top + 1, 2 * span + 1), dtype=complex)
+    for p in range(top + 1):
+        head = [mpmath.binomial(p, i) * a ** (p - i) for i in range(min(p, span) + 1)]
+        tail = [mpmath.mpc(1)]
+        for l in range(1, span + 1):
+            tail.append(tail[-1] * (p + l - 1) / l * -mpmath.conj(a))
+        for j in range(span + 1):
+            c = complex(mpmath.fsum(head[i] * tail[j - i] for i in range(min(p, j) + 1)))
+            table[top + p, span + j] = c
+            table[top - p, span - j] = c.conjugate()
+    return table
+
+
+@pytest.mark.parametrize("a", [0j, 0.3, 0.5 + 0.4j, -0.95, 0.95 * cmath.exp(2.1j), 0.9j])
+def test_blaschke_power_table_matches_mpmath(a):
+    import mpmath
+
+    top, span = 32, 24
+    with mpmath.workdps(40):
+        want = _mp_blaschke_powers(complex(a), top, span)
+    # 8.3e-16 at worst here (a = -0.95): the recurrence loses a few ulps only
+    assert np.max(np.abs(_blaschke_powers(complex(a), top, span) - want)) <= 2e-15
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "U(1,0.2) . U(1,0.3) . U(1,0.25)",
+        "W(1,0.2) . W(2,0.3)",
+        "G(0.2,0.1) . F . F . R",
+        "G(0,0.3) . F . R . G(-0.2,0) . U(1,0.2)",
+    ],
+    ids=["three-block", "w-blocks", "raw-G", "unmatched-G"],
+)
+def test_other_words_take_the_grid_route(text):
+    weight = QuadrantWeight.standard((0.1, 0.1), (0.1, 0.1))
+    op = assemble_operator(parse_word(text), weight, 3)
+    assert op.columns_per_grid != () and op.grid >= 64
 
 
 class _TiltedWeight:
@@ -459,26 +546,35 @@ def test_assembly_rejects_uneven_weight(kind):
 _MEMORY_CASES = [("U(1,0.5) . U(1,0.3)", 12, 2.5), ("F . F . R", 16, 2.0)]
 
 
-def _peak_share(text, band):
-    """Peak traced memory of one assembly, over the size of the full complex matrix."""
+def _grid_route(word, weight, band):
+    """`assemble_operator` on the grid route, whatever the word."""
+    return _grid_operator(word, _mode_weights(weight, band), band)
+
+
+def _peak_shares(text, band):
+    """Peak traced memory of one assembly on each route, closed form and grid, over the size of the full complex matrix."""
     word = parse_word(text)
     weight, _ = auto_weight(word)
     full = (2 * band + 1) ** 4 * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        op = assemble_operator(word, weight, band)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert op.converged
-    return peak / full
+    shares = []
+    for route in (assemble_operator, _grid_route):
+        tracemalloc.start()
+        try:
+            op = route(word, weight, band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.converged
+        shares.append(peak / full)
+    return shares
 
 
 @pytest.mark.parametrize("text, band, bound", _MEMORY_CASES)
 def test_assembly_peak_memory(text, band, bound):
     # the raw sums hold half the columns, the new points' sums another half,
-    # and the weighted matrix is formed once, in row chunks
-    assert _peak_share(text, band) < bound
+    # and the weighted matrix is formed once, in row chunks; the closed form
+    # holds its small coefficient tables and one row chunk besides the matrix
+    assert max(_peak_shares(text, band)) < bound
 
 
 @pytest.mark.parametrize("text, band, bound", _MEMORY_CASES)
@@ -486,7 +582,7 @@ def test_assembly_peak_memory_on_many_cpus(monkeypatch, text, band, bound):
     # each worker holds two block-sized buffers, and 64 CPUs run no more
     # workers than the cap, so the bounds hold as they stand
     monkeypatch.setattr(operator_numerics, "_CPUS", 64)
-    assert _peak_share(text, band) < bound
+    assert max(_peak_shares(text, band)) < bound
 
 
 def test_closed_form_spectrum_matches_truncation(psi_operator):

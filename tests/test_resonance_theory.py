@@ -1,16 +1,17 @@
 """Closed-form spectra: catalogue vs the fixed-point engine, enumeration, traces."""
 
+import bisect
 import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torspec.fixed_points import all_fixed_point_data
 from torspec.map_algebra import orientation, parse_word, psi_word
-from torspec.operator_numerics import _sort_eigenvalues
+from torspec.operator_numerics import _TIE_REL, _sort_eigenvalues
 from torspec.resonance_theory import (
     _GROUP_TOL,
     EigenvalueEntry,
@@ -317,15 +318,26 @@ def _reference_enumerate_eigenvalues(model, cutoff):
             values.append(-w)
 
     values = _sort_eigenvalues(np.array([_snap(v) for v in values], dtype=complex)).tolist()
-    entries = [EigenvalueEntry(1.0 + 0j, 1)]
+    # the tie groups' leading moduli, smallest first: a modulus belongs to
+    # the group of the first lead at or above it
+    leads = []
+    for m in sorted((abs(v) for v in values), reverse=True):
+        if not leads or leads[-1] - m > _TIE_REL * leads[-1]:
+            leads.append(m)
+    leads.reverse()
+    entries = [(EigenvalueEntry(1.0 + 0j, 1), None)]
+    members = {}
     for v in values:
-        last = entries[-1]
-        tol = _GROUP_TOL * max(abs(v), abs(last.value))
-        if abs(v - last.value) <= tol and last.value != 1.0:
-            entries[-1] = EigenvalueEntry(last.value, last.multiplicity + 1)
+        group = bisect.bisect_left(leads, abs(v))
+        for i in members.setdefault(group, []):
+            entry = entries[i][0]
+            if abs(v - entry.value) <= _GROUP_TOL * max(abs(v), abs(entry.value)):
+                entries[i] = (EigenvalueEntry(entry.value, entry.multiplicity + 1), group)
+                break
         else:
-            entries.append(EigenvalueEntry(v, 1))
-    return tuple(entries)
+            members[group].append(len(entries))
+            entries.append((EigenvalueEntry(v, 1), group))
+    return tuple(entry for entry, _ in entries)
 
 
 def _reference_decay_classification(model):
@@ -375,10 +387,13 @@ def test_family_table_matches_reference(model, cutoff):
 
 
 @given(_disk, _disk, st.sampled_from([(1, 1), (2, 2), (1, 1, 1), (1, 2, 1), (2, 1, 1)]), st.sampled_from([0, 1]))
+@example(a=0.5, b=0.5 + 2.5e-13j, ks=(1, 1, 1), s=0)
 @settings(max_examples=100, deadline=None)
 def test_enumeration_merges_every_repeated_value(a, b, ks, s):
     # repeated multipliers (a, a), and the (v, -v) pairs of odd block counts,
-    # give each value many copies that differ only in the last bits
+    # give each value many copies that differ only in the last bits; with b
+    # within 1e-12 of a, two distinct values within the merge tolerance sit
+    # on either side of the argument seam, apart in their tie group
     params = (a, a) if len(ks) == 2 else (a, b, a)
     values = np.array([e.value for e in enumerate_eigenvalues(spectrum_model_psi(ks, params, s), 1e-3)])
     gaps = np.abs(values[:, None] - values[None, :])
