@@ -20,8 +20,13 @@ depend on the number of threads, bit for bit.  The grid route also checks
 the closed form in the tests.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
-composition matrix.  Also provides spectrum bookkeeping (sorting, matching
-against closed-form predictions, trace powers) and flat-file export.
+composition matrix.  The spectrum is read off the matrix's exact zeros:
+nodes of its graph that lie on no cycle are peeled off in numpy, each
+giving its diagonal entry, and only the strongly connected blocks that
+remain are solved densely; closed-form matrices are triangular after a
+permutation, so there nothing is left to solve.  Also provides spectrum
+bookkeeping (sorting, matching against closed-form predictions, trace
+powers) and flat-file export.
 """
 
 from __future__ import annotations
@@ -65,11 +70,12 @@ class TruncationSizeError(ValueError):
     U(1,0.4) . U(1,0.3) at band 16 (2-core AMD EPYC VM, one BLAS thread)
     assembly up to grid 256 took 0.10 s with two workers (0.16 s pinned to
     one CPU).  That word is now built in closed form, and for such words
-    the limit guards the dense eigensolve and the (2 band + 1)^4 matrix
-    instead: on the same VM, assembly took 0.024 s at band 16, 0.12 s at
-    band 24 and 0.46 s at band 32, the eigensolve of the snapped matrix
-    (18%, 16% and 14% nonzero) 0.05 s, 0.45 s and 1.8 s, and the matrix
-    holds 18, 88 and 272 MiB.
+    the limit guards the (2 band + 1)^4 matrix instead, which holds 18, 88
+    and 272 MiB at bands 16, 24 and 32 (18%, 16% and 14% nonzero).  On a
+    2-vCPU Intel Xeon VM with one BLAS thread, assembly took 0.018 s,
+    0.14 s and 0.39 s there, and `operator_spectrum`, which reads the
+    eigenvalues off the matrix's triangular structure, 0.013 s, 0.061 s and
+    0.25 s; both grow like the matrix.
     """
 
 
@@ -430,9 +436,29 @@ def _linear_matrix(atoms, nu, band, floor):
     rows = ((k1[inside] + band) * width + k2[inside] + band).astype(np.int64)
     values = nu[rows] / nu[columns]
     values[values < floor] = 0.0
-    matrix = np.zeros((nu.size, nu.size), dtype=complex)
+    matrix = _lazy_zeros(nu.size)
     matrix[rows, columns] = values
     return matrix
+
+
+def _lazy_zeros(size):
+    """A zero complex (size, size) matrix whose pages take no memory until they are written.
+
+    A private anonymous mapping reads as zeros, and a page of it is backed
+    only once written; huge pages are declined where the platform can, so
+    one entry written does not back 2 MB.  np.zeros would instead ask for
+    huge pages on a large array, and the few entries of a linear word's
+    matrix, about one per column, would then back most of it.  Where mmap
+    has no private mapping, np.zeros is used.
+    """
+    import mmap  # only linear words need it, and the CLI's import time is measured
+
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros((size, size), dtype=complex)
+    pages = mmap.mmap(-1, size * size * np.dtype(complex).itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(pages, dtype=complex).reshape(size, size)
 
 
 def _coefficient_cube(k: int, a: complex, band: int) -> np.ndarray:
@@ -556,8 +582,9 @@ def assemble_operator(
     (2 band + 1) G^2 complex multiply-adds over the schedule, and the
     assembly holds at most two half-width accumulators; the weighted matrix
     is formed once, each column on its own final grid.  Bands above 16 need
-    force=True on either route: the matrix grows like band^4 and the dense
-    eigensolve like band^6, and the grid route's assembly like band^5.
+    force=True on either route: the matrix, and with it the closed form's
+    assembly and the spectrum of a triangular matrix, grow like band^4, and
+    the grid route's assembly like band^5.
 
     The column sums run on the CPUs the process may use
     (os.sched_getaffinity, else os.cpu_count; a cgroup CPU quota is not
@@ -577,8 +604,9 @@ def assemble_operator(
     Entries smaller than the certified resolution of the doubling pass (on
     the grid route) are snapped to exact zero.  Mode-permutation
     truncations (automorphisms) are otherwise drowned in rounding noise
-    that blocks the eigensolver's exact graph deflation and smears their
-    nilpotent part into spurious eigenvalues.
+    that hides the exact zeros `operator_spectrum` splits the matrix along
+    and smears their nilpotent part into spurious eigenvalues.  The closed
+    form needs no snap for that: its zeros are exact.
     """
     if band < 1:
         raise ValueError("band must be positive")
@@ -610,7 +638,9 @@ def _sort_eigenvalues(values: np.ndarray) -> np.ndarray:
     Moduli within a relative _TIE_REL of the largest one not yet placed tie
     with it, so rounding noise in the last bits cannot swap the members of a
     conjugate pair.  An imaginary part below _TIE_REL |v| counts as zero, so
-    a near-real value has argument 0 or pi rather than almost 2 pi.
+    a near-real value has argument 0 or pi rather than almost 2 pi.  Values
+    still tied go by imaginary part, real part, and then +0 before -0 in
+    each, so the order depends only on the values, not on their input order.
     """
     return values[_sort_order(values)[0]]
 
@@ -626,13 +656,125 @@ def _sort_order(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         group[i] = count
     imag = np.where(np.abs(values.imag) < _TIE_REL * moduli, 0.0, values.imag)
     args = np.mod(np.arctan2(imag, values.real), 2.0 * np.pi)
-    return np.lexsort((values.imag, values.real, args, group)), group
+    # the signs of zero parts come last, so values equal but for a signed zero
+    # do not keep the order in which the eigensolver listed them
+    keys = (np.signbit(values.imag), np.signbit(values.real), values.imag, values.real, args, group)
+    return np.lexsort(keys), group
+
+
+def _strong_components(starts, targets):
+    """Strongly connected components of the graph with edges v -> targets[starts[v]:starts[v + 1]].
+
+    Tarjan's algorithm with an explicit stack of (node, next edge) frames,
+    so no recursion limit applies; `starts` and `targets` are lists.  Each
+    component is a list of nodes, and every node is in exactly one.
+    """
+    count = len(starts) - 1
+    order = [-1] * count
+    low = [0] * count
+    on_stack = [False] * count
+    stack, components, found = [], [], 0
+    for root in range(count):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [[root, starts[root]]]
+        while path:
+            frame = path[-1]
+            v, edge = frame
+            end = starts[v + 1]
+            while edge < end:
+                w = targets[edge]
+                edge += 1
+                if order[w] < 0:
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                # every edge of v is done: v closes a component or hands its low link up
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+                continue
+            frame[1] = edge
+            order[w] = low[w] = found
+            found += 1
+            stack.append(w)
+            on_stack[w] = True
+            path.append([w, starts[w]])
+    return components
+
+
+def _diagonal_blocks(pattern):
+    """A matrix's diagonal blocks from its nonzero pattern: (peeled nodes, index arrays of the larger blocks).
+
+    The graph has an edge i -> j wherever pattern[i, j] is set; its
+    diagonal should be clear, since a self-loop only keeps a node from
+    being peeled (it still ends as a block of size 1).  A node with no
+    in-edges or no out-edges among the nodes still alive lies on no cycle,
+    so it is a diagonal block of its own and its eigenvalue is its
+    diagonal entry; such nodes are stripped, round after round, with the
+    in- and out-degree counts lowered by the stripped rows and columns.
+    What survives is split into strongly connected components; those of
+    size 1 join the peeled nodes.  The matrix's eigenvalues are the
+    diagonal entries of the peeled nodes and those of its principal
+    submatrices on the larger blocks.
+    """
+    out_degree = np.count_nonzero(pattern, axis=1)
+    in_degree = np.count_nonzero(pattern, axis=0)
+    alive = np.ones(pattern.shape[0], dtype=bool)
+    while True:
+        stripped = np.flatnonzero(alive & ((out_degree == 0) | (in_degree == 0)))
+        if not stripped.size:
+            break
+        alive[stripped] = False
+        in_degree -= np.count_nonzero(pattern[stripped], axis=0)
+        out_degree -= np.count_nonzero(pattern[:, stripped], axis=1)
+    core = np.flatnonzero(alive)
+    rows, columns = np.nonzero(pattern[np.ix_(core, core)])
+    starts = np.zeros(core.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=core.size), out=starts[1:])
+    blocks = [core[component] for component in _strong_components(starts.tolist(), columns.tolist())]
+    singles = [block for block in blocks if block.size == 1]
+    peeled = np.concatenate([np.flatnonzero(~alive)] + singles)
+    return peeled, [block for block in blocks if block.size > 1]
 
 
 def operator_spectrum(operator) -> np.ndarray:
-    """Eigenvalues of an assembled operator: largest modulus first, ties by argument."""
+    """Eigenvalues of an assembled operator: largest modulus first, ties by argument.
+
+    The matrix's exact zeros split it, after a permutation, into diagonal
+    blocks (`_diagonal_blocks`): every peeled node gives its diagonal entry,
+    and only the larger blocks go to a dense eigensolve.  Closed-form
+    matrices are permutation-similar to triangular ones (with blocks of
+    size 2 after I11 or for one block), so on them this reads the spectrum
+    off the diagonal.  A
+    matrix with an inf or NaN raises LinAlgError, as np.linalg.eigvals does.
+    """
     matrix = operator.matrix if isinstance(operator, AssembledOperator) else np.asarray(operator)
-    return _sort_eigenvalues(np.linalg.eigvals(matrix))
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise np.linalg.LinAlgError("the matrix must be square")
+    pattern = matrix != 0
+    # an inf or a NaN is nonzero, so the nonzero entries hold every one
+    if not np.isfinite(matrix[pattern]).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    np.fill_diagonal(pattern, False)
+    peeled, blocks = _diagonal_blocks(pattern)
+    values = [matrix[peeled, peeled].astype(complex)]
+    values += [np.linalg.eigvals(matrix[np.ix_(block, block)]) for block in blocks]
+    return _sort_eigenvalues(np.concatenate(values))
 
 
 def numeric_trace_power(operator, k: int) -> complex:

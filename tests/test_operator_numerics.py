@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import json
 import math
 import sys
 import threading
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torspec import operator_numerics
+from torspec import cli, operator_numerics
 from torspec.cone_geometry import QuadrantWeight
 from torspec.dynamics_checks import auto_weight
 from torspec.map_algebra import (
+    _atoms,
     _extended_in,
     _walk,
     complex_jacobian,
@@ -33,12 +35,15 @@ from torspec.operator_numerics import (
     _band_dft,
     _band_sums,
     _blaschke_powers,
+    _closed_form_matrix,
+    _diagonal_blocks,
     _grid_operator,
     _grid_points,
     _mode_weights,
     _operator_matrix,
     _refine,
     _sort_eigenvalues,
+    _strong_components,
     assemble_operator,
     match_spectra,
     numeric_trace_power,
@@ -777,3 +782,223 @@ def test_spectrum_sort_ignores_modulus_noise(pairs, data):
     noisy = [r * cmath.exp(1j * arg) * (1.0 + k * 2.0 ** -52) for (r, arg), k in zip(entries, ulps)]
     data.draw(st.randoms()).shuffle(noisy)
     assert np.allclose(_sort_eigenvalues(np.array(noisy)), expected, rtol=1e-13, atol=0.0)
+
+
+def test_spectrum_sort_ignores_input_order_of_signed_zeros():
+    # values equal but for the sign of a zero part used to keep the order
+    # the eigensolver listed them in, and so did their CSV rows
+    values = [complex(x, y) for x in (0.0, -0.0, 0.5, -0.5) for y in (0.0, -0.0)]
+    values += [complex(x, 0.3) for x in (0.0, -0.0)] + [1.0, 0.25 + 0.25j, 0.25 - 0.25j]
+    first = _sort_eigenvalues(np.array(values))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        shuffled = np.array(values)[rng.permutation(len(values))]
+        assert _sort_eigenvalues(shuffled).tobytes() == first.tobytes()
+    # +0 before -0, and the largest modulus first
+    assert first[0] == 1.0
+    assert [str(v) for v in first[1:3]] == ["(0.5+0j)", "(0.5-0j)"]
+
+
+def _closure(adjacency):
+    """The reflexive transitive closure (Warshall): reach[i, j] when j can be reached from i."""
+    count = adjacency.shape[0]
+    reach = adjacency | np.eye(count, dtype=bool)
+    for k in range(count):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    return reach
+
+
+def _closure_components(adjacency):
+    """Strongly connected components from the closure, as a set of frozensets."""
+    reach = _closure(adjacency)
+    return {frozenset(np.flatnonzero(row).tolist()) for row in reach & reach.T}
+
+
+def _edge_lists(adjacency):
+    starts = [0]
+    targets = []
+    for row in adjacency:
+        targets += np.flatnonzero(row).tolist()
+        starts.append(len(targets))
+    return starts, targets
+
+
+def _adjacency(count, edges):
+    adjacency = np.zeros((count, count), dtype=bool)
+    for i, j in edges:
+        adjacency[i, j] = True
+    return adjacency
+
+
+# random boolean graphs as adjacency matrices, from sparse (a few edges) to dense
+boolean_graphs = st.integers(0, 9).flatmap(
+    lambda n: st.builds(
+        _adjacency,
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n) if n else st.just([]),
+    )
+)
+
+
+@given(boolean_graphs)
+@settings(max_examples=300, deadline=None)
+def test_strong_components_match_reachability_closure(adjacency):
+    # self-loops included; the empty graph and single nodes come up as n = 0 and 1
+    components = _strong_components(*_edge_lists(adjacency))
+    assert sorted(node for component in components for node in component) == list(range(len(adjacency)))
+    assert {frozenset(component) for component in components} == _closure_components(adjacency)
+
+
+def test_strong_components_edge_cases():
+    assert _strong_components([0], []) == []
+    assert _strong_components([0, 0], []) == [[0]]
+    assert _strong_components([0, 1], [0]) == [[0]]
+    # a chain 0 -> 1 -> ... -> 2999 with a back edge: one component, deeper than the recursion limit
+    count = 3000
+    targets = list(range(1, count)) + [0]
+    assert len(_strong_components(list(range(count + 1)), targets)) == 1
+
+
+@given(boolean_graphs)
+@settings(max_examples=200, deadline=None)
+def test_diagonal_blocks_are_the_strong_components(adjacency):
+    # the peel and the core's components together give every component of
+    # the matrix's graph: the peeled nodes are exactly the components of size
+    # 1, and the core holds just the nodes both upstream and downstream of a cycle
+    count = len(adjacency)
+    if not count:
+        return
+    adjacency = adjacency & ~np.eye(count, dtype=bool)
+    cores = []
+
+    def components(starts, targets):
+        cores.append(len(starts) - 1)
+        return _strong_components(starts, targets)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operator_numerics, "_strong_components", components)
+        peeled, blocks = _diagonal_blocks(adjacency)
+    reach = _closure(adjacency)
+    on_cycle = (reach & reach.T).sum(axis=1) > 1
+    assert cores == [int(np.count_nonzero(reach[:, on_cycle].any(axis=1) & reach[on_cycle].any(axis=0)))]
+    components = _closure_components(adjacency)
+    assert {frozenset(block.tolist()) for block in blocks} == {c for c in components if len(c) > 1}
+    assert sorted(peeled.tolist()) == sorted(node for c in components if len(c) == 1 for node in c)
+
+
+def _dense_spectrum(operator):
+    """The spectrum by one dense eigensolve of the whole matrix: the reference of `operator_spectrum`."""
+    return _sort_eigenvalues(np.linalg.eigvals(operator.matrix))
+
+
+@functools.lru_cache(maxsize=None)
+def _tuned(text):
+    word = parse_word(text)
+    return word, auto_weight(word)[0]
+
+
+_TRIANGULAR_CASES = [
+    ("U(1,0.5) . U(1,0.3)", "composition"),
+    ("U(1,0.5) . U(1,0.3)", "transfer"),
+    ("U(2,0.3+0.2i) . U(1,-0.4i)", "composition"),
+    ("U(2,0.4-0.1i) . U(2,0.3i)", "transfer"),
+    ("F . R . F . R", "composition"),
+]
+
+
+@pytest.mark.parametrize("band", range(4, 17))
+@pytest.mark.parametrize("text, kind", _TRIANGULAR_CASES, ids=[f"{c[0]}-{c[1]}" for c in _TRIANGULAR_CASES])
+def test_triangular_spectrum_is_the_dense_one_bit_for_bit(text, kind, band):
+    # closed-form two-block and linear matrices are triangular after a
+    # permutation, so every eigenvalue is a diagonal entry, which LAPACK's
+    # balancing also isolates
+    word, weight = _tuned(text)
+    op = assemble_operator(word, weight, band, kind=kind)
+    values = operator_spectrum(op)
+    assert values.size == op.matrix.shape[0]
+    assert values.tobytes() == _dense_spectrum(op).tobytes()
+
+
+@pytest.mark.parametrize("band", [4, 8, 12])
+@pytest.mark.parametrize(
+    "text, size",
+    [
+        ("U(1,0.5) . U(1,0.3)", None),
+        ("U(2,0.3+0.2i) . U(1,-0.4i)", None),
+        ("F . F . R", None),
+        ("U(2,0.4)", 2),
+        ("I11 . U(1,0.4) . U(1,0.3)", 2),
+        ("I11 . U(2,0.4)", 2),
+    ],
+)
+def test_closed_form_zeros_are_exact(monkeypatch, text, size, band):
+    # with no snap at all the peel leaves an empty core, or one that splits
+    # into 2 x 2 blocks (one block swaps the coordinates, and I11 pairs n
+    # with -n): the zeros that split the matrix are exact, not snapped
+    word, weight = _tuned(text)
+    pattern = _closed_form_matrix(_atoms(word), _mode_weights(weight, band), band, 0.0) != 0
+    np.fill_diagonal(pattern, False)
+    cores = []
+
+    def components(starts, targets):
+        cores.append(len(starts) - 1)
+        return _strong_components(starts, targets)
+
+    monkeypatch.setattr(operator_numerics, "_strong_components", components)
+    _, blocks = _diagonal_blocks(pattern)
+    if size is None:
+        assert cores == [0] and blocks == []
+    else:
+        assert blocks and {block.size for block in blocks} == {size}
+
+
+def _verify_report(capsys, monkeypatch, text, band, spectrum):
+    """The "verify" object and exit code of `resonances --verify` with `spectrum` as the eigensolver."""
+    monkeypatch.setattr(cli, "operator_spectrum", spectrum)
+    code = cli.main(["resonances", "--word", text, "--verify", "--band", str(band)])
+    return code, json.loads(capsys.readouterr().out)["verify"]
+
+
+@pytest.mark.parametrize("band", [8, 12])
+@pytest.mark.parametrize("text", ["I11 . U(1,0.4) . U(1,0.3)", "I11 . U(2,0.4) . U(1,0.1)"])
+def test_antipode_spectrum_is_closer_than_dense(capsys, monkeypatch, text, band):
+    # every node of an I11 word lies on a 2-cycle; the 2 x 2 blocks match
+    # the prediction to a few ulps, where one dense eigensolve reached 3.4e-8
+    dense_code, dense = _verify_report(capsys, monkeypatch, text, band, _dense_spectrum)
+    code, report = _verify_report(capsys, monkeypatch, text, band, operator_spectrum)
+    assert code == dense_code == 0
+    assert report["matched"] == dense["matched"]
+    assert report["max_rel_err"] <= dense["max_rel_err"]
+    assert report["max_rel_err"] <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "text, band",
+    [("W(1,0.2) . W(2,0.3)", 8), ("U(1,0.4) . U(1,0.3) . U(1,0.2)", 8), ("W(1,0.2) . W(2,0.3)", 10)],
+)
+def test_grid_route_spectrum_matches_dense(capsys, monkeypatch, text, band):
+    # grid-route matrices carry rounding in entries that are zero in exact
+    # arithmetic, so their blocks are larger and the values agree with the
+    # dense solve to rounding, not bit for bit (4.7e-10 on the W word at band 8)
+    dense_code, dense = _verify_report(capsys, monkeypatch, text, band, _dense_spectrum)
+    code, report = _verify_report(capsys, monkeypatch, text, band, operator_spectrum)
+    assert code == dense_code
+    assert (report["verified"], report["matched"]) == (dense["verified"], dense["matched"])
+    word, weight = _tuned(text)
+    op = assemble_operator(word, weight, band)
+    values, reference = operator_spectrum(op), _dense_spectrum(op)
+    assert values.size == reference.size
+    pairs = match_spectra(reference, values).pairs
+    assert max(abs(p - c) for p, c, _ in pairs) <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 2)])
+def test_spectrum_rejects_non_finite_matrix(bad, where):
+    # (0, 2) lies above the diagonal of a triangular matrix, where the peel never looks
+    matrix = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    matrix[where] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigvals(matrix)
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_spectrum(matrix)
