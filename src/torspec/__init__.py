@@ -5,18 +5,21 @@ predict their full resonance spectrum in closed form from fixed-point data,
 and verify the prediction against truncated composition-operator matrices on
 anisotropically weighted Fourier bases.
 
-Operator assembly already runs one thread per CPU (up to four), so importing
-the package sets OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and BLIS_NUM_THREADS
-to 1 wherever the caller has not set them.  That caps an OpenBLAS, MKL or
-BLIS build of numpy at one thread per call, but only if numpy has not been
-imported yet; a BLAS threaded through OpenMP alone, by OMP_NUM_THREADS, is
-not capped.  The variables stay in os.environ, so subprocesses inherit them.
+The last bits of a dense eigensolve or matrix power depend on how many
+threads BLAS splits it over, so importing the package sets
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and BLIS_NUM_THREADS to 1 wherever the
+caller has not set them: outputs then do not depend on the host's core
+count.  That caps an OpenBLAS, MKL or BLIS build of numpy at one thread per
+call, but only if numpy has not been imported yet; a BLAS threaded through
+OpenMP alone, by OMP_NUM_THREADS, is not capped.  The variables stay in
+os.environ, so subprocesses inherit them.
 """
 
 import os
 
-# before numpy first loads: with BLAS threads of their own, the assembly's
-# workers would oversubscribe the cores they already fill
+# before numpy first loads: with two OpenBLAS threads, the spectrum of a
+# grid-route word with a 288-mode diagonal block, and its trace powers
+# tr(M^3) and tr(M^5), come out different in the last bits
 for _name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

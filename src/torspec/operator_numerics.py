@@ -13,11 +13,7 @@ rather than assumed; each column settles on its own two-grid test, and a
 doubling sums only the columns still moving.  The grids are nested, so each
 doubling sums only the points it adds to raw sums kept from the coarser
 grids, and the weighted matrix is formed once, each column on its own final
-grid.  Each row block's columns are summed by one thread per CPU the process
-may use, up to a fixed cap that bounds the threads' working memory, every
-column by the same operations as with one thread, so the matrix does not
-depend on the number of threads, bit for bit.  The grid route also checks
-the closed form in the tests.
+grid.  The grid route also checks the closed form in the tests.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  The spectrum is read off the matrix's exact zeros:
@@ -31,8 +27,6 @@ powers) and flat-file export.
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -50,12 +44,6 @@ _MAX_DOUBLINGS = 3
 # grid points walked, or matrix entries formed, at once; fixes the
 # assembly's working memory
 _BLOCK_POINTS = 1 << 15
-# CPUs this process may run on (its affinity set; a cgroup CPU quota is not read)
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# threads that sum a block's columns: one per CPU, but never more than this,
-# since each holds two block-sized buffers (about 1 MB together); so the
-# workers' memory is bounded whatever the CPU count
-_MAX_WORKERS = 4
 # (rows, columns) pieces of a grid: all of its points, and the points of
 # grid 2g that grid g lacks (odd rows x all columns, even rows x odd columns)
 _ALL_POINTS = ((slice(None), slice(None)),)
@@ -67,12 +55,11 @@ class TruncationSizeError(ValueError):
 
     The limit, band 16, is the same on both routes.  On the grid route,
     assembly time and memory grow fast with the band: for
-    U(1,0.4) . U(1,0.3) at band 16 (2-core AMD EPYC VM, one BLAS thread)
-    assembly up to grid 256 took 0.10 s with two workers (0.16 s pinned to
-    one CPU).  That word is now built in closed form, and for such words
-    the limit guards the (2 band + 1)^4 matrix instead, which holds 18, 88
-    and 272 MiB at bands 16, 24 and 32 (18%, 16% and 14% nonzero).  On a
-    2-vCPU Intel Xeon VM with one BLAS thread, assembly took 0.018 s,
+    U(1,0.4) . U(1,0.3) at band 16 (2-vCPU Intel Xeon VM, one BLAS thread)
+    assembly up to grid 256 took 0.47 s.  That word is now built in closed
+    form, and for such words the limit guards the (2 band + 1)^4 matrix
+    instead, which holds 18, 88 and 272 MiB at bands 16, 24 and 32 (18%,
+    16% and 14% nonzero).  On the same VM, assembly took 0.018 s,
     0.14 s and 0.39 s there, and `operator_spectrum`, which reads the
     eigenvalues off the matrix's triangular structure, 0.013 s, 0.061 s and
     0.25 s; both grow like the matrix.
@@ -116,96 +103,6 @@ def _mode_weights(weight, band: int) -> np.ndarray:
     return np.exp(weight.log_weight_array(np.repeat(modes, width), np.tile(modes, width)))
 
 
-def _chain(columns, active):
-    """A recurrence chain's columns up to its last active one, None for an inactive one."""
-    kept = [column if active[column] else None for column in columns]
-    while kept and kept[-1] is None:
-        kept.pop()
-    return kept
-
-
-def _shares(band, active, workers):
-    """The active columns cut into at most `workers` runs of the walk, each a list of (n1, down, chain).
-
-    The walk takes n1 = 0, 1, ... in turn, each first up the chain
-    (n1, 0), (n1, 1), ... and then down the chain (n1, -1), (n1, -2), ...;
-    its active columns, in that order, are cut into runs of nearly equal
-    length.  A run's chain holds None for every column before its own
-    (and for every inactive one), so that it steps over them, and ends at
-    its last own column.
-    """
-    width = 2 * band + 1
-    walk = []
-    for n1 in range(band + 1):
-        walk.append((n1, False, range(n1 * width, n1 * width + band + 1)))  # from mode (n1, 0)
-        if n1:
-            walk.append((n1, True, range(n1 * width - 1, n1 * width - band - 1, -1)))
-    order = [column for _, _, columns in walk for column in columns if active[column]]
-    owner = np.full(active.size, -1)
-    owner[order] = np.arange(len(order)) * workers // max(1, len(order))
-    shares = []
-    for worker in range(workers):
-        mine = owner == worker
-        share = [(n1, down, chain) for n1, down, columns in walk if (chain := _chain(columns, mine))]
-        if share:
-            shares.append(share)
-    return shares
-
-
-def _sum_share(sums, share, t1, t2, t2_inverse, left, right, p1, v):
-    """Add one block's band sums of a share's columns; p1 and v are the worker's own buffers.
-
-    t1^n1 is rebuilt from exact ones by the products p1 *= t1, and each
-    chain steps from t1^n1 (up) or t1^n1 / t2 (down) by v *= t2 or
-    v *= 1 / t2, so every column is formed by the same operations, in the
-    same order, whichever share holds it.  1 / t2 = conj(t2) on the torus.
-    """
-    p1.fill(1.0)
-    power = 0
-    for n1, down, columns in share:
-        for _ in range(power, n1):
-            p1 *= t1
-        power = n1
-        if down:
-            ratio = t2_inverse
-            np.multiply(p1, ratio, out=v)
-        else:
-            ratio = t2
-            np.copyto(v, p1)
-        for i, column in enumerate(columns):
-            if i:
-                v *= ratio
-            if column is not None:
-                sums[:, column] += (left @ (v @ right)).reshape(-1)
-
-
-def _in_threads(target, argument_lists):
-    """target(*arguments) for each list in its own thread; all are joined, then the first error is raised.
-
-    Plain threads rather than concurrent.futures: importing that package
-    loads logging, which raised a verify run's peak RSS by about 0.5 MB.
-    """
-    errors = []
-
-    def run(arguments):
-        try:
-            target(*arguments)
-        except BaseException as error:  # re-raised in the calling thread below
-            errors.append(error)
-
-    threads = [threading.Thread(target=run, args=(arguments,)) for arguments in argument_lists]
-    started = []
-    try:
-        for thread in threads:
-            thread.start()
-            started.append(thread)
-    finally:
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _band_sums(word, band, grid, pieces, active):
     """Raw band sums of the transformed monomials over pieces of one grid.
 
@@ -217,22 +114,25 @@ def _band_sums(word, band, grid, pieces, active):
     (rows, columns) pair of grid slices, so its sum is E[:, rows] V E[:, cols]^T
     with E from `_band_dft`; the rows are walked in blocks of about
     _BLOCK_POINTS points, and only the band's coefficients are formed.
-    The powers come by recurrence along chains (n1, 0), (n1, 1), ... and
-    (n1, -1), (n1, -2), ...; a chain steps over its inactive columns without
-    summing them and ends at its last active one.
 
-    The calling thread walks the word once per block; then min(_CPUS,
-    _MAX_WORKERS) threads, started and joined inside the block, each add the
-    sums of their own run of the active columns (`_shares`), sharing the
-    block's read-only arrays and writing only their own columns of the
-    result.  Each run replays the power recurrence from exact ones
-    (`_sum_share`), so a column gets the same products and the same
-    additions, block after block, for any number of workers: the sums are
-    bit for bit those of one worker.  The blocks themselves do not depend on
-    the number of workers.
+    In each block the powers come by recurrence: t1^n1 from exact ones by
+    the products p1 *= t1, for n1 = 0, 1, ... in turn, and then the chain
+    up from t1^n1, (n1, 0), (n1, 1), ... by v *= t2, and the chain down
+    from t1^n1 / t2, (n1, -1), (n1, -2), ... by v *= 1 / t2, with
+    1 / t2 = conj(t2) on the torus.  A chain steps over its inactive
+    columns without summing them and ends at its last active one, so a
+    column's sums do not depend on which other columns are active.
     """
     width = 2 * band + 1
-    shares = _shares(band, active, min(_CPUS, _MAX_WORKERS))
+    chains = []
+    for n1 in range(band + 1):
+        walk = [(False, range(n1 * width, n1 * width + band + 1))]  # from mode (n1, 0)
+        if n1:
+            walk.append((True, range(n1 * width - 1, n1 * width - band - 1, -1)))
+        for down, columns in walk:
+            summed = np.flatnonzero(active[columns])
+            if summed.size:
+                chains.append((n1, down, columns[:summed[-1] + 1]))
     dft = _band_dft(band, grid)
     sums = np.zeros((width * width, width * width // 2 + 1), dtype=complex)
     for rows, cols in pieces:
@@ -250,16 +150,23 @@ def _band_sums(word, band, grid, pieces, active):
             values, masks, _ = _extended_in((z1, z2))
             (t1, t2), _, _ = _walk(word, values, masks)
             t2_inverse = np.conj(t2)
-            # each worker's p1 and v come from the calling thread: allocated
-            # in the workers, they would come from per-thread heaps and raise
-            # the peak memory
-            _in_threads(
-                _sum_share,
-                [
-                    (sums, share, t1, t2, t2_inverse, left, right, np.empty_like(t1), np.empty_like(t1))
-                    for share in shares
-                ],
-            )
+            p1 = np.ones_like(t1)
+            v = np.empty_like(t1)
+            power = 0
+            for n1, down, columns in chains:
+                for _ in range(power, n1):
+                    p1 *= t1
+                power = n1
+                ratio = t2_inverse if down else t2
+                if down:
+                    np.multiply(p1, ratio, out=v)
+                else:
+                    np.copyto(v, p1)
+                for i, column in enumerate(columns):
+                    if i:
+                        v *= ratio
+                    if active[column]:
+                        sums[:, column] += (left @ (v @ right)).reshape(-1)
     return sums
 
 
@@ -585,21 +492,6 @@ def assemble_operator(
     force=True on either route: the matrix, and with it the closed form's
     assembly and the spectrum of a triangular matrix, grow like band^4, and
     the grid route's assembly like band^5.
-
-    The column sums run on the CPUs the process may use
-    (os.sched_getaffinity, else os.cpu_count; a cgroup CPU quota is not
-    read), at most four, with no setting: for each row block the calling
-    thread walks the word, then one thread per CPU sums its own run of the
-    active columns, and all of them are joined before the next block, so
-    no thread outlives the call.  Each thread holds two block-sized
-    buffers, and the cap keeps that memory bounded on hosts with many CPUs.
-    A worker rebuilds the powers of its columns from exact ones by the same
-    products as a single thread would, and each column is added to block
-    by block in grid order, with blocks that do not depend on the thread
-    count, so the matrix is bit for bit the same on any number of CPUs.
-    BLAS should run one thread per call (importing torspec sets the
-    OpenBLAS, MKL and BLIS thread counts to 1 unless already set), or its
-    threads compete with the workers for the same cores.
 
     Entries smaller than the certified resolution of the doubling pass (on
     the grid route) are snapped to exact zero.  Mode-permutation

@@ -195,8 +195,9 @@ print(*seen[0], *[os.environ.get(n) for n in names])
     ids=["unset", "set"],
 )
 def test_import_caps_blas_unless_set(given, expected):
-    # the assembly runs a worker per CPU, so OpenBLAS, MKL and BLIS get one
-    # thread per call, set before numpy loads; a caller's own setting wins
+    # OpenBLAS, MKL and BLIS get one thread per call, set before numpy loads,
+    # so results do not depend on the host's core count; a caller's own
+    # setting wins
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
     env.update(given)
     env["PYTHONPATH"] = str(PACKAGE.parent)

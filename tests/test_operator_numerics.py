@@ -4,8 +4,6 @@ import cmath
 import functools
 import json
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -290,14 +288,6 @@ def test_half_width_change_matches_full_matrices(kind):
     assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
 
 
-@functools.lru_cache(maxsize=None)
-def _two_block_sums():
-    """The band sums of `_KERNEL_CASES[0]` on its grid, every column summed."""
-    _, word, band, grid, kind = _KERNEL_CASES[0]
-    word, _ = _kernel_case(word, kind)
-    return _band_sums(word, band, grid, _ALL_POINTS, _all_columns(band))
-
-
 def _masks(band):
     """Column masks that leave gaps inside chains, whole chains, and the tail of the band."""
     columns = _all_columns(band).size
@@ -317,77 +307,25 @@ def _masks(band):
     }
 
 
+@pytest.mark.parametrize("pieces", [_ALL_POINTS, _NEW_POINTS], ids=["all-points", "new-points"])
 @pytest.mark.parametrize("mask", list(_masks(_KERNEL_CASES[0][2])))
-def test_band_sums_skip_inactive_columns(mask):
+def test_band_sums_skip_inactive_columns(monkeypatch, mask, pieces):
     # the active columns come out bit for bit as when every column is summed,
-    # and the inactive ones are not summed at all
+    # on the whole grid and on the points a doubling adds, and the inactive
+    # ones are not summed at all
     _, word, band, grid, kind = _KERNEL_CASES[0]
-    word, _ = _kernel_case(word, kind)
-    active = _masks(band)[mask]
-    got = _band_sums(word, band, grid, _ALL_POINTS, active)
-    assert np.array_equal(got[:, active], _two_block_sums()[:, active])
-    assert not np.any(got[:, ~active])
-
-
-README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
-
-
-@pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
-def test_band_sums_same_for_any_worker_count(monkeypatch, index):
-    # each worker replays the power recurrence of its own columns from exact
-    # ones, so the sums come out bit for bit the same for 1, 2, 3 or 4 workers
-    # (4 CPUs or more run the most workers), on the whole grid and on the
-    # points a doubling adds, with every column or only some of them active
-    _, word, band, grid, kind = _KERNEL_CASES[index]
     word, _ = _kernel_case(word, kind)
     # ten rows per block: many blocks, and a last partial one
     monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 10 * grid + 1)
     assert grid % 10
-    masks = {"all": _all_columns(band), **_masks(band)}
-    interval = sys.getswitchinterval()
-    # switch threads far more often than by default, to shake out a lost update
-    sys.setswitchinterval(1e-5)
-    try:
-        for pieces in (_ALL_POINTS, _NEW_POINTS):
-            for name, active in masks.items():
-                sums = []
-                for cpus in (1, 2, 3, 16):
-                    monkeypatch.setattr(operator_numerics, "_CPUS", cpus)
-                    sums.append(_band_sums(word, band, grid, pieces, active))
-                assert all(np.array_equal(sums[0], other) for other in sums[1:]), name
-    finally:
-        sys.setswitchinterval(interval)
+    active = _masks(band)[mask]
+    got = _band_sums(word, band, grid, pieces, active)
+    every = _band_sums(word, band, grid, pieces, _all_columns(band))
+    assert np.array_equal(got[:, active], every[:, active])
+    assert not np.any(got[:, ~active])
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_assembly_leaves_no_thread(monkeypatch, cpus):
-    # both routes: the grid route's workers, and the closed form of this word
-    monkeypatch.setattr(operator_numerics, "_CPUS", cpus)
-    weight, _ = auto_weight(README_WORD)
-    before = threading.active_count()
-    for op in (assemble_operator(README_WORD, weight, 6), _grid_operator(README_WORD, _mode_weights(weight, 6), 6)):
-        assert op.converged
-        assert threading.active_count() == before
-
-
-def test_worker_error_reaches_caller(monkeypatch):
-    # a worker that fails (here as if out of memory) fails the assembly, and
-    # every other worker has been joined by then
-    calls = []
-
-    def failing(sums, share, *arrays):
-        calls.append(share)
-        if len(calls) == 2:
-            raise MemoryError("worker")
-
-    monkeypatch.setattr(operator_numerics, "_CPUS", 3)
-    monkeypatch.setattr(operator_numerics, "_sum_share", failing)
-    weight, _ = auto_weight(README_WORD)
-    before = threading.active_count()
-    with pytest.raises(MemoryError, match="worker"):
-        _grid_operator(README_WORD, _mode_weights(weight, 6), 6)
-    assert len(calls) == 3
-    assert threading.active_count() == before
+README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
 
 
 @pytest.mark.parametrize(
@@ -579,14 +517,6 @@ def test_assembly_peak_memory(text, band, bound):
     # the raw sums hold half the columns, the new points' sums another half,
     # and the weighted matrix is formed once, in row chunks; the closed form
     # holds its small coefficient tables and one row chunk besides the matrix
-    assert max(_peak_shares(text, band)) < bound
-
-
-@pytest.mark.parametrize("text, band, bound", _MEMORY_CASES)
-def test_assembly_peak_memory_on_many_cpus(monkeypatch, text, band, bound):
-    # each worker holds two block-sized buffers, and 64 CPUs run no more
-    # workers than the cap, so the bounds hold as they stand
-    monkeypatch.setattr(operator_numerics, "_CPUS", 64)
     assert max(_peak_shares(text, band)) < bound
 
 
