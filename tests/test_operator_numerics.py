@@ -4,6 +4,7 @@ import cmath
 import functools
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -325,7 +326,37 @@ def test_band_sums_skip_inactive_columns(monkeypatch, mask, pieces):
     assert not np.any(got[:, ~active])
 
 
+@pytest.mark.parametrize("index", range(1, len(_KERNEL_CASES)), ids=_CASE_IDS[1:])
+def test_band_sums_skip_inactive_columns_in_every_case(monkeypatch, index):
+    # the same on the other kernel cases (the first is checked mask by mask
+    # above): orientation-reversing words, transfer pairs and a linear word
+    _, word, band, grid, kind = _KERNEL_CASES[index]
+    word, _ = _kernel_case(word, kind)
+    monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 10 * grid + 1)
+    assert grid % 10
+    for pieces in (_ALL_POINTS, _NEW_POINTS):
+        every = _band_sums(word, band, grid, pieces, _all_columns(band))
+        for name, active in _masks(band).items():
+            got = _band_sums(word, band, grid, pieces, active)
+            assert np.array_equal(got[:, active], every[:, active]), name
+            assert not np.any(got[:, ~active]), name
+
+
 README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
+
+
+@pytest.mark.parametrize("route", ["linear", "two-block", "grid"])
+def test_assembly_leaves_no_thread(route):
+    # every route sums on the calling thread
+    word = CAT if route == "linear" else README_WORD
+    weight, _ = auto_weight(word)
+    before = threading.active_count()
+    if route == "grid":
+        op = _grid_operator(word, _mode_weights(weight, 6), 6)
+    else:
+        op = assemble_operator(word, weight, 6)
+    assert op.converged
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(
