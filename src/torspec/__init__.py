@@ -17,9 +17,9 @@ os.environ, so subprocesses inherit them.
 
 import os
 
-# before numpy first loads: with two OpenBLAS threads, the spectrum of a
-# grid-route word with a 288-mode diagonal block, and its trace powers
-# tr(M^3) and tr(M^5), come out different in the last bits
+# before numpy first loads: with two OpenBLAS threads, the spectrum of the
+# grid-route word G(0.2,0.1) . F . F . R at band 10, and its trace powers
+# tr(M^3), tr(M^4) and tr(M^5), come out different in the last bits
 for _name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

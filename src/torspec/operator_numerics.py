@@ -2,8 +2,8 @@
 
 The independent verification route.  Two word families get their matrix in
 closed form, with no grid: linear words (no G atom), whose composition
-operator permutes the modes, and one or two twisted-shear blocks
-`u_block`, optionally prefixed by the antipode I11, whose entries are
+operator permutes the modes, and chains of twisted-shear blocks `u_block`,
+optionally prefixed by the antipode I11, whose entries are sums of
 products of Fourier coefficients of Blaschke powers.  Every other word is
 sampled on a torus grid: take the band's discrete Fourier coefficients of
 the transformed monomials (two small DFT-matrix products per row block of
@@ -19,10 +19,9 @@ dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  The spectrum is read off the matrix's exact zeros:
 nodes of its graph that lie on no cycle are peeled off in numpy, each
 giving its diagonal entry, and only the strongly connected blocks that
-remain are solved densely; closed-form matrices are triangular after a
-permutation, so there nothing is left to solve.  Also provides spectrum
-bookkeeping (sorting, matching against closed-form predictions, trace
-powers) and flat-file export.
+remain are solved densely; closed-form matrices leave none, or blocks of
+two modes (odd chains, I11).  Also provides spectrum bookkeeping (sorting,
+matching against closed-form predictions, trace powers) and flat-file export.
 """
 
 from __future__ import annotations
@@ -377,62 +376,62 @@ def _coefficient_cube(k: int, a: complex, band: int) -> np.ndarray:
 
 
 def _block_matrix(blocks, mirror, nu, band, floor):
-    """The weighted matrix of one or two u_blocks, with the columns mirrored for an I11 prefix.
+    """The weighted matrix of a chain of u_blocks, with the columns mirrored for an I11 prefix.
 
     With c[p]_j from `_blaschke_powers`, one block (k, a) sends z^n to
     b(z1)^(k n1) z1^n2 z2^n1, so C[(m1, m2), (n1, n2)] = [m2 = n1] c[k n1]_(m1 - n2).
-    Composing two such maps needs no intermediate sum: with block 1 the
-    rightmost one, C[(m1, m2), (n1, n2)] = c1[k1 m2]_(m1 - n1) c2[k2 n1]_(m2 - n2),
-    a product of two (2 band + 1)^3 cubes from `_coefficient_cube`, into
-    which the weights nu(m) and 1 / nu(n) are folded.  The prefix I11 sends
-    z^n to z^-n before the blocks act, so column n is column -n of the
-    blocks' matrix: both column axes reversed, with the same weight since
-    nu is even.  Every index j lies in [-2 band, 2 band].  The rows are
-    formed in chunks of about _BLOCK_POINTS entries, each straight into the
-    matrix.
+    With L blocks, block 1 the rightmost, s_0 = m1, s_1 = m2, s_L = n1 and
+    s_(L+1) = n2, C[m, n] sums over s_2 .. s_(L-1) the products over i of
+    c_i[k_i s_i]_(s_(i-1) - s_(i+1)), entries of the (2 band + 1)^3 cubes
+    from `_coefficient_cube`, into which nu(m) and 1 / nu(n) are folded.  Two
+    blocks need no sum, and each further one is a batched matrix product over
+    s_i.  The tables are one-sided (c[p]_j = 0 for j < 0 if p > 0, for j > 0
+    if p < 0), so no s_i outside the band carries a term: the truncation is
+    exact.  The prefix I11 sends z^n to z^-n before the blocks act, so column
+    n is column -n of the blocks' matrix: both column axes reversed, with the
+    same weight since nu is even.  Every index j lies in [-2 band, 2 band].
+    The rows are formed in chunks of about _BLOCK_POINTS entries, each
+    straight into the matrix.
     """
     width = 2 * band + 1
     size = nu.size
     row_weights = nu.reshape(width, width)
     column_weights = 1.0 / row_weights
     # block 1 is applied first, and is the last one in the word
-    k1, a1 = blocks[-1]
-    first = _coefficient_cube(k1, complex(a1), band)
+    cubes = [_coefficient_cube(k, complex(a), band) for k, a in reversed(blocks)]
     if len(blocks) == 1:
         # [m1, m2, n2], the entries of row (m1, m2) at n1 = m2
-        first *= row_weights[:, :, None] * column_weights[None, :, :]
-        if mirror:
-            first = first[:, :, ::-1]
+        cubes[0] *= row_weights[:, :, None] * column_weights
     else:
-        first *= row_weights[:, :, None]
-        k2, a2 = blocks[0]
-        second = _coefficient_cube(k2, complex(a2), band) * column_weights
-        if mirror:
-            first, second = first[:, :, ::-1], second[:, ::-1, ::-1]
+        cubes[0] *= row_weights[:, :, None]
+        cubes[-1] *= column_weights
+    # each chunk is seen as [row, n1, n2], with both column axes reversed after I11
+    order = -1 if mirror else 1
     matrix = np.zeros((size, size), dtype=complex)
     step = max(1, _BLOCK_POINTS // size)
     for start in range(0, size, step):
         index = np.arange(start, min(start + step, size))
         m1, m2 = index // width, index % width
         block = matrix[start:start + index.size]
-        cube = block.reshape(index.size, width, width)
+        cube = block.reshape(index.size, width, width)[:, ::order, ::order]
         if len(blocks) == 1:
-            cube[np.arange(index.size), width - 1 - m2 if mirror else m2] = first[m1, m2]
+            cube[np.arange(index.size), m2] = cubes[0][m1, m2]
         else:
-            np.multiply(first[m1, m2][:, :, None], second[m2], out=cube)
+            # [row, s_1, s_2], then [row, s_(i-1), s_i] block by block
+            np.multiply(cubes[0][m1, m2][:, :, None], cubes[1][m2], out=cube)
+            for later in cubes[2:]:
+                cube[...] = np.matmul(cube.transpose(2, 0, 1), later.transpose(1, 0, 2)).transpose(1, 0, 2)
         block[np.abs(block) < floor] = 0.0
     return matrix
 
 
 def _closed_form_matrix(atoms, nu, band, floor):
-    """The weighted matrix of a linear word or of [I11 .] one or two u_blocks; None for any other word."""
+    """The weighted matrix of a linear word or of [I11 .] a chain of u_blocks; None for any other word."""
     if all(atom.kind != "G" for atom in atoms):
         return _linear_matrix(atoms, nu, band, floor)
     mirror = atoms[0].kind == "I" and atoms[0].k == 1 and atoms[0].l == 1
     blocks = _u_blocks(atoms[mirror:])
-    if blocks is None or len(blocks) > 2:
-        return None
-    return _block_matrix(blocks, mirror, nu, band, floor)
+    return None if blocks is None else _block_matrix(blocks, mirror, nu, band, floor)
 
 
 def assemble_operator(
@@ -457,17 +456,16 @@ def assemble_operator(
     Two families of words, read off the atoms rather than the text, are
     built in closed form with no grid.  A linear word (no G atom) gives the
     weighted partial permutation M[A^T n, n] = nu(A^T n) / nu(n), with
-    A = linear_part(word).  One or two u_blocks, optionally prefixed by
-    I11, give entries that are products of Fourier coefficients of
-    Blaschke powers, exact to a few ulps (`_block_matrix`).  Both snap
-    entries below 1e-13 to zero, the floor of a grid with no change, and
-    form the matrix in row chunks.  Such an operator reports
-    converged=True, max_change=0.0, columns_per_grid=() and
-    grid = 4 band + 1: not a torus grid, but the mode span |j| <= 2 band
-    that the coefficient tables cover.  Every other word (three or more
-    blocks, W blocks, the frame-conjugated words of `build`, stray G
-    atoms) takes the grid route below, which is also the closed form's
-    reference in the tests.
+    A = linear_part(word).  A chain of u_blocks, optionally prefixed by I11,
+    gives sums of products of Fourier coefficients of Blaschke powers, exact
+    to a few ulps (`_block_matrix`).  Both snap entries below 1e-13 to zero,
+    the floor of a grid with no change, and form the matrix in row chunks.
+    Such an operator reports converged=True, max_change=0.0,
+    columns_per_grid=() and grid = 4 band + 1: not a torus grid, but the
+    mode span |j| <= 2 band that the coefficient tables cover.  Every other
+    word (W blocks, the frame-conjugated words of `build`, stray G atoms)
+    takes the grid route below, which is also the closed form's reference
+    in the tests.
 
     On the grid route, the starting grid max(8*band, 64) is doubled, at
     most three times, and each column settles on its own: a column n >= 0
@@ -651,9 +649,9 @@ def operator_spectrum(operator) -> np.ndarray:
     blocks (`_diagonal_blocks`): every peeled node gives its diagonal entry,
     and only the larger blocks go to a dense eigensolve.  Closed-form
     matrices are permutation-similar to triangular ones (with blocks of
-    size 2 after I11 or for one block), so on them this reads the spectrum
-    off the diagonal.  A
-    matrix with an inf or NaN raises LinAlgError, as np.linalg.eigvals does.
+    size 2 after I11 or for an odd number of blocks), so on them this reads
+    the spectrum off the diagonal.  A matrix with an inf or NaN raises
+    LinAlgError, as np.linalg.eigvals does.
     """
     matrix = operator.matrix if isinstance(operator, AssembledOperator) else np.asarray(operator)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

@@ -86,6 +86,20 @@ def test_resonances_verified(capsys):
     assert v["matched"] > 20
 
 
+def test_resonances_three_block_word_verified(capsys):
+    # a chain of three u_blocks is built in closed form, with exact entries;
+    # the grid route did not converge on it by grid 512
+    code, report = run_json(
+        capsys, "resonances", "--word",
+        "U(2,-0.3451-0.0808i) . U(3,0.4868+0.3066i) . U(1,0.2642+0.5935i)",
+        "--verify", "--band", "8",
+    )
+    assert code == 0
+    v = report["verify"]
+    assert (v["verified"], v["converged"], v["grid"]) == (True, True, 33)
+    assert v["matched"] == 25 and v["max_rel_err"] <= 1e-13
+
+
 def test_resonances_verify_mismatch_exit_4(capsys):
     # band 4 cannot resolve predictions near the cutoff
     code, report = run_json(

@@ -4,6 +4,7 @@ import cmath
 import functools
 import json
 import math
+import random
 import threading
 import tracemalloc
 
@@ -436,13 +437,25 @@ _CLOSED_FORM_CASES = [("U(1,0.5) . U(1,0.3)", band, None) for band in range(4, 1
     ("R . F . F", 8, None),
     ("I01 . Finv . R . F . F", 8, None),
     ("I00", 3, QuadrantWeight.standard((0.1, 0.2), (0.15, 0.1))),
+    ("U(1,0.4) . U(1,0.3) . U(1,0.2)", 6, None),
+    ("U(3,0.2) . U(1,0.3) . U(1,0.2)", 6, None),
+    ("U(1,0.3) . U(3,0.2+0.1i) . U(1,-0.2i)", 6, None),
+    ("U(2,0.2) . U(1,0.1) . U(1,0.2)", 8, None),
+    ("I11 . U(1,0.5) . U(2,0.3-0.1i) . U(1,0.2i)", 6, None),
+    ("I11 . U(2,0.3) . U(1,0.2) . U(3,0.1)", 7, None),
+    ("I11 . U(1,0.2) . U(3,0.1) . U(2,0.1i)", 8, None),
+    ("U(1,0.3) . U(1,0.2) . U(2,0.25) . U(1,0.1)", 6, None),
+    ("U(1,0.2) . U(2,0.1) . U(1,0.15) . U(1,0.1)", 8, None),
+    ("I11 . U(1,0.2) . U(2,0.1) . U(1,0.3i) . U(1,0.15)", 6, None),
+    ("U(1,0.2) . U(1,0.1) . U(2,0.15) . U(1,0.2i) . U(1,0.1)", 6, None),
+    ("I11 . U(1,0.2) . U(1,0.1) . U(3,0.15) . U(1,0.2i) . U(1,0.1)", 6, None),
 ]
 
 
 @pytest.mark.parametrize("kind", ["composition", "transfer"])
 @pytest.mark.parametrize("text, band, weight", _CLOSED_FORM_CASES, ids=[f"{c[0]}-{c[1]}" for c in _CLOSED_FORM_CASES])
 def test_closed_form_matches_grid_route(text, band, weight, kind):
-    # linear words and one or two u_blocks, after an optional I11, are built
+    # linear words and chains of u_blocks, after an optional I11, are built
     # from Blaschke-power coefficients with no grid; the converged grid route
     # is their reference, within 1e-13 or its own snap floor 2 max_change
     word = parse_word(text)
@@ -490,17 +503,37 @@ def test_blaschke_power_table_matches_mpmath(a):
 @pytest.mark.parametrize(
     "text",
     [
-        "U(1,0.2) . U(1,0.3) . U(1,0.25)",
+        "U(1,0.2) . W(1,0.3)",
         "W(1,0.2) . W(2,0.3)",
         "G(0.2,0.1) . F . F . R",
         "G(0,0.3) . F . R . G(-0.2,0) . U(1,0.2)",
     ],
-    ids=["three-block", "w-blocks", "raw-G", "unmatched-G"],
+    ids=["u-and-w-block", "w-blocks", "raw-G", "unmatched-G"],
 )
 def test_other_words_take_the_grid_route(text):
     weight = QuadrantWeight.standard((0.1, 0.1), (0.1, 0.1))
     op = assemble_operator(parse_word(text), weight, 3)
     assert op.columns_per_grid != () and op.grid >= 64
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_band_is_the_crop_of_a_wider_band(seed):
+    # the one-sided coefficient tables keep every intermediate mode of a
+    # chain inside the band, so the truncation loses no term; the sums still
+    # run over more zeros at the wider band, so they agree to rounding
+    # (1.1e-16 at worst on these chains), not bit for bit
+    rng = random.Random(seed)
+    length = rng.randint(3, 5)
+    ks = [rng.choice((1, 1, 2, 3)) for _ in range(length)]
+    params = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(length)]
+    atoms = _atoms(psi_word(ks, params, seed % 2))
+    narrow, wide = 6, 12
+    small = _closed_form_matrix(atoms, np.ones((2 * narrow + 1) ** 2), narrow, 0.0)
+    large = _closed_form_matrix(atoms, np.ones((2 * wide + 1) ** 2), wide, 0.0)
+    modes = np.arange(-wide, wide + 1)
+    inside = np.abs(modes) <= narrow
+    keep = np.flatnonzero(inside[:, None] & inside[None, :])
+    assert np.max(np.abs(small - large[np.ix_(keep, keep)])) <= 1e-15, (ks, params)
 
 
 class _TiltedWeight:
@@ -517,7 +550,11 @@ def test_assembly_rejects_uneven_weight(kind):
         assemble_operator(parse_word("U(1,0.5) . U(1,0.3)"), _TiltedWeight(), 4, kind=kind)
 
 
-_MEMORY_CASES = [("U(1,0.5) . U(1,0.3)", 12, 2.5), ("F . F . R", 16, 2.0)]
+_MEMORY_CASES = [
+    ("U(1,0.5) . U(1,0.3)", 12, 2.5),
+    ("U(1,0.4) . U(1,0.3) . U(1,0.2)", 12, 2.5),
+    ("F . F . R", 16, 2.0),
+]
 
 
 def _grid_route(word, weight, band):
@@ -890,12 +927,16 @@ def test_triangular_spectrum_is_the_dense_one_bit_for_bit(text, kind, band):
         ("U(2,0.4)", 2),
         ("I11 . U(1,0.4) . U(1,0.3)", 2),
         ("I11 . U(2,0.4)", 2),
+        ("U(1,0.4) . U(1,0.3) . U(1,0.2)", 2),
+        ("U(1,0.3) . U(1,0.2) . U(2,0.25) . U(1,0.1)", None),
+        ("I11 . U(1,0.2) . U(2,0.1) . U(1,0.3i) . U(1,0.15)", 2),
     ],
 )
 def test_closed_form_zeros_are_exact(monkeypatch, text, size, band):
     # with no snap at all the peel leaves an empty core, or one that splits
-    # into 2 x 2 blocks (one block swaps the coordinates, and I11 pairs n
-    # with -n): the zeros that split the matrix are exact, not snapped
+    # into 2 x 2 blocks (an odd number of blocks swaps the coordinates, and
+    # I11 pairs n with -n): the zeros that split the matrix are exact, not
+    # snapped
     word, weight = _tuned(text)
     pattern = _closed_form_matrix(_atoms(word), _mode_weights(weight, band), band, 0.0) != 0
     np.fill_diagonal(pattern, False)
@@ -935,7 +976,7 @@ def test_antipode_spectrum_is_closer_than_dense(capsys, monkeypatch, text, band)
 
 @pytest.mark.parametrize(
     "text, band",
-    [("W(1,0.2) . W(2,0.3)", 8), ("U(1,0.4) . U(1,0.3) . U(1,0.2)", 8), ("W(1,0.2) . W(2,0.3)", 10)],
+    [("W(1,0.2) . W(2,0.3)", 8), ("G(0.2,0.1) . F . F . R", 10), ("W(1,0.2) . W(2,0.3)", 10)],
 )
 def test_grid_route_spectrum_matches_dense(capsys, monkeypatch, text, band):
     # grid-route matrices carry rounding in entries that are zero in exact
