@@ -6,20 +6,21 @@ and verify the prediction against truncated composition-operator matrices on
 anisotropically weighted Fourier bases.
 
 The last bits of a dense eigensolve or matrix power depend on how many
-threads BLAS splits it over, so importing the package sets
-OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and BLIS_NUM_THREADS to 1 wherever the
-caller has not set them: outputs then do not depend on the host's core
-count.  That caps an OpenBLAS, MKL or BLIS build of numpy at one thread per
-call, but only if numpy has not been imported yet; a BLAS threaded through
-OpenMP alone, by OMP_NUM_THREADS, is not capped.  The variables stay in
-os.environ, so subprocesses inherit them.
+threads BLAS splits it over, even where the matrix itself does not, so
+importing the package sets OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+BLIS_NUM_THREADS to 1 wherever the caller has not set them: outputs then do
+not depend on the host's core count.  That caps an OpenBLAS, MKL or BLIS
+build of numpy at one thread per call, but only if numpy has not been
+imported yet; a BLAS threaded through OpenMP alone, by OMP_NUM_THREADS, is
+not capped.  The variables stay in os.environ, so subprocesses inherit them.
 """
 
 import os
 
-# before numpy first loads: with two OpenBLAS threads, the spectrum of the
-# grid-route word G(0.2,0.1) . F . F . R at band 10, and its trace powers
-# tr(M^3), tr(M^4) and tr(M^5), come out different in the last bits
+# before numpy first loads: with two OpenBLAS threads, the matrix of the
+# grid-route word G(0.2,0.1) . F . F . R at band 10 is the same bit for bit,
+# but its spectrum and the trace powers tr(M^3) and tr(M^5) differ in the
+# last bits
 for _name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 

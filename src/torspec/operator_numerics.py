@@ -8,12 +8,10 @@ products of Fourier coefficients of Blaschke powers.  Every other word is
 sampled on a torus grid: take the band's discrete Fourier coefficients of
 the transformed monomials (two small DFT-matrix products per row block of
 the grid) to get matrix columns in the weighted basis.  Grid resolution is
-doubled until the matrix stabilizes, so analytic tails are under control
-rather than assumed; each column settles on its own two-grid test, and a
-doubling sums only the columns still moving.  The grids are nested, so each
-doubling sums only the points it adds to raw sums kept from the coarser
-grids, and the weighted matrix is formed once, each column on its own final
-grid.  The grid route also checks the closed form in the tests.
+doubled until the whole matrix moves by less than a tolerance between two
+grids, so analytic tails are under control rather than assumed; each grid
+sums every column afresh, and the weighted matrix is formed once, from the
+finest grid.  The grid route also checks the closed form in the tests.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  The spectrum is read off the matrix's exact zeros:
@@ -43,10 +41,6 @@ _MAX_DOUBLINGS = 3
 # grid points walked, or matrix entries formed, at once; fixes the
 # assembly's working memory
 _BLOCK_POINTS = 1 << 15
-# (rows, columns) pieces of a grid: all of its points, and the points of
-# grid 2g that grid g lacks (odd rows x all columns, even rows x odd columns)
-_ALL_POINTS = ((slice(None), slice(None)),)
-_NEW_POINTS = ((slice(1, None, 2), slice(None)), (slice(0, None, 2), slice(1, None, 2)))
 
 
 class TruncationSizeError(ValueError):
@@ -55,10 +49,10 @@ class TruncationSizeError(ValueError):
     The limit, band 16, is the same on both routes.  On the grid route,
     assembly time and memory grow fast with the band: for
     U(1,0.4) . U(1,0.3) at band 16 (2-vCPU Intel Xeon VM, one BLAS thread)
-    assembly up to grid 256 took 0.47 s.  That word is now built in closed
-    form, and for such words the limit guards the (2 band + 1)^4 matrix
-    instead, which holds 18, 88 and 272 MiB at bands 16, 24 and 32 (18%,
-    16% and 14% nonzero).  On the same VM, assembly took 0.018 s,
+    assembly on grids 128 and 256 took 0.52 s.  That word is now built in
+    closed form, and for such words the limit guards the (2 band + 1)^4
+    matrix instead, which holds 18, 88 and 272 MiB at bands 16, 24 and 32
+    (18%, 16% and 14% nonzero).  On the same VM, assembly took 0.018 s,
     0.14 s and 0.39 s there, and `operator_spectrum`, which reads the
     eigenvalues off the matrix's triangular structure, 0.013 s, 0.061 s and
     0.25 s; both grow like the matrix.
@@ -73,24 +67,18 @@ class AssembledOperator:
     kind: str
     max_change: float
     converged: bool
-    columns_per_grid: Tuple[int, ...]
 
 
-def _grid_points(
-    grid: int, rows: slice = slice(None), cols: slice = slice(None)
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The torus grid's coordinate arrays at its points rows x cols (slices).
-
-    Point (x1, x2) of grid g is point (2 x1, 2 x2) of grid 2g, bit for bit.
-    """
+def _grid_points(grid: int, rows: slice = slice(None)) -> Tuple[np.ndarray, np.ndarray]:
+    """The torus grid's coordinate arrays at its rows `rows` (a slice) and all of its columns."""
     angles = 2.0 * np.pi * np.arange(grid) / grid
     ring = np.exp(1j * angles)
-    z1 = ring[rows, None] * np.ones((1, ring[cols].size))
-    return z1, np.ones((z1.shape[0], 1)) * ring[None, cols]
+    z1 = ring[rows, None] * np.ones((1, grid))
+    return z1, np.ones((z1.shape[0], 1)) * ring[None, :]
 
 
 def _band_dft(band: int, grid: int) -> np.ndarray:
-    """E[k, x] = exp(-2 pi i k x / grid) for the band's modes k; E at g is E at 2g[:, ::2], bit for bit."""
+    """E[k, x] = exp(-2 pi i k x / grid) for the band's modes k."""
     modes = np.arange(-band, band + 1)
     return np.exp(-2j * np.pi * (np.outer(modes, np.arange(grid)) % grid) / grid)
 
@@ -102,96 +90,67 @@ def _mode_weights(weight, band: int) -> np.ndarray:
     return np.exp(weight.log_weight_array(np.repeat(modes, width), np.tile(modes, width)))
 
 
-def _band_sums(word, band, grid, pieces, active):
-    """Raw band sums of the transformed monomials over pieces of one grid.
+def _band_sums(word, band, grid):
+    """Raw band sums of the transformed monomials over all points of one grid.
 
     Only the modes n >= 0 (lexicographically) get a column, from mode
-    (0, 0) on, and only the columns where the boolean mask `active` is set
-    are summed; the others stay zero.  Column n holds, for every band mode
-    k, the sum of V_n(x) exp(-2 pi i k.x / grid) over the points x of the
-    pieces, where V_n = t1^n1 t2^n2 and t = word(z).  A piece is a
-    (rows, columns) pair of grid slices, so its sum is E[:, rows] V E[:, cols]^T
-    with E from `_band_dft`; the rows are walked in blocks of about
-    _BLOCK_POINTS points, and only the band's coefficients are formed.
+    (0, 0) on.  Column n holds, for every band mode k, the sum of
+    V_n(x) exp(-2 pi i k.x / grid) over the grid's points x, where
+    V_n = t1^n1 t2^n2 and t = word(z): E V E^T with E from `_band_dft`,
+    walked in row blocks of about _BLOCK_POINTS points.
 
     In each block the powers come by recurrence: t1^n1 from exact ones by
     the products p1 *= t1, for n1 = 0, 1, ... in turn, and then the chain
     up from t1^n1, (n1, 0), (n1, 1), ... by v *= t2, and the chain down
     from t1^n1 / t2, (n1, -1), (n1, -2), ... by v *= 1 / t2, with
-    1 / t2 = conj(t2) on the torus.  A chain steps over its inactive
-    columns without summing them and ends at its last active one, so a
-    column's sums do not depend on which other columns are active.
+    1 / t2 = conj(t2) on the torus; each chain ends at the edge of the band.
     """
     width = 2 * band + 1
-    chains = []
-    for n1 in range(band + 1):
-        walk = [(False, range(n1 * width, n1 * width + band + 1))]  # from mode (n1, 0)
-        if n1:
-            walk.append((True, range(n1 * width - 1, n1 * width - band - 1, -1)))
-        for down, columns in walk:
-            summed = np.flatnonzero(active[columns])
-            if summed.size:
-                chains.append((n1, down, columns[:summed[-1] + 1]))
     dft = _band_dft(band, grid)
+    right = dft.T
     sums = np.zeros((width * width, width * width // 2 + 1), dtype=complex)
-    for rows, cols in pieces:
-        # contiguous copies: BLAS takes no matrix with a stride in both axes
-        right = np.ascontiguousarray(dft[:, cols]).T
-        row_dft = np.ascontiguousarray(dft[:, rows])
-        row_range = range(grid)[rows]
-        step = max(1, _BLOCK_POINTS // right.shape[0])
-        for start in range(0, len(row_range), step):
-            left = row_dft[:, start:start + step]
-            block_rows = row_range[start:start + step]
-            block = slice(block_rows.start, block_rows.stop, block_rows.step)
-            z1, z2 = _grid_points(grid, block, cols)
-            # every atom maps the torus to itself, so no point is ever at infinity here
-            values, masks, _ = _extended_in((z1, z2))
-            (t1, t2), _, _ = _walk(word, values, masks)
-            t2_inverse = np.conj(t2)
-            p1 = np.ones_like(t1)
-            v = np.empty_like(t1)
-            power = 0
-            for n1, down, columns in chains:
-                for _ in range(power, n1):
-                    p1 *= t1
-                power = n1
-                ratio = t2_inverse if down else t2
-                if down:
-                    np.multiply(p1, ratio, out=v)
-                else:
-                    np.copyto(v, p1)
+    step = max(1, _BLOCK_POINTS // grid)
+    for start in range(0, grid, step):
+        rows = slice(start, start + step)
+        left = dft[:, rows]
+        # every atom maps the torus to itself, so no point is ever at infinity here
+        values, masks, _ = _extended_in(_grid_points(grid, rows))
+        (t1, t2), _, _ = _walk(word, values, masks)
+        t2_inverse = np.conj(t2)
+        p1 = np.ones_like(t1)
+        for n1 in range(band + 1):
+            if n1:
+                p1 *= t1
+            first = n1 * width  # the column of mode (n1, 0)
+            chains = [(t2, range(first, first + band + 1))]
+            if n1:
+                chains.append((t2_inverse, range(first - 1, first - band - 1, -1)))
+            for ratio, columns in chains:
+                # one power array at a time: the chain down starts at t1^n1 / t2
+                v = p1 * ratio if ratio is t2_inverse else p1.copy()
                 for i, column in enumerate(columns):
                     if i:
                         v *= ratio
-                    if active[column]:
-                        sums[:, column] += (left @ (v @ right)).reshape(-1)
+                    sums[:, column] += (left @ (v @ right)).reshape(-1)
     return sums
 
 
-def _refine(sums, word, band, grid, nu, active):
-    """Add the points of `grid` that grid // 2 lacks to the active columns of `sums`; return their changes.
+def _max_change(coarse, fine, nu, grid):
+    """max |M_(grid / 2) - M_grid| over all entries, from the raw sums S over grid // 2 and T over grid.
 
-    With S the sums over grid g = grid // 2, R those over the new points and
-    W[k, n] = nu(k) / nu(n), M_g = S W / g^2 and M_grid = (S + R) W / grid^2,
-    so M_g - M_grid = (3 S - R) W / grid^2.  A column n > 0 also stands for
-    its mirror -n, whose entry (-k, -n) has the same modulus and, nu being
-    even (`assemble_operator` checks it), the same weight, so the columns
-    n >= 0 hold every change.  The result is max_k |M_g - M_grid|[k, n]
-    for each active column n, in column order; the inactive columns are
-    neither summed nor changed.  The rows are taken in chunks of about
-    _BLOCK_POINTS entries.
+    With W[k, n] = nu(k) / nu(n), the change is (4 S - T) W / grid^2.  Column
+    n > 0 also stands for its mirror -n, whose entry (-k, -n) has the same
+    modulus and, nu being even, the same weight, so the columns n >= 0 hold
+    every change; a NaN gives NaN.  Rows go in chunks of about _BLOCK_POINTS entries.
     """
-    new = _band_sums(word, band, grid, _NEW_POINTS, active)
     size, centre = nu.size, nu.size // 2
-    worst = np.zeros(sums.shape[1])
-    step = max(1, _BLOCK_POINTS // sums.shape[1])
+    worst = 0.0
+    step = max(1, _BLOCK_POINTS // coarse.shape[1])
     for start in range(0, size, step):
         rows = slice(start, start + step)
-        change = np.abs(3.0 * sums[rows] - new[rows]) * (nu[rows, None] / nu[centre:])
-        np.maximum(worst, change.max(axis=0), out=worst)
-        sums[rows] += new[rows]
-    return worst[active] / grid ** 2
+        change = np.abs(4.0 * coarse[rows] - fine[rows]) * (nu[rows, None] / nu[centre:])
+        worst = np.maximum(worst, change.max())
+    return float(worst) / grid ** 2
 
 
 def _weigh(block, nu, rows, floor):
@@ -206,64 +165,57 @@ def _snap_floor(max_change, converged):
     return min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
 
 
-def _operator_matrix(sums, nu, grids, floor):
-    """The weighted matrix from the sums of the columns n >= 0; entries below floor become 0.
+def _operator_matrix(sums, nu, grid, floor):
+    """The weighted matrix from the sums of the columns n >= 0 over `grid`; entries below floor become 0.
 
-    Column n >= 0 was summed on the grid grids[n], so it and its mirror -n
-    are S W / grids[n]^2 with W[k, n] = nu(k) / nu(n).  t^-1 = conj(t) on
-    the torus, so V_-n = conj(V_n) and coefficient k of column -n is
-    conj(coefficient -k of column n): the columns before mode (0, 0) are
-    mirrored from the sums.
+    Column n >= 0 and its mirror -n are S W / grid^2 with
+    W[k, n] = nu(k) / nu(n).  t^-1 = conj(t) on the torus, so
+    V_-n = conj(V_n) and coefficient k of column -n is conj(coefficient -k
+    of column n): the columns before mode (0, 0) are mirrored from the sums.
     The rows are formed in chunks of about _BLOCK_POINTS entries.
     """
     size, centre = nu.size, nu.size // 2
     matrix = np.empty((size, size), dtype=complex)
     flipped = sums[::-1, :0:-1]
-    points = np.concatenate((grids[:0:-1], grids)) ** 2
     step = max(1, _BLOCK_POINTS // size)
     for start in range(0, size, step):
         rows = slice(start, start + step)
         block = matrix[rows]
         block[:, centre:] = sums[rows]
         np.conjugate(flipped[rows], out=block[:, :centre])
-        block /= points
+        block /= grid ** 2
         _weigh(block, nu, rows, floor)
     return matrix
 
 
-def _operator(matrix, band, grid, kind, max_change, converged, columns_per_grid):
+def _operator(matrix, band, grid, kind, max_change, converged):
     """The AssembledOperator of a composition matrix; `transfer` takes the view M[::-1, ::-1].T."""
     if kind == "transfer":
         matrix = matrix[::-1, ::-1].T
-    return AssembledOperator(matrix, band, grid, kind, max_change, converged, tuple(columns_per_grid))
+    return AssembledOperator(matrix, band, grid, kind, max_change, converged)
 
 
 def _grid_operator(word, nu, band, kind="composition"):
     """The grid route of `assemble_operator`, for a weight nu from `_mode_weights` that is even."""
     grid = max(8 * band, 64)
-    active = np.ones(nu.size // 2 + 1, dtype=bool)
-    grids = np.full(active.size, grid)
-    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
-    columns_per_grid = [active.size]
-    max_change = np.inf
+    sums = _band_sums(word, band, grid)
+    max_change, converged = np.inf, False
     for _ in range(_MAX_DOUBLINGS):
         grid *= 2
-        change = _refine(sums, word, band, grid, nu, active)
-        columns_per_grid.append(change.size)
-        grids[active] = grid
-        max_change = float(change.max())
-        # written as "not below" so that a NaN change keeps its column moving
-        active[active] = ~(change < _TOL)
-        if not active.any():
+        fine = _band_sums(word, band, grid)
+        max_change = _max_change(sums, fine, nu, grid)
+        sums = fine
+        # a NaN change is not below _TOL, so it reads as not converged
+        converged = max_change < _TOL
+        if converged:
             break
-    converged = not active.any()
     if not converged:
         warnings.warn(
             f"operator matrix still moving by {max_change:.3e} at grid {grid}",
             RuntimeWarning,
         )
-    matrix = _operator_matrix(sums, nu, grids, _snap_floor(max_change, converged))
-    return _operator(matrix, band, grid, kind, max_change, converged, columns_per_grid)
+    matrix = _operator_matrix(sums, nu, grid, _snap_floor(max_change, converged))
+    return _operator(matrix, band, grid, kind, max_change, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -460,33 +412,26 @@ def assemble_operator(
     gives sums of products of Fourier coefficients of Blaschke powers, exact
     to a few ulps (`_block_matrix`).  Both snap entries below 1e-13 to zero,
     the floor of a grid with no change, and form the matrix in row chunks.
-    Such an operator reports converged=True, max_change=0.0,
-    columns_per_grid=() and grid = 4 band + 1: not a torus grid, but the
+    Such an operator reports converged=True, max_change=0.0 and
+    grid = 4 band + 1: not a torus grid, but the
     mode span |j| <= 2 band that the coefficient tables cover.  Every other
     word (W blocks, the frame-conjugated words of `build`, stray G atoms)
     takes the grid route below, which is also the closed form's reference
     in the tests.
 
-    On the grid route, the starting grid max(8*band, 64) is doubled, at
-    most three times, and each column settles on its own: a column n >= 0
-    (standing also for its mirror -n) is final once it moves by less than
-    1e-8 between two grids, and later doublings leave it alone.  So every
-    column passes the same two-grid test, and no column is accepted on
-    another column's test; since the spread of the coefficients of t^n
-    grows with |n|, most columns settle one doubling before the worst ones.  A matrix with a
-    column that never settles is returned with a warning rather than
-    silently trusted.  `grid` is the finest grid any column reached,
-    `max_change` the largest change measured at the last doubling (over the
-    columns refined there), `converged` says that every column settled, and
-    `columns_per_grid` counts the columns summed on each grid of the
-    schedule, e.g. (221, 221, 16).  The grids are nested (grid g holds the
-    even points of grid 2g), so the first grid sums all of its points and
-    each doubling only the three quarters it adds, into raw sums of the
-    band's coefficients for the columns n >= 0, walking the grid in row
-    blocks of a fixed size.  A column summed up to grid G costs about
-    (2 band + 1) G^2 complex multiply-adds over the schedule, and the
-    assembly holds at most two half-width accumulators; the weighted matrix
-    is formed once, each column on its own final grid.  Bands above 16 need
+    On the grid route, every column n >= 0 (standing also for its mirror
+    -n) is summed on the grid max(8*band, 64) and then, from scratch, on
+    each doubled grid, at most three times.  The route stops at the first
+    doubling where the weighted matrix moves by less than 1e-8 in every
+    entry; a matrix that never gets there (or moves by NaN) is returned with
+    a warning rather than silently trusted.  `grid` is the last grid summed,
+    `max_change` the change measured there and `converged` whether it fell
+    below 1e-8.  The sums walk the grid in row blocks of a fixed size and
+    keep only the band's coefficients; a column costs about
+    (2 band + 1) G^2 complex multiply-adds on grid G, so a route that ends
+    on grid 4g sums 21/16 of that grid's points.  The assembly holds at most
+    two half-width accumulators, those of the last two grids, and forms the
+    weighted matrix once, from the finest grid's sums.  Bands above 16 need
     force=True on either route: the matrix, and with it the closed form's
     assembly and the spectrum of a triangular matrix, grow like band^4, and
     the grid route's assembly like band^5.
@@ -514,7 +459,7 @@ def assemble_operator(
     matrix = _closed_form_matrix(atoms, nu, band, _snap_floor(0.0, True))
     if matrix is None:
         return _grid_operator(word, nu, band, kind)
-    return _operator(matrix, band, 4 * band + 1, kind, 0.0, True, ())
+    return _operator(matrix, band, 4 * band + 1, kind, 0.0, True)
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,9 @@ print(*seen[0], *[os.environ.get(n) for n in names])
 def test_import_caps_blas_unless_set(given, expected):
     # OpenBLAS, MKL and BLIS get one thread per call, set before numpy loads,
     # so results do not depend on the host's core count (with two OpenBLAS
-    # threads the spectrum of G(0.2,0.1) . F . F . R at band 10 changes in
-    # its last bits); a caller's own setting wins
+    # threads the matrix of G(0.2,0.1) . F . F . R at band 10 stays the same,
+    # but its spectrum, tr(M^3) and tr(M^5) change in their last bits); a
+    # caller's own setting wins
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARIABLES}
     env.update(given)
     env["PYTHONPATH"] = str(PACKAGE.parent)

@@ -30,18 +30,15 @@ from torspec.map_algebra import (
 from torspec.operator_numerics import (
     AssembledOperator,
     TruncationSizeError,
-    _ALL_POINTS,
-    _NEW_POINTS,
-    _band_dft,
     _band_sums,
     _blaschke_powers,
     _closed_form_matrix,
     _diagonal_blocks,
     _grid_operator,
     _grid_points,
+    _max_change,
     _mode_weights,
     _operator_matrix,
-    _refine,
     _sort_eigenvalues,
     _strong_components,
     assemble_operator,
@@ -205,18 +202,6 @@ def _reference_case(index, grid):
 _CASE_IDS = [f"{c[0]}-{c[4]}" for c in _KERNEL_CASES]
 
 
-def _all_columns(band):
-    """The mask that sums every column n >= 0 of the band."""
-    return np.ones((2 * band + 1) ** 2 // 2 + 1, dtype=bool)
-
-
-def _column_changes(coarse, fine):
-    """max_k |coarse - fine|[k, n] over column n and its mirror -n, for each n >= 0."""
-    centre = coarse.shape[1] // 2
-    change = np.abs(coarse - fine).max(axis=0)
-    return np.maximum(change[centre:], change[centre::-1])
-
-
 @pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "row-blocks"])
 @pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
 def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
@@ -228,44 +213,9 @@ def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
     if name == "reversing":
         assert orientation(word) == -1
     word, weight = _kernel_case(word, kind)
-    active = _all_columns(band)
-    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
-    got = _operator_matrix(sums, _mode_weights(weight, band), np.full(active.size, grid), 0.0)
+    got = _operator_matrix(_band_sums(word, band, grid), _mode_weights(weight, band), grid, 0.0)
     assert np.max(np.abs(got - _reference_case(index, grid))) <= 1e-13
 
-
-@pytest.mark.parametrize("band", range(1, 17))
-def test_nested_grids_share_points(band):
-    # every doubling the schedule makes, g -> 2g: the points and the band DFT
-    # matrix of grid g are the even-indexed ones of grid 2g, bit for bit, so
-    # a doubling only has to sum the points it adds
-    for j in range(3):
-        grid = max(8 * band, 64) * 2 ** j
-        fine = _grid_points(2 * grid)
-        for coarse, finer in zip(_grid_points(grid), fine):
-            assert np.array_equal(coarse, finer[::2, ::2])
-        assert np.array_equal(_band_dft(band, grid), _band_dft(band, 2 * grid)[:, ::2])
-
-
-@pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "row-blocks"])
-@pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
-def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
-    _, word, band, grid, kind = _KERNEL_CASES[index]
-    if small_blocks:
-        # the new points of grid 2g are g odd rows of 2g points and g even
-        # rows of g points: 3 and 6 rows per block, each with a partial last one
-        points = 3 * 2 * grid + 1
-        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", points)
-        for columns in (2 * grid, grid):
-            step = points // columns
-            assert step < grid and grid % step
-    word, weight = _kernel_case(word, kind)
-    nu = _mode_weights(weight, band)
-    active = _all_columns(band)
-    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
-    _refine(sums, word, band, 2 * grid, nu, active)
-    got = _operator_matrix(sums, nu, np.full(active.size, 2 * grid), 0.0)
-    assert np.max(np.abs(got - _reference_case(index, 2 * grid))) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", ["composition", "transfer"])
@@ -275,73 +225,13 @@ def test_half_width_change_matches_full_matrices(kind):
     word, weight = _kernel_case(psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0), kind)
     nu = _mode_weights(weight, band)
     assert np.array_equal(nu, nu[::-1])
-    active = _all_columns(band)
-    sums = _band_sums(word, band, grid, _ALL_POINTS, active)
-    got = _refine(sums, word, band, 2 * grid, nu, active)
-    # column n >= 0 and its mirror -n
-    want = _column_changes(
-        _reference_assemble_at_grid(word, weight, band, grid),
-        _reference_assemble_at_grid(word, weight, band, 2 * grid),
-    )
-    assert want.max() > 1e-6
-    assert got.max() == pytest.approx(want.max(), rel=1e-12, abs=0.0)
-    # column by column, to the rounding of the largest change: the constant
-    # column 0 changes by exactly 0 in the reference and by rounding here
-    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
-
-
-def _masks(band):
-    """Column masks that leave gaps inside chains, whole chains, and the tail of the band."""
-    columns = _all_columns(band).size
-    width = 2 * band + 1
-    first = np.zeros(columns, dtype=bool)
-    first[0] = True
-    last = np.zeros(columns, dtype=bool)
-    last[-1] = True
-    chain = np.zeros(columns, dtype=bool)
-    chain[2 * width - band:2 * width] = True  # mode (2, -band) up to (2, -1) only
-    return {
-        "random": np.random.default_rng(1).random(columns) < 0.3,
-        "first": first,
-        "last": last,
-        "one-chain": chain,
-        "alternate": np.arange(columns) % 2 == 1,
-    }
-
-
-@pytest.mark.parametrize("pieces", [_ALL_POINTS, _NEW_POINTS], ids=["all-points", "new-points"])
-@pytest.mark.parametrize("mask", list(_masks(_KERNEL_CASES[0][2])))
-def test_band_sums_skip_inactive_columns(monkeypatch, mask, pieces):
-    # the active columns come out bit for bit as when every column is summed,
-    # on the whole grid and on the points a doubling adds, and the inactive
-    # ones are not summed at all
-    _, word, band, grid, kind = _KERNEL_CASES[0]
-    word, _ = _kernel_case(word, kind)
-    # ten rows per block: many blocks, and a last partial one
-    monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 10 * grid + 1)
-    assert grid % 10
-    active = _masks(band)[mask]
-    got = _band_sums(word, band, grid, pieces, active)
-    every = _band_sums(word, band, grid, pieces, _all_columns(band))
-    assert np.array_equal(got[:, active], every[:, active])
-    assert not np.any(got[:, ~active])
-
-
-@pytest.mark.parametrize("index", range(1, len(_KERNEL_CASES)), ids=_CASE_IDS[1:])
-def test_band_sums_skip_inactive_columns_in_every_case(monkeypatch, index):
-    # the same on the other kernel cases (the first is checked mask by mask
-    # above): orientation-reversing words, transfer pairs and a linear word
-    _, word, band, grid, kind = _KERNEL_CASES[index]
-    word, _ = _kernel_case(word, kind)
-    monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 10 * grid + 1)
-    assert grid % 10
-    for pieces in (_ALL_POINTS, _NEW_POINTS):
-        every = _band_sums(word, band, grid, pieces, _all_columns(band))
-        for name, active in _masks(band).items():
-            got = _band_sums(word, band, grid, pieces, active)
-            assert np.array_equal(got[:, active], every[:, active]), name
-            assert not np.any(got[:, ~active]), name
-
+    got = _max_change(_band_sums(word, band, grid), _band_sums(word, band, 2 * grid), nu, 2 * grid)
+    want = np.max(np.abs(
+        _reference_assemble_at_grid(word, weight, band, grid)
+        - _reference_assemble_at_grid(word, weight, band, 2 * grid)
+    ))
+    assert want > 1e-6
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
 
@@ -363,24 +253,41 @@ def test_assembly_leaves_no_thread(route):
 @pytest.mark.parametrize(
     "word, band", [(README_WORD, 10), (_KERNEL_CASES[0][1], 8)], ids=["readme", "two-block"]
 )
-def test_columns_settle_one_by_one(word, band):
-    # each column passes its own two-grid test: the columns that move by at
-    # least 1e-8 between the first two grids, and only they, are summed on
-    # the third; every column still matches the full sum on the final grid
+def test_grid_route_stops_at_first_settled_grid(word, band):
+    # every grid sums every column from scratch; the route stops at the first
+    # doubling where the whole weighted matrix moves by less than 1e-8 (here
+    # the second) and returns that change and the matrix of that grid; the
+    # change there is rounding (about 5e-15), so it agrees to rounding only
     word, weight = _kernel_case(word, "composition")
     op = _grid_operator(word, _mode_weights(weight, band), band)
-    first = max(8 * band, 64)
-    assert op.converged and op.grid == 4 * first
-    columns = _all_columns(band).size
-    changes = _column_changes(
-        _reference_assemble_at_grid(word, weight, band, first),
-        _reference_assemble_at_grid(word, weight, band, 2 * first),
-    )
-    moving = int(np.count_nonzero(changes >= 1e-8))
-    assert 0 < moving < columns
-    assert op.columns_per_grid == (columns, columns, moving)
-    want = _reference_assemble_at_grid(word, weight, band, op.grid)
-    assert np.max(np.abs(op.matrix - want)) <= 1e-13
+    first = grid = max(8 * band, 64)
+    fine = _reference_assemble_at_grid(word, weight, band, grid)
+    for _ in range(operator_numerics._MAX_DOUBLINGS):
+        grid *= 2
+        coarse, fine = fine, _reference_assemble_at_grid(word, weight, band, grid)
+        change = np.max(np.abs(coarse - fine))
+        if change < 1e-8:
+            break
+    assert grid == 4 * first
+    assert op.converged and op.grid == grid
+    assert op.max_change == pytest.approx(change, rel=0.0, abs=1e-14)
+    assert np.max(np.abs(op.matrix - fine)) <= 1e-13
+
+
+def test_nan_change_does_not_converge(monkeypatch):
+    band_sums = operator_numerics._band_sums
+
+    def with_nan(*args):
+        sums = band_sums(*args)
+        sums[0, 0] = np.nan
+        return sums
+
+    monkeypatch.setattr(operator_numerics, "_band_sums", with_nan)
+    weight, _ = auto_weight(README_WORD)
+    with pytest.warns(RuntimeWarning, match="still moving by nan"):
+        op = _grid_operator(README_WORD, _mode_weights(weight, 6), 6)
+    assert not op.converged and math.isnan(op.max_change)
+    assert op.grid == 64 * 2 ** operator_numerics._MAX_DOUBLINGS
 
 
 def test_unconverged_columns_warn(monkeypatch):
@@ -390,14 +297,12 @@ def test_unconverged_columns_warn(monkeypatch):
         op = _grid_operator(README_WORD, _mode_weights(weight, 10), 10)
     assert not op.converged and op.max_change >= 1e-8
     assert op.grid == 160
-    assert op.columns_per_grid == (221, 221)
 
 
 def test_linear_word_settles_at_first_doubling():
     weight, _ = auto_weight(CAT)
     op = _grid_operator(CAT, _mode_weights(weight, 16), 16)
     assert op.converged and op.grid == 256
-    assert op.columns_per_grid == (545, 545)
 
 
 _TRANSFER_CASES = [c for c in _KERNEL_CASES if c[4] == "transfer"]
@@ -463,8 +368,8 @@ def test_closed_form_matches_grid_route(text, band, weight, kind):
         weight, _ = auto_weight(word)
     grid = _grid_operator(word, _mode_weights(weight, band), band, kind)
     op = assemble_operator(word, weight, band, kind=kind)
-    assert grid.converged and grid.columns_per_grid
-    assert op.converged and op.max_change == 0.0 and op.columns_per_grid == ()
+    assert grid.converged
+    assert op.converged and op.max_change == 0.0
     assert op.grid == 4 * band + 1
     assert np.max(np.abs(op.matrix - grid.matrix)) <= max(1e-13, 2.0 * grid.max_change)
     if kind == "transfer":
@@ -513,7 +418,8 @@ def test_blaschke_power_table_matches_mpmath(a):
 def test_other_words_take_the_grid_route(text):
     weight = QuadrantWeight.standard((0.1, 0.1), (0.1, 0.1))
     op = assemble_operator(parse_word(text), weight, 3)
-    assert op.columns_per_grid != () and op.grid >= 64
+    # the closed form reports grid 4 band + 1 = 13
+    assert op.grid >= 64
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -582,8 +488,9 @@ def _peak_shares(text, band):
 
 @pytest.mark.parametrize("text, band, bound", _MEMORY_CASES)
 def test_assembly_peak_memory(text, band, bound):
-    # the raw sums hold half the columns, the new points' sums another half,
-    # and the weighted matrix is formed once, in row chunks; the closed form
+    # the sums over a grid hold half the columns, those over the next grid
+    # another half, and the weighted matrix is formed once, in row chunks,
+    # after the coarser sums are dropped; the closed form
     # holds its small coefficient tables and one row chunk besides the matrix
     assert max(_peak_shares(text, band)) < bound
 
