@@ -7,6 +7,7 @@ import math
 import random
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from torspec.map_algebra import (
 from torspec.operator_numerics import (
     AssembledOperator,
     TruncationSizeError,
+    _band_dft,
     _band_sums,
     _blaschke_powers,
     _closed_form_matrix,
@@ -39,6 +41,7 @@ from torspec.operator_numerics import (
     _max_change,
     _mode_weights,
     _operator_matrix,
+    _snap_floor,
     _sort_eigenvalues,
     _strong_components,
     assemble_operator,
@@ -217,6 +220,47 @@ def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
     assert np.max(np.abs(got - _reference_case(index, grid))) <= 1e-13
 
 
+@pytest.mark.parametrize("band", range(1, 17))
+def test_nested_grids_share_points(band):
+    # every doubling the schedule makes, g -> 2g: the points and the band DFT
+    # matrix of grid g are the even-indexed ones of grid 2g, bit for bit, so
+    # the two grids a change compares are nested trapezoid rules; the row
+    # blocks of `_band_sums` take whole rows of both
+    for j in range(3):
+        grid = max(8 * band, 64) * 2 ** j
+        fine = _grid_points(2 * grid)
+        for coarse, finer in zip(_grid_points(grid), fine):
+            assert np.array_equal(coarse, finer[::2, ::2])
+        rows = slice(5, 2 * grid, 7)
+        for block, finer in zip(_grid_points(2 * grid, rows), fine):
+            assert np.array_equal(block, finer[rows])
+        assert np.array_equal(_band_dft(band, grid), _band_dft(band, 2 * grid)[:, ::2])
+
+
+@pytest.mark.parametrize("small_blocks", [False, True], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
+def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
+    # a doubling sums grid 2g from scratch: its matrix is the reference's
+    # at 2g, and its change is the reference's full-matrix change g -> 2g
+    _, word, band, grid, kind = _KERNEL_CASES[index]
+    if small_blocks:
+        # 3 rows of grid 2g and 6 rows of grid g per block, each with a
+        # partial last one; the weighted rows go one at a time
+        points = 3 * 2 * grid + 1
+        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", points)
+        for columns in (2 * grid, grid):
+            step = points // columns
+            assert step < grid and grid % step
+    word, weight = _kernel_case(word, kind)
+    nu = _mode_weights(weight, band)
+    coarse = _band_sums(word, band, grid)
+    fine = _band_sums(word, band, 2 * grid)
+    got = _operator_matrix(fine, nu, 2 * grid, 0.0)
+    want = _reference_case(index, 2 * grid)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    change = np.max(np.abs(_reference_case(index, grid) - want))
+    assert _max_change(coarse, fine, nu, 2 * grid) == pytest.approx(change, rel=0.0, abs=1e-14)
+
 
 @pytest.mark.parametrize("kind", ["composition", "transfer"])
 def test_half_width_change_matches_full_matrices(kind):
@@ -232,6 +276,52 @@ def test_half_width_change_matches_full_matrices(kind):
     ))
     assert want > 1e-6
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
+def test_row_chunks_change_nothing(monkeypatch, index):
+    # the change and the weighted matrix are formed entry by entry, so any
+    # row chunking, here one row, seven rows with a partial last chunk and
+    # all rows at once, gives them bit for bit
+    _, word, band, grid, kind = _KERNEL_CASES[index]
+    word, weight = _kernel_case(word, kind)
+    nu = _mode_weights(weight, band)
+    coarse = _band_sums(word, band, grid)
+    fine = _band_sums(word, band, 2 * grid)
+    assert nu.size % 7
+    results = []
+    for rows in (1, 7, nu.size):
+        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", rows * fine.shape[1])
+        change = _max_change(coarse, fine, nu, 2 * grid)
+        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", rows * nu.size)
+        results.append((change, _operator_matrix(fine, nu, 2 * grid, _snap_floor(change, True))))
+    for change, matrix in results[1:]:
+        assert change == results[0][0]
+        assert np.array_equal(matrix, results[0][1])
+
+
+@pytest.mark.parametrize(
+    "where",
+    [(0, 0, "coarse"), (0, -1, "fine"), (-1, 0, "fine"), (-1, -1, "coarse"), (40, 20, "fine")],
+    ids=["first-entry", "last-column", "last-row", "last-entry", "inner"],
+)
+def test_nan_anywhere_gives_nan_change(monkeypatch, where):
+    # a NaN in either grid's sums, in any row chunk and any column, makes
+    # the change NaN, which the route reads as not converged
+    band = 4
+    size = (2 * band + 1) ** 2
+    rng = np.random.default_rng(3)
+    coarse, fine = (
+        rng.standard_normal((size, size // 2 + 1)) + 1j * rng.standard_normal((size, size // 2 + 1))
+        for _ in range(2)
+    )
+    row, column, grid = where
+    (coarse if grid == "coarse" else fine)[row, column] = np.nan
+    # seven rows per chunk: the last chunk is partial
+    monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 7 * coarse.shape[1])
+    assert size % 7
+    nu = np.ones(size)
+    assert math.isnan(_max_change(coarse, fine, nu, 64))
 
 README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
 
@@ -288,6 +378,47 @@ def test_nan_change_does_not_converge(monkeypatch):
         op = _grid_operator(README_WORD, _mode_weights(weight, 6), 6)
     assert not op.converged and math.isnan(op.max_change)
     assert op.grid == 64 * 2 ** operator_numerics._MAX_DOUBLINGS
+
+
+# the changes `_max_change` reports at successive doublings, and the grid
+# (as a multiple of the first) and verdict the route must end on
+_SCRIPTED_CHANGES = {
+    "first": ([1e-9], 2, True),
+    "second": ([1e-7, 1e-9], 4, True),
+    "third": ([1e-7, 1e-7, 1e-9], 8, True),
+    "never": ([1e-7, 1e-7, 1e-7], 8, False),
+    "at-tolerance": ([1e-8, 1e-9], 4, True),
+    "nan-then-settled": ([np.nan, 1e-9], 4, True),
+}
+
+
+@pytest.mark.parametrize("script", list(_SCRIPTED_CHANGES))
+def test_grid_route_stops_at_first_change_below_tolerance(monkeypatch, script):
+    # the loop stops at the first change strictly below 1e-8 (a NaN is not),
+    # warns only if none is, and forms the matrix from that grid's sums alone,
+    # snapped at that change
+    changes, multiple, converged = _SCRIPTED_CHANGES[script]
+    band = 4
+    word, weight = _kernel_case(README_WORD, "composition")
+    nu = _mode_weights(weight, band)
+    grids = []
+
+    def scripted(coarse, fine, nu, grid):
+        grids.append(grid)
+        return changes[len(grids) - 1]
+
+    monkeypatch.setattr(operator_numerics, "_max_change", scripted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        op = _grid_operator(word, nu, band)
+    first = max(8 * band, 64)
+    assert grids == [first * 2 ** (j + 1) for j in range(len(changes))]
+    assert op.grid == first * multiple and op.converged == converged
+    assert op.max_change == changes[-1]
+    assert len(caught) == (0 if converged else 1)
+    floor = _snap_floor(changes[-1], converged)
+    want = _operator_matrix(_band_sums(word, band, op.grid), nu, op.grid, floor)
+    assert np.array_equal(op.matrix, want)
 
 
 def test_unconverged_columns_warn(monkeypatch):
