@@ -104,9 +104,9 @@ def _log_abs(values: np.ndarray) -> np.ndarray:
 
 
 def _angle_grid(grid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Cell-centre angles of a grid x grid torus sample, x1 varying slowest."""
+    """Cell-centre angles of a grid x grid torus sample, open: an x1 column and an x2 row."""
     angles = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
-    return np.meshgrid(angles, angles, indexing="ij")
+    return np.meshgrid(angles, angles, indexing="ij", sparse=True)
 
 
 def _positive_pair(value, name: str) -> Tuple[float, float]:
@@ -190,21 +190,20 @@ _SIGN_TOL = 1e-12
 _MAX_WITNESSES = 16
 
 
-# flip @ J @ flip with flip = diag(1, -1): the mixed-sign cone seen as the same-sign one
-_FLIP_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+def _sign_normalize(jac: np.ndarray, flip: bool = False) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Per 2x2 matrix J (flip J flip if asked), made nonnegative in place: whether it is sign-definite, and its planes."""
+    if flip:
+        jac[..., (0, 1), (1, 0)] *= -1.0
+    planes = [jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]]
+    positive = np.logical_and.reduce([p >= -_SIGN_TOL for p in planes])
+    negative = np.logical_and.reduce([p <= _SIGN_TOL for p in planes])
+    jac *= np.where(positive, 1.0, -1.0)[..., None, None]
+    return positive | negative, planes
 
 
-def _sign_normalize(mats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per 2x2 matrix of the stack: whether it is sign-definite, and its nonnegative form."""
-    positive = (mats >= -_SIGN_TOL).all(axis=(-2, -1))
-    negative = (mats <= _SIGN_TOL).all(axis=(-2, -1))
-    return positive | negative, mats * np.where(positive, 1.0, -1.0)[..., None, None]
-
-
-def _edge_margin(mats: np.ndarray) -> np.ndarray:
-    # expansion of the cone edge vector (1, 1), per matrix
-    image = mats.sum(axis=-1)
-    return np.minimum(image[..., 0] - 1.0, image[..., 1] - 1.0)
+def _edge_margin(n11, n12, n21, n22) -> np.ndarray:
+    # expansion of the cone edge vector (1, 1), per point
+    return np.minimum(n11 + n12 - 1.0, n21 + n22 - 1.0)
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -213,14 +212,14 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(positive, num / np.where(positive, den, 1.0), signed_inf)
 
 
-def _family_criterion(mats: np.ndarray) -> Optional[str]:
+def _family_criterion(n11, n12, n21, n22) -> Optional[str]:
     # sufficient conditions for uniform cone expansion of a nonnegative family
-    if mats[..., 0, 0].min() >= 1.0:
+    if n11.min() >= 1.0:
         return "first-diagonal-expansion"
-    if mats[..., 1, 1].min() >= 1.0:
+    if n22.min() >= 1.0:
         return "second-diagonal-expansion"
-    s1 = float(_ratio(1.0 - mats[..., 0, 0], mats[..., 0, 1]).max())
-    s2 = float(_ratio(1.0 - mats[..., 1, 1], mats[..., 1, 0]).max())
+    s1 = float(_ratio(1.0 - n11, n12).max())
+    s2 = float(_ratio(1.0 - n22, n21).max())
     if s1 <= 0.0 or s2 <= 0.0 or (s1 != math.inf and s2 != math.inf and s1 * s2 < 1.0):
         return "cross-product-contraction"
     return None
@@ -234,7 +233,8 @@ def check_psec(word, grid: int = 64) -> CertificateReport:
     the lifted derivative of the inverse word must do the same for the
     mixed-sign cone.  Returns the worst margin and up to 16 witnesses of
     failure; ``criterion`` names the first uniform-expansion test the forward
-    family satisfies, when one does.
+    family satisfies, when one does.  Each family is one `lifted_jacobian` call
+    on the open angle grid, tested elementwise on its four entry planes.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -242,11 +242,12 @@ def check_psec(word, grid: int = 64) -> CertificateReport:
 
     # each family is reduced to what the report needs before the next is built
     ok_f, fwd = _sign_normalize(lifted_jacobian(word, (x1, x2)))
-    m_f = _edge_margin(fwd)
-    criterion = _family_criterion(fwd) if ok_f.all() else None
+    m_f = _edge_margin(*fwd)
+    criterion = _family_criterion(*fwd) if ok_f.all() else None
     del fwd
-    ok_b, bwd = _sign_normalize(lifted_jacobian(inverse(word), (x1, x2)) * _FLIP_SIGNS)
-    m_b = _edge_margin(bwd)
+    # flip J flip with flip = diag(1, -1): the mixed-sign cone seen as the same-sign one
+    ok_b, bwd = _sign_normalize(lifted_jacobian(inverse(word), (x1, x2)), flip=True)
+    m_b = _edge_margin(*bwd)
 
     sign_ok = bool(ok_f.all() and ok_b.all())
     worst = min(float(m_f.min()), float(m_b.min())) if sign_ok else -math.inf
@@ -256,7 +257,8 @@ def check_psec(word, grid: int = 64) -> CertificateReport:
     sides = (("forward", ok_f, m_f, True), ("backward", ok_b, m_b, ok_f))
     for slot, (side, ok, margin, checked) in enumerate(sides):
         for p in np.flatnonzero(checked & (~ok | (margin <= 0)))[:_MAX_WITNESSES]:
-            x = (float(x1.flat[p]), float(x2.flat[p]))
+            i, j = np.unravel_index(p, (grid, grid))
+            x = (float(x1[i, 0]), float(x2[0, j]))
             if ok.flat[p]:
                 found = {"x": x, "kind": side + "-margin", "value": float(margin.flat[p])}
             else:
@@ -264,8 +266,7 @@ def check_psec(word, grid: int = 64) -> CertificateReport:
             events.append((int(p), slot, found))
     events.sort(key=lambda event: event[:2])
     witnesses = tuple(found for _, _, found in events[:_MAX_WITNESSES])
-    criterion = criterion if sign_ok else None
-    return CertificateReport(sign_ok and worst > 0, worst, grid, witnesses, criterion)
+    return CertificateReport(sign_ok and worst > 0, worst, grid, witnesses, criterion if sign_ok else None)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +301,13 @@ def find_connecting_torus(
     delta_tilde = _positive_pair(delta_tilde, "delta_tilde")
     Delta = _positive_pair(Delta, "Delta")
 
-    ok, mats = _sign_normalize(lifted_jacobian(word, _angle_grid(jac_grid)))
+    ok, planes = _sign_normalize(lifted_jacobian(word, _angle_grid(jac_grid)))
     if not ok.all():
         return ConnectorReport(
             False, sigma, sigma_tilde, (0.0, 0.0), None, None,
             "jacobian-not-sign-definite",
         )
-    lo, hi = float(mats.min()), float(mats.max())
+    lo, hi = min(float(p.min()) for p in planes), max(float(p.max()) for p in planes)
 
     dbar = 1.05 * max(delta_tilde[0], delta_tilde[1], Delta[0], Delta[1])
     ratio = max(1.0, (1.0 + hi) / max(lo, 1e-3))

@@ -236,14 +236,10 @@ def parse_word(text: str) -> MapWord:
             raise WordSyntaxError(f"cannot parse atom {chunk.strip()!r}", position)
         name, argtext = match.group(1), match.group(2)
         args = [] if argtext is None else argtext.split(",")
-        if name == "F" or name == "Finv" or name == "R":
+        if name in ("F", "Finv", "R", "I00", "I01", "I10", "I11"):
             if argtext is not None:
                 raise WordSyntaxError(f"{name} takes no arguments", position)
-            atoms.append(Atom(name))
-        elif name in ("I00", "I01", "I10", "I11"):
-            if argtext is not None:
-                raise WordSyntaxError(f"{name} takes no arguments", position)
-            atoms.append(atom_I(int(name[1]), int(name[2])))
+            atoms.append(atom_I(int(name[1]), int(name[2])) if name[0] == "I" else Atom(name))
         elif name == "I":
             if len(args) != 2:
                 raise WordSyntaxError("I takes (k, l)", position)
@@ -301,12 +297,13 @@ def word_to_text(word: WordLike) -> str:
 # ---------------------------------------------------------------------------
 #
 # Every evaluation and Jacobian of a word, on one point or on a whole grid,
-# runs through `_walk` over the `_ACTIONS` table.  Values are numpy arrays of
-# one common shape; the scalar API passes 1-element arrays, so a point of a
-# grid call has the same bits as the scalar call at that point.  On the
-# complex side the point at infinity is a boolean mask per coordinate (the
-# value array holds garbage under the mask).  The 2x2 Jacobian travels as two
-# rows and takes the chain rule as row operations.
+# runs through `_walk` over the `_ACTIONS` table.  Values are numpy arrays,
+# broadcast to one shape up front on the complex side; a lifted walk keeps an
+# open grid's column and row apart until an atom mixes them.  The scalar API
+# passes 1-element arrays, so a point of a grid call has the same bits as the
+# scalar call at that point.  On the complex side the point at infinity is a
+# boolean mask per coordinate (the value array holds garbage under the mask).
+# The 2x2 Jacobian travels as two rows and takes the chain rule as row operations.
 
 
 class _Walk:
@@ -442,16 +439,18 @@ def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
     """Carry a point (and its Jacobian rows, if asked) through the word.
 
     `point` is a pair of arrays; `inf` their infinity masks for a complex
-    walk, or None for a walk on lifted angles.  Returns (values, masks,
-    Jacobian rows or None); the first pole or indeterminate configuration
-    met at any point is raised once the walk is over.
+    walk, or None for a walk on lifted angles, which need only broadcast
+    together.  Returns (values at the broadcast shape, masks, Jacobian rows
+    or None); the first pole or indeterminate configuration met at any point
+    is raised once the walk is over.
     """
     lifted = inf is None
-    arrays = np.broadcast_arrays(*point, *(() if lifted else inf))
+    arrays = point if lifted else np.broadcast_arrays(*point, *inf)
     jac = None
-    if jacobian:
-        one, zero = np.ones_like(arrays[0]), np.zeros_like(arrays[0])
-        jac = [[one, zero], [zero, one]]
+    if jacobian:  # no local keeps the identity's planes alive once the rows move on
+        shape = np.broadcast_shapes(arrays[0].shape, arrays[1].shape)
+        jac = [[np.ones(shape, arrays[0].dtype), np.zeros(shape, arrays[0].dtype)]]
+        jac.append(jac[0][::-1])
     state = _Walk(list(arrays[:2]), None if lifted else list(arrays[2:]), jac)
     atoms = _atoms(word)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -460,7 +459,7 @@ def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
             _ACTIONS[atoms[index].kind][lifted](state, atoms[index])
     if state.fault is not None:
         raise state.fault
-    return state.w, state.inf, state.jac
+    return np.broadcast_arrays(*state.w), state.inf, state.jac
 
 
 def _extended_in(coords):
@@ -482,9 +481,9 @@ def _extended_out(w, inf, scalar: bool):
 
 
 def _matrix(jac, scalar: bool) -> np.ndarray:
-    """Jacobian rows as one 2x2 array, or a stack of shape point.shape + (2, 2)."""
+    """Jacobian rows as one 2x2 array, or a (..., 2, 2) view of four contiguous entry planes."""
     (a, b), (c, d) = jac
-    stack = np.stack((a, b, c, d), axis=-1).reshape(a.shape + (2, 2))
+    stack = np.moveaxis(np.stack((a, b, c, d)).reshape((2, 2) + a.shape), (0, 1), (-2, -1))
     return stack[0] if scalar else stack
 
 
@@ -544,8 +543,7 @@ def moebius_lift(a: complex, theta):
     r = abs(a)
     alpha = cmath.phase(a)
     c = np.cos(theta - alpha)
-    s = np.sin(theta - alpha)
-    g = 2.0 * np.arctan2(r * s, 1.0 - r * c)
+    g = 2.0 * np.arctan2(r * np.sin(theta - alpha), 1.0 - r * c)
     gp = 2.0 * (r * c - r * r) / (1.0 - 2.0 * r * c + r * r)
     if np.ndim(theta) == 0:
         return (float(g), float(gp))
@@ -559,7 +557,7 @@ def _as_angles(x):
 
 
 def evaluate_lifted(word: WordLike, x) -> Tuple[float, float]:
-    """Apply the lifted (angle-coordinate) word to x in R^2 (or to arrays of angles)."""
+    """Apply the lifted (angle-coordinate) word to x in R^2 (or to angle arrays that broadcast)."""
     angles, scalar = _as_angles(x)
     (y1, y2), _, _ = _walk(word, angles)
     if scalar:
@@ -570,7 +568,7 @@ def evaluate_lifted(word: WordLike, x) -> Tuple[float, float]:
 def lifted_jacobian(word: WordLike, x) -> np.ndarray:
     """Real 2x2 derivative of the lifted word at angle coordinates x.
 
-    On arrays of angles the result has shape x1.shape + (2, 2).
+    On arrays of angles the result has shape broadcast(x1, x2).shape + (2, 2).
     """
     angles, scalar = _as_angles(x)
     _, _, jac = _walk(word, angles, jacobian=True)

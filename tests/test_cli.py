@@ -316,6 +316,14 @@ def test_embed_band_beyond_memory_exit_2(capsys):
     assert "Unable to allocate" in capsys.readouterr().err
 
 
+def test_check_grid_beyond_memory_exit_2(capsys):
+    # a 5e6 x 5e6 Jacobian plane takes 182 TiB, beyond a 47-bit user address
+    # space, so the allocation fails at once
+    code = cli.main(["check", "--word", "U(1,0.5) . U(1,0.3)", "--grid", "5000000"])
+    assert code == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+
+
 def test_reports_byte_stable(tmp_path):
     paths = []
     for name in ("a.json", "b.json"):

@@ -1,6 +1,7 @@
 """Mapping-case classification, cone certificates, connecting tori, weight tuning."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,13 +219,30 @@ def _reference_area_deviation(word, grid):
         "F . Finv . R . G(0.3, 0.1)",
         "Finv . R . G(0.3, 0.1)",
         "F . R . F . G(0.5,0.2) . Finv",
+        "F . R . G(0.3,0.2)",
     ],
 )
 def test_grid_certificates_match_pointwise_loops(text):
     word = parse_word(text)
-    assert check_psec(word, grid=20) == _reference_check_psec(word, 20)
+    for grid in (20, 21):
+        assert check_psec(word, grid=grid) == _reference_check_psec(word, grid)
     worst = _reference_area_deviation(word, 12)
     assert is_area_preserving(word, grid=12) == (worst <= 1e-10, worst)
+
+
+@pytest.mark.parametrize("text", ["U(1,0.5)", "U(1,0.4) . U(2,-0.2i) . U(1,0.35)"])
+def test_certificate_peak_memory(text):
+    # the lifted walk runs on one grid line until a shear mixes the
+    # coordinates, and the report is reduced one entry plane at a time
+    word = parse_word(text)
+    grid = 256
+    tracemalloc.start()
+    try:
+        check_psec(word, grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * grid * grid * 8
 
 
 def test_connecting_torus_for_psi():

@@ -214,6 +214,48 @@ def test_array_call_matches_pointwise_calls(word, points):
         assert _same_bits(grid_ljac[i], lifted_jacobian(word, (x1[i], x2[i])))
 
 
+def _check_open_grid(word, u, v):
+    # a lifted walk on a column and a row keeps them apart until an atom
+    # mixes the coordinates; every entry keeps the full grid's bits
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    full = np.meshgrid(u, v, indexing="ij")
+    open_grid = (u[:, None], v[None, :])
+    assert _same_bits(lifted_jacobian(word, open_grid), lifted_jacobian(word, full))
+    for image, reference in zip(evaluate_lifted(word, open_grid), evaluate_lifted(word, full)):
+        assert image.shape == (len(u), len(v))
+        assert _same_bits(image, reference)
+    z = (np.exp(1j * u)[:, None], np.exp(1j * v)[None, :])
+    jac = complex_jacobian(word, z)
+    assert jac.dtype == complex and jac.shape == (len(u), len(v), 2, 2)
+
+
+@given(
+    words_strategy,
+    st.lists(angles, min_size=1, max_size=5),
+    st.lists(angles, min_size=1, max_size=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_open_grid_matches_full_grid(word, u, v):
+    _check_open_grid(word, u, v)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # words apply right to left: each acts on one coordinate before any shear
+        "F . R . G(0.3+0.1i,-0.5)",
+        "Finv . G(0.2,0.4i) . I11",
+        "R . G(0.5,-0.25) . I11",
+        "G(0.1,0.6) . I01",
+        "I11 . U(2,0.4) . U(1,-0.3)",
+        "",
+    ],
+)
+def test_open_grid_matches_full_grid_on_fixed_words(text):
+    word = parse_word(text) if text else MapWord()
+    _check_open_grid(word, np.linspace(-3.0, 9.0, 7), np.linspace(0.1, 6.2, 4))
+
+
 def test_array_evaluation_at_infinity():
     assert evaluate([atom_Finv()], (2.0, INF)) == (0j, INF)
     inf = complex(math.inf, 0.0)
