@@ -12,12 +12,14 @@ values with an exact finite derivative in these charts, which removes all
 chart Jacobian, whose eigenvalues agree with the intrinsic multipliers of
 the fixed point.
 
-This chart engine runs on Python complex scalars and stays apart from the
-array interpreter `map_algebra._walk`.  numpy's complex multiply and divide
-round differently from Python's: on 20000 random pairs from the unit box,
-9265 products and 8664 quotients differed in their last bits (numpy 2.4).
-Running the engine on arrays would move the last digits of every multiplier,
-and with them every reported eigenvalue.
+The chart engine is the chart column of the word interpreter
+(`map_algebra._ACTIONS`); this module only builds its states and iterates.
+The column runs on Python complex scalars, not on the arrays `_walk` uses.
+numpy's complex multiply and divide round differently from Python's: on
+20000 random pairs from the unit box, 9265 products and 8664 quotients
+differed in their last bits (numpy 2.4).  Running the engine on arrays would
+move the last digits of every multiplier, and with them every reported
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ import numpy as np
 from .cone_geometry import SIGMAS, ell as sector_parity
 from .dynamics_checks import CertificationError, MappingCase, resolve_cases
 from .map_algebra import (
+    _CHART,
     INF,
-    Atom,
-    IndeterminatePointError,
     MapWord,
+    _interpret,
+    _Walk,
     atom_I,
     concat,
     inverse,
@@ -80,7 +83,7 @@ class FixedPointData:
 
 
 # ---------------------------------------------------------------------------
-# Chart state and atom actions
+# Chart passes
 # ---------------------------------------------------------------------------
 
 _STEP_TOL = 1e-14
@@ -88,27 +91,17 @@ _RESIDUAL_TOL = 1e-12
 _MAX_ITER = 200
 
 
-class _ChartState:
-    """Stored values (modulus <= 1), chart bits, and an optional Jacobian."""
+def _chart_pass(word: MapWord, start: _Walk, jacobian: bool) -> _Walk:
+    """The state one pass of the word takes `start` to, with its Jacobian if asked."""
+    jac = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)] if jacobian else None
+    state = _Walk(list(start.w), list(start.inf), jac)
+    _interpret(state, word.atoms, _CHART)
+    return state
 
-    __slots__ = ("vals", "bits", "jac")
 
-    def __init__(self, vals, bits, jac: Optional[np.ndarray]):
-        self.vals = [complex(vals[0]), complex(vals[1])]
-        self.bits = [int(bits[0]), int(bits[1])]
-        self.jac = jac
-
-    def copy(self, with_jac: bool) -> "_ChartState":
-        return _ChartState(self.vals, self.bits, np.eye(2, dtype=complex) if with_jac else None)
-
-    def extended(self) -> tuple:
-        out = []
-        for v, b in zip(self.vals, self.bits):
-            if b == 0:
-                out.append(v)
-            else:
-                out.append(INF if v == 0 else 1 / v)
-        return tuple(out)
+def _extended(state: _Walk) -> tuple:
+    """The state's point in extended coordinates (components may be 0 or INF)."""
+    return tuple(v if b == 0 else (INF if v == 0 else 1 / v) for v, b in zip(state.w, state.inf))
 
 
 def _chordal(v1: complex, b1: int, v2: complex, b2: int) -> float:
@@ -120,105 +113,30 @@ def _chordal(v1: complex, b1: int, v2: complex, b2: int) -> float:
     return num / den
 
 
-def _state_distance(s1: _ChartState, s2: _ChartState) -> float:
-    return max(
-        _chordal(s1.vals[0], s1.bits[0], s2.vals[0], s2.bits[0]),
-        _chordal(s1.vals[1], s1.bits[1], s2.vals[1], s2.bits[1]),
-    )
+def _state_distance(s1: _Walk, s2: _Walk) -> float:
+    return max(_chordal(s1.w[i], s1.inf[i], s2.w[i], s2.inf[i]) for i in (0, 1))
 
 
-def _apply_moebius(state: _ChartState, i: int, param: complex) -> None:
-    # disk automorphisms preserve |z| <=> 1, so the chart bit never changes;
-    # in chart 1 the conjugated-parameter variant keeps the stored form exact
-    if param == 0:
-        return
-    v = state.vals[i]
-    if state.bits[i] == 0:
-        den = 1 - param.conjugate() * v
-        new = (v - param) / den
-    else:
-        den = 1 - param * v
-        new = (v - param.conjugate()) / den
-    if state.jac is not None:
-        state.jac[i, :] *= (1 - abs(param) ** 2) / (den * den)
-    state.vals[i] = new
-
-
-def _log_mod(v: complex) -> float:
-    r = abs(v)
-    return -math.inf if r == 0.0 else math.log(r)
-
-
-def _apply_shear(state: _ChartState, sign: int, atom_index: int) -> None:
-    # coordinate 1 becomes z1 * z2^sign; exponents are tracked through charts
-    e1 = 1 - 2 * state.bits[0]
-    e2 = 1 - 2 * state.bits[1]
-    a = e1
-    b = e2 * sign
-    v1, v2 = state.vals[0], state.vals[1]
-    log_out = a * _log_mod(v1) + b * _log_mod(v2)
-    if math.isnan(log_out):
-        raise IndeterminatePointError("0 * inf inside a shear", atom_index)
-    c_out = 0 if log_out <= 0 else 1
-    g1 = a * (1 - 2 * c_out)
-    g2 = b * (1 - 2 * c_out)
-    # chart choice guarantees g = +1 whenever the stored value is 0
-    stored = (v1 ** g1) * (v2 ** g2)
-    if state.jac is not None:
-        d1 = (v2 ** g2) if v1 == 0 else g1 * stored / v1
-        d2 = (v1 ** g1) if v2 == 0 else g2 * stored / v2
-        state.jac[0, :] = d1 * state.jac[0, :] + d2 * state.jac[1, :]
-    state.vals[0] = stored
-    state.bits[0] = c_out
-
-
-def _apply_atom_chart(state: _ChartState, atom: Atom, atom_index: int) -> None:
-    if atom.kind == "F":
-        _apply_shear(state, 1, atom_index)
-    elif atom.kind == "Finv":
-        _apply_shear(state, -1, atom_index)
-    elif atom.kind == "R":
-        state.vals.reverse()
-        state.bits.reverse()
-        if state.jac is not None:
-            state.jac = state.jac[::-1, :].copy()
-    elif atom.kind == "I":
-        if atom.k == 1:
-            state.bits[0] ^= 1
-        if atom.l == 1:
-            state.bits[1] ^= 1
-        # stored values and derivatives are untouched: 1/z in the old chart
-        # is exactly the stored value in the flipped chart
-    else:  # G
-        _apply_moebius(state, 0, complex(atom.a))
-        _apply_moebius(state, 1, complex(atom.b))
-
-
-def _apply_word_chart(state: _ChartState, word: MapWord) -> None:
-    atoms = word.atoms
-    for offset, atom in enumerate(reversed(atoms)):
-        _apply_atom_chart(state, atom, len(atoms) - 1 - offset)
-
-
-def _reconcile_charts(end: _ChartState, start: _ChartState) -> None:
+def _reconcile_charts(end: _Walk, start: _Walk) -> None:
     """Flip end charts back to the start charts where the boundary allows it."""
     for i in (0, 1):
-        if end.bits[i] == start.bits[i]:
+        if end.inf[i] == start.inf[i]:
             continue
-        v = end.vals[i]
+        v = end.w[i]
         if abs(abs(v) - 1.0) > 1e-6 or v == 0:
             raise FixedPointError(
                 "orbit returned in a different chart away from the unit circle"
             )
         if end.jac is not None:
-            end.jac[i, :] *= -1.0 / (v * v)
-        end.vals[i] = 1 / v
-        end.bits[i] ^= 1
+            end.jac[i] *= -1.0 / (v * v)
+        end.w[i] = 1 / v
+        end.inf[i] ^= 1
 
 
-def _eigenpair(jac: np.ndarray) -> Tuple[complex, complex]:
-    tr = complex(jac[0, 0] + jac[1, 1])
-    det = complex(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
+def _eigenpair(jac) -> Tuple[complex, complex]:
+    (j11, j12), (j21, j22) = jac
+    tr = complex(j11 + j22)
+    det = complex(j11 * j22 - j12 * j21)
     disc = cmath.sqrt(tr * tr - 4.0 * det)
     if abs(tr + disc) >= abs(tr - disc):
         big = (tr + disc) / 2.0
@@ -261,11 +179,10 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
     chart = MapWord([atom_I((1 + sigma[0]) // 2, (1 + sigma[1]) // 2)])
     effective = simplify(concat(chart, word_power(active, power), chart))
 
-    state = _ChartState((0j, 0j), (0, 0), None)
+    state = _Walk([0j, 0j], [0, 0], None)
     converged = False
     for _ in range(_MAX_ITER):
-        nxt = _ChartState(state.vals, state.bits, None)
-        _apply_word_chart(nxt, effective)
+        nxt = _chart_pass(effective, state, jacobian=False)
         step = _state_distance(nxt, state)
         state = nxt
         if step < _STEP_TOL:
@@ -276,8 +193,7 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
             f"no convergence for sector {sigma} after {_MAX_ITER} iterations"
         )
 
-    final = state.copy(with_jac=True)
-    _apply_word_chart(final, effective)
+    final = _chart_pass(effective, state, jacobian=True)
     _reconcile_charts(final, state)
     residual = _state_distance(final, state)
     if residual > _RESIDUAL_TOL:
@@ -289,9 +205,9 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
     # undo the sector conjugation to express the point in original coordinates
     for i in (0, 1):
         if sigma[i] == 1:
-            final.bits[i] ^= 1
+            final.inf[i] ^= 1
     multipliers = _eigenpair(final.jac)
-    return FixedPointRecord(sigma, lvl, case, final.extended(), multipliers, residual)
+    return FixedPointRecord(sigma, lvl, case, _extended(final), multipliers, residual)
 
 
 def all_fixed_point_data(word, cases: Optional[MappingCase] = None) -> FixedPointData:

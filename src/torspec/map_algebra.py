@@ -296,18 +296,27 @@ def word_to_text(word: WordLike) -> str:
 # The word interpreter
 # ---------------------------------------------------------------------------
 #
-# Every evaluation and Jacobian of a word, on one point or on a whole grid,
-# runs through `_walk` over the `_ACTIONS` table.  Values are numpy arrays,
-# broadcast to one shape up front on the complex side; a lifted walk keeps an
-# open grid's column and row apart until an atom mixes them.  The scalar API
-# passes 1-element arrays, so a point of a grid call has the same bits as the
-# scalar call at that point.  On the complex side the point at infinity is a
-# boolean mask per coordinate (the value array holds garbage under the mask).
+# Every evaluation and Jacobian of a word runs through `_interpret` over the
+# `_ACTIONS` table, which gives each atom kind one action per column: complex
+# values, lifted angles and projective charts.  `_walk` runs the first two on
+# numpy arrays, on one point or on a whole grid: values are broadcast to one
+# shape up front on the complex side; a lifted walk keeps an open grid's
+# column and row apart until an atom mixes them.  The scalar API passes
+# 1-element arrays, so a point of a grid call has the same bits as the scalar
+# call at that point.  On the complex side the point at infinity is a boolean
+# mask per coordinate (the value array holds garbage under the mask).  The
+# chart column runs on Python complex scalars for the sector fixed points
+# (see `fixed_points`), and raises an indeterminate point at once.
 # The 2x2 Jacobian travels as two rows and takes the chain rule as row operations.
 
 
 class _Walk:
-    """A point part-way through a word: values, infinity masks, Jacobian rows."""
+    """A point part-way through a word: values, infinity masks, Jacobian rows.
+
+    In the chart column `w` holds the two stored values (modulus <= 1),
+    `inf` the two chart bits (1 means the coordinate stores 1/z) and `jac`
+    is None or two numpy rows.
+    """
 
     __slots__ = ("w", "inf", "jac", "index", "fault")
 
@@ -425,14 +434,76 @@ def _lifted_G(s: _Walk, atom: Atom) -> None:
             s.scale_row(i, 1.0 + gp)
 
 
-# atom kind -> (action on complex values, action on lifted angles)
+def _log_mod(v: complex) -> float:
+    r = abs(v)
+    return -math.inf if r == 0.0 else math.log(r)
+
+
+def _chart_shear(sign: int):
+    def action(s: _Walk, atom: Atom) -> None:
+        # coordinate 1 becomes z1 * z2^sign; exponents are tracked through charts
+        (v1, v2), (c1, c2) = s.w, s.inf
+        a = 1 - 2 * c1
+        b = (1 - 2 * c2) * sign
+        log_out = a * _log_mod(v1) + b * _log_mod(v2)
+        if math.isnan(log_out):
+            raise IndeterminatePointError("0 * inf inside a shear", s.index)
+        c_out = 0 if log_out <= 0 else 1
+        g1 = a * (1 - 2 * c_out)
+        g2 = b * (1 - 2 * c_out)
+        # chart choice guarantees g = +1 whenever the stored value is 0
+        stored = (v1 ** g1) * (v2 ** g2)
+        if s.jac is not None:
+            d1 = (v2 ** g2) if v1 == 0 else g1 * stored / v1
+            d2 = (v1 ** g1) if v2 == 0 else g2 * stored / v2
+            s.jac[0] = d1 * s.jac[0] + d2 * s.jac[1]
+        s.w[0] = stored
+        s.inf[0] = c_out
+
+    return action
+
+
+def _chart_I(s: _Walk, atom: Atom) -> None:
+    # 1/z in the old chart is exactly the stored value in the flipped chart,
+    # so stored values and derivatives are untouched
+    s.inf[0] ^= atom.k
+    s.inf[1] ^= atom.l
+
+
+def _chart_G(s: _Walk, atom: Atom) -> None:
+    # disk automorphisms preserve |z| <=> 1, so the chart bit never changes;
+    # in chart 1 the conjugated-parameter variant keeps the stored form exact
+    for i, a in enumerate((atom.a, atom.b)):
+        if a == 0:
+            continue
+        v = s.w[i]
+        if s.inf[i] == 0:
+            den = 1 - a.conjugate() * v
+            new = (v - a) / den
+        else:
+            den = 1 - a * v
+            new = (v - a.conjugate()) / den
+        if s.jac is not None:
+            s.jac[i] *= (1 - abs(a) ** 2) / (den * den)
+        s.w[i] = new
+
+
+# atom kind -> (action on complex values, on lifted angles, on chart values)
 _ACTIONS = {
-    "F": (_complex_F, _lifted_shear(1)),
-    "Finv": (_complex_Finv, _lifted_shear(-1)),
-    "R": (_swap, _swap),
-    "I": (_complex_I, _lifted_I),
-    "G": (_complex_G, _lifted_G),
+    "F": (_complex_F, _lifted_shear(1), _chart_shear(1)),
+    "Finv": (_complex_Finv, _lifted_shear(-1), _chart_shear(-1)),
+    "R": (_swap, _swap, _swap),
+    "I": (_complex_I, _lifted_I, _chart_I),
+    "G": (_complex_G, _lifted_G, _chart_G),
 }
+_CHART = 2
+
+
+def _interpret(state: _Walk, atoms: Tuple[Atom, ...], column: int) -> None:
+    """Carry the state through the atoms, rightmost first, by one column of `_ACTIONS`."""
+    for index in range(len(atoms) - 1, -1, -1):
+        state.index = index
+        _ACTIONS[atoms[index].kind][column](state, atoms[index])
 
 
 def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
@@ -452,11 +523,8 @@ def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
         jac = [[np.ones(shape, arrays[0].dtype), np.zeros(shape, arrays[0].dtype)]]
         jac.append(jac[0][::-1])
     state = _Walk(list(arrays[:2]), None if lifted else list(arrays[2:]), jac)
-    atoms = _atoms(word)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for index in range(len(atoms) - 1, -1, -1):
-            state.index = index
-            _ACTIONS[atoms[index].kind][lifted](state, atoms[index])
+        _interpret(state, _atoms(word), lifted)
     if state.fault is not None:
         raise state.fault
     return np.broadcast_arrays(*state.w), state.inf, state.jac

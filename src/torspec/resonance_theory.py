@@ -445,13 +445,19 @@ def fit_stretched_rate(moduli, lo_rank: int, hi_rank: int) -> Tuple[float, float
     """Affine fit of -log(modulus) against sqrt(rank) over a rank window.
 
     Ranks are 1-based positions in the modulus-sorted sequence; returns the
-    fitted slope (the stretched-exponential rate) and the intercept.
+    fitted slope (the stretched-exponential rate) and the intercept.  Raises
+    ValueError if a modulus in the window is not positive and finite.
     """
     moduli = np.asarray(moduli, dtype=float)
     if not (1 <= lo_rank < hi_rank <= len(moduli)):
         raise ValueError("rank window out of range")
+    window = moduli[lo_rank - 1 : hi_rank]
+    bad = np.flatnonzero(~(np.isfinite(window) & (window > 0)))
+    if bad.size:
+        rank = lo_rank + int(bad[0])
+        raise ValueError(f"modulus at rank {rank} is {float(window[bad[0]])}, not positive and finite")
     ranks = np.arange(lo_rank, hi_rank + 1, dtype=float)
-    y = -np.log(moduli[lo_rank - 1 : hi_rank])
+    y = -np.log(window)
     slope, intercept = np.polyfit(np.sqrt(ranks), y, 1)
     return float(slope), float(intercept)
 

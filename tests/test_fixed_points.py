@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from torspec import fixed_points
+from torspec import fixed_points, map_algebra
 from torspec.fixed_points import (
     FixedPointError,
     all_fixed_point_data,
@@ -14,6 +14,7 @@ from torspec.fixed_points import (
 )
 from torspec.map_algebra import (
     INF,
+    _Walk,
     complex_jacobian,
     parse_word,
     psi_word,
@@ -122,19 +123,26 @@ _B = "0.04579515792343081-0.1838908948276068i"
 _C = "0.05410633114216434-0.19813253179877194i"
 
 
+def _chart_calls(monkeypatch, kinds):
+    """(atom kind, chart bits after the action) for each chart action of the given kinds."""
+    calls = []
+    for kind in kinds:
+        complex_action, lifted_action, chart_action = map_algebra._ACTIONS[kind]
+
+        def counted(state, atom, chart_action=chart_action):
+            chart_action(state, atom)
+            calls.append((atom.kind, tuple(state.inf)))
+
+        monkeypatch.setitem(map_algebra._ACTIONS, kind, (complex_action, lifted_action, counted))
+    return calls
+
+
 def _shear_counts(monkeypatch, word):
     """Fixed-point data of the word, with its Finv shears and chart-1 shear results counted."""
-    counts = {"Finv": 0, "chart1": 0}
-    shear = fixed_points._apply_shear
-
-    def counted(state, sign, atom_index):
-        shear(state, sign, atom_index)
-        counts["Finv"] += sign == -1
-        counts["chart1"] += state.bits[0]
-
-    monkeypatch.setattr(fixed_points, "_apply_shear", counted)
+    calls = _chart_calls(monkeypatch, ("F", "Finv"))
     data = all_fixed_point_data(word)
     monkeypatch.undo()
+    counts = {"Finv": sum(kind == "Finv" for kind, _ in calls), "chart1": sum(bits[0] for _, bits in calls)}
     return data, counts
 
 
@@ -155,3 +163,33 @@ def test_finv_and_chart_one_shears_match_chart_zero(monkeypatch):
     for a, b in zip(detour.records, direct.records):
         assert a.sigma == b.sigma and a.case == b.case
         assert max(abs(x - y) for x, y in zip(a.multipliers, b.multipliers)) < 1e-12
+
+
+def test_chart_inversions_of_an_i01_word(monkeypatch):
+    # simplifying the sector words leaves an I10 inside them, so the chart
+    # column flips chart bits on every pass
+    word = parse_word("U(2,0.3i) . G(0.2i,0) . Finv . I01")
+    calls = _chart_calls(monkeypatch, ("I",))
+    data = all_fixed_point_data(word)
+    monkeypatch.undo()
+    assert calls
+    for sigma in ((-1, -1), (1, 1)):
+        rec = data.record(sigma)
+        expected = sorted(np.linalg.eigvals(complex_jacobian(word, rec.point)), key=abs)
+        assert max(abs(a - b) for a, b in zip(sorted(rec.multipliers, key=abs), expected)) < 1e-12
+    assert verify_conjugate_pairs(data, tol=1e-10) < 1e-10
+
+
+def test_reconcile_charts_flips_back_on_the_unit_circle():
+    v = cmath.exp(0.7j)
+    end = _Walk([v, 0.25 + 0j], [1, 0], [np.array([1 + 2j, -0.5]), np.array([0.3, 4j])])
+    fixed_points._reconcile_charts(end, _Walk([0j, 0j], [0, 0], None))
+    assert end.w == [1 / v, 0.25] and end.inf == [0, 0]
+    assert np.array_equal(end.jac[0], np.array([1 + 2j, -0.5]) * (-1.0 / (v * v)))
+    assert np.array_equal(end.jac[1], np.array([0.3, 4j]))
+
+
+def test_reconcile_charts_refuses_off_the_unit_circle():
+    end = _Walk([0.5 + 0j, 0j], [1, 0], None)
+    with pytest.raises(FixedPointError):
+        fixed_points._reconcile_charts(end, _Walk([0j, 0j], [0, 0], None))

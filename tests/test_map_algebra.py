@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torspec.fixed_points import _chordal
 from torspec.map_algebra import (
+    _CHART,
     INF,
     IndeterminatePointError,
     MapWord,
     PoleInChainError,
     WordSyntaxError,
+    _interpret,
+    _Walk,
     atom_F,
     atom_Finv,
     atom_G,
@@ -44,12 +48,12 @@ disk_params = st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infin
 
 
 @st.composite
-def atoms_strategy(draw):
+def atoms_strategy(draw, params=disk_params):
     kind = draw(st.sampled_from(["F", "Finv", "R", "I", "G"]))
     if kind == "I":
         return atom_I(draw(st.integers(0, 1)), draw(st.integers(0, 1)))
     if kind == "G":
-        return atom_G(draw(disk_params), draw(disk_params))
+        return atom_G(draw(params), draw(params))
     return {"F": atom_F(), "Finv": atom_Finv(), "R": atom_R()}[kind]
 
 
@@ -264,6 +268,44 @@ def test_array_evaluation_at_infinity():
     with pytest.raises(IndeterminatePointError) as info:
         evaluate([atom_R(), atom_F()], (np.array([1.0, 0.0]), np.array([2.0, inf])))
     assert info.value.atom_index == 1
+
+
+# Nonzero moduli of coordinates and G parameters stay above 1e-30, so no
+# value an 8-atom word forms overflows: `evaluate` would carry an overflowed
+# value as a finite one and turn it into nan at the next atom.
+def _nonzero_above(floor, top):
+    return st.complex_numbers(min_magnitude=floor, max_magnitude=top, allow_nan=False, allow_infinity=False)
+
+
+chart_words = st.lists(
+    atoms_strategy(st.one_of(st.just(0j), _nonzero_above(1e-30, 0.8))), max_size=8
+).map(MapWord)
+extended_coords = st.one_of(st.just(0j), st.just(INF), _nonzero_above(1e-30, 1.5))
+
+
+def _chart_coord(z):
+    """(stored value, chart bit) of an extended coordinate; any complex infinity is INF."""
+    if np.isinf(z):
+        return 0j, 1
+    return (z, 0) if abs(z) <= 1 else (1 / z, 1)
+
+
+@given(chart_words, extended_coords, extended_coords)
+@settings(max_examples=200)
+def test_chart_column_matches_evaluate(word, z1, z2):
+    # the fixed points' chart column and `evaluate` are two columns of one
+    # table: they fail at the same atom or agree on the sphere
+    (v1, b1), (v2, b2) = _chart_coord(z1), _chart_coord(z2)
+    state = _Walk([v1, v2], [b1, b2], None)
+    try:
+        _interpret(state, word.atoms, _CHART)
+    except IndeterminatePointError as exc:
+        with pytest.raises(IndeterminatePointError) as info:
+            evaluate(word, (z1, z2))
+        assert info.value.atom_index == exc.atom_index
+        return
+    for w, v, b in zip(evaluate(word, (z1, z2)), state.w, state.inf):
+        assert _chordal(v, b, *_chart_coord(w)) < 1e-12
 
 
 # --- Jacobians ------------------------------------------------------------

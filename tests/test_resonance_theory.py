@@ -251,6 +251,17 @@ def test_embedding_formula_and_ball():
     assert abs(fitted - eta) / eta < 0.02
 
 
+def test_stretched_fit_rejects_nonpositive_moduli():
+    moduli = [1.0, 0.5, 0.25, 0.125, 0.0625]
+    assert fit_stretched_rate(moduli, 2, 5)[0] > 0
+    for bad in (0.0, -0.1, math.inf, math.nan):
+        values = moduli[:3] + [bad] + moduli[4:]
+        with pytest.raises(ValueError, match=f"modulus at rank 4 is {bad}, not positive and finite"):
+            fit_stretched_rate(values, 2, 5)
+    # outside the window a bad modulus is not read
+    assert fit_stretched_rate([0.0] + moduli[1:], 2, 5) == fit_stretched_rate(moduli, 2, 5)
+
+
 def _reference_embedding_singular_values(alpha, gamma, alpha_out, gamma_out, band):
     """The L1 ball walked mode by mode, with the quadrant rule written out."""
     same, mixed = embedding_gaps(alpha, gamma, alpha_out, gamma_out)
