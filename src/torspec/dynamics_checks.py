@@ -116,13 +116,24 @@ def _positive_pair(value, name: str) -> Tuple[float, float]:
     return pair
 
 
+def _torus_samples(radii, samples: int) -> np.ndarray:
+    """`sample_torus` of each radii pair, concatenated: one unit sample scaled per torus.
+
+    The angles of `sample_torus` do not depend on the radii, and scaling the
+    unit sample is the product `sample_torus` forms, so the points are the
+    same bit for bit.
+    """
+    unit = sample_torus((1.0, 1.0), samples)
+    return (np.array(radii, dtype=float)[:, None, :] * unit).reshape(-1, 2)
+
+
 def _signed_log_images(word, tori, samples: int) -> Optional[np.ndarray]:
     """sigma_i log|image_i| of the word at `samples` points of each (radii, sigma) torus.
 
     One evaluate call covers every torus.  Returns shape (len(tori), 2,
     samples), or None when any sample point is indeterminate.
     """
-    z = np.concatenate([sample_torus(radii, samples) for radii, _ in tori])
+    z = _torus_samples([radii for radii, _ in tori], samples)
     try:
         img = evaluate(word, (z[:, 0], z[:, 1]))
     except IndeterminatePointError:
@@ -132,6 +143,26 @@ def _signed_log_images(word, tori, samples: int) -> Optional[np.ndarray]:
 
 
 _T_SEARCH = tuple(0.5 * 2.0 ** (-j) for j in range(12))
+
+
+def _rung_margins(active, sectors, rungs, delta, Delta, samples: int) -> List[Tuple[float, float]]:
+    """(EP, ER) margins of each scale t in `rungs`, all rungs in one evaluate call.
+
+    If any point is indeterminate the rungs are walked one at a time, so a
+    rung is refused (margins -inf) only for its own points.
+    """
+    tori = [(torus_radii(s, (t * delta[0], t * delta[1])), s) for t in rungs for s in sectors]
+    signed = _signed_log_images(active, tori, samples)
+    if signed is None:
+        if len(rungs) == 1:
+            return [(-math.inf, -math.inf)]
+        return [m for t in rungs for m in _rung_margins(active, sectors, (t,), delta, Delta, samples)]
+    signed = signed.reshape(len(rungs), len(sectors), 2, samples)
+    threshold = np.multiply.outer(rungs, Delta)[:, None, :, None]
+    # worst slack per sector, then over sectors, dropping a NaN sector
+    ep = np.fmin.reduce((signed - threshold).min(axis=(2, 3)), axis=1, initial=math.inf)
+    er = np.fmin.reduce((-signed - threshold).min(axis=(2, 3)), axis=1, initial=math.inf)
+    return list(zip(ep.tolist(), er.tolist()))
 
 
 def classify_mapping(
@@ -149,7 +180,12 @@ def classify_mapping(
     on the mixed-sector tori.  Case "EP" requires every image point to lie in
     the domain of the same sector at the larger scale t*Delta, case "ER" the
     domain of the opposite sector.  With t_search the scale t is halved from
-    0.5 until one case certifies; otherwise only t = 1 is tried.
+    0.5 until one case certifies; otherwise only t = 1 is tried.  The first
+    scale is sampled on its own, since most words certify there; if it
+    fails, every smaller scale is sampled in one evaluate call and the first
+    that certifies is taken, or the last failure.  A scale with an
+    indeterminate sample point is refused; when the joint call meets one,
+    the smaller scales are sampled one at a time, so only that scale is.
 
     The margin is the worst slack, over sectors, sample points, and
     coordinates, of the image log-radius beyond the target threshold.
@@ -163,22 +199,16 @@ def classify_mapping(
     sectors = same_sign_sectors() if ell == 1 else mixed_sectors()
     active = word if ell == 1 else inverse(word)
 
+    stages = (_T_SEARCH[:1], _T_SEARCH[1:]) if t_search else ((1.0,),)
     last = None
-    for t in _T_SEARCH if t_search else (1.0,):
-        scaled = (t * delta[0], t * delta[1])
-        signed = _signed_log_images(active, [(torus_radii(s, scaled), s) for s in sectors], samples)
-        if signed is None:
-            margin_ep = margin_er = -math.inf
-        else:
-            # worst slack per sector, then over sectors (Python's min drops a NaN sector)
-            threshold = np.array([[t * Delta[0]], [t * Delta[1]]])
-            margin_ep = min(math.inf, *(signed - threshold).min(axis=(1, 2)).tolist())
-            margin_er = min(math.inf, *(-signed - threshold).min(axis=(1, 2)).tolist())
-        if margin_ep > 0:
-            return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
-        if margin_er > 0:
-            return CaseEntry(ell, "ER", delta, Delta, t, margin_er)
-        last = CaseEntry(ell, "FAIL", delta, Delta, t, max(margin_ep, margin_er))
+    for rungs in stages:
+        margins = _rung_margins(active, sectors, rungs, delta, Delta, samples)
+        for t, (margin_ep, margin_er) in zip(rungs, margins):
+            if margin_ep > 0:
+                return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
+            if margin_er > 0:
+                return CaseEntry(ell, "ER", delta, Delta, t, margin_er)
+            last = CaseEntry(ell, "FAIL", delta, Delta, t, max(margin_ep, margin_er))
     return last
 
 

@@ -452,7 +452,13 @@ def _chart_shear(sign: int):
         g1 = a * (1 - 2 * c_out)
         g2 = b * (1 - 2 * c_out)
         # chart choice guarantees g = +1 whenever the stored value is 0
-        stored = (v1 ** g1) * (v2 ** g2)
+        try:
+            stored = (v1 ** g1) * (v2 ** g2)
+        except OverflowError:
+            # 1 / v overflows on a subnormal v, yet |stored| <= 1 with |v1|, |v2| <= 1,
+            # so the exponents are +1 and -1: form the same value as one quotient
+            num, den = (v1, v2) if g1 > 0 else (v2, v1)
+            stored = num / den
         if s.jac is not None:
             d1 = (v2 ** g2) if v1 == 0 else g1 * stored / v1
             d2 = (v1 ** g1) if v2 == 0 else g2 * stored / v2

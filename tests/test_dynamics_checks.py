@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torspec import dynamics_checks
+from torspec import dynamics_checks, map_algebra
 from torspec.cone_geometry import mixed_sectors, same_sign_sectors, sample_torus, torus_radii
 from torspec.dynamics_checks import (
     CaseEntry,
@@ -398,6 +398,58 @@ def test_tuning_matches_per_sector_reference(index):
     else:
         with pytest.raises(CertificationError, match=f"could not certify the {expected} sector"):
             resolve_cases(word, samples=64)
+
+
+UU9 = parse_word("U(1,0.9) . U(1,0.9)")
+
+# (word, ell, shape, t): no word of TUNING_WORDS certifies below the first rung
+LOWER_RUNGS = [
+    *((UU9, ell, (s, s), t) for s, t in ((2.0, 0.25), (4.0, 0.125), (8.0, 0.0625)) for ell in (1, -1)),
+    (parse_word("U(1,0.8) . U(2,-0.5i)"), -1, (8.0, 4.0), 0.25),
+]
+
+
+@pytest.mark.parametrize("word, ell, shape, t", LOWER_RUNGS)
+def test_tuning_below_the_first_rung_matches_reference(word, ell, shape, t):
+    Delta = (1.05 * shape[0], 1.05 * shape[1])
+    got = classify_mapping(word, ell, shape, Delta, samples=64, t_search=True)
+    assert got.case == "EP" and got.t == t
+    assert got == _reference_classify_mapping(word, ell, shape, Delta, 64, t_search=True)
+
+
+@pytest.mark.parametrize("refused, t", [(0.25, 0.0625), (0.0625, 0.03125)])
+def test_indeterminate_rung_is_refused_alone(monkeypatch, refused, t):
+    # every call that samples the refused rung's tori raises, as a pole there would
+    shape = (8.0, 8.0)
+    Delta = (1.05 * shape[0], 1.05 * shape[1])
+    radii = [torus_radii(s, (refused * shape[0], refused * shape[1]))[0] for s in same_sign_sectors()]
+    plain = map_algebra.evaluate
+    calls = []
+
+    def evaluate_refusing(word, z):
+        calls.append(len(z[0]))
+        if np.isclose(np.abs(z[0])[:, None], radii, rtol=1e-12, atol=0.0).any():
+            raise IndeterminatePointError("patched", 0)
+        return plain(word, z)
+
+    monkeypatch.setattr(dynamics_checks, "evaluate", evaluate_refusing)
+    got = classify_mapping(UU9, 1, shape, Delta, samples=64, t_search=True)
+    # rung 1, the joint walk of the other eleven rungs, then one walk per rung
+    assert calls == [2 * 64, 22 * 64] + [2 * 64] * 11
+    monkeypatch.setitem(globals(), "evaluate", evaluate_refusing)
+    assert got == _reference_classify_mapping(UU9, 1, shape, Delta, 64, t_search=True)
+    assert got.case == "EP" and got.t == t
+
+
+def test_ladder_samples_are_per_torus_samples_bit_for_bit():
+    sectors = (*same_sign_sectors(), *mixed_sectors())
+    for shape in (PERRON_FWD, (8.0, 4.0), (0.15, 0.2)):
+        radii = [
+            torus_radii(s, (t * shape[0], t * shape[1])) for t in dynamics_checks._T_SEARCH for s in sectors
+        ]
+        for samples in (1, 64, 128, 257):
+            got = dynamics_checks._torus_samples(radii, samples)
+            assert got.tobytes() == np.concatenate([sample_torus(r, samples) for r in radii]).tobytes()
 
 
 def test_tuning_stops_at_the_failed_forward_direction(monkeypatch):

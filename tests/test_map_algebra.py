@@ -308,6 +308,19 @@ def test_chart_column_matches_evaluate(word, z1, z2):
         assert _chordal(v, b, *_chart_coord(w)) < 1e-12
 
 
+def test_chart_shear_through_a_subnormal_coordinate():
+    # 1 / v overflows on a subnormal v, yet the stored value is bounded:
+    # F fixes (INF, 2.2e-311)
+    state = _Walk([0j, 2.2e-311 + 0j], [1, 0], None)
+    _interpret(state, (atom_F(),), _CHART)
+    assert state.w == [0j, 2.2e-311 + 0j] and state.inf == [1, 0]
+    assert evaluate([atom_F()], (INF, 2.2e-311)) == (INF, 2.2e-311)
+    # Finv takes z1 = 1e-310 to z1 / z2 = 1e10, stored in the flipped chart as z2 / z1
+    state = _Walk([1e-310 + 0j, 1e-320 + 0j], [0, 0], None)
+    _interpret(state, (atom_Finv(),), _CHART)
+    assert state.w == [(1e-320 + 0j) / (1e-310 + 0j), 1e-320 + 0j] and state.inf == [1, 0]
+
+
 # --- Jacobians ------------------------------------------------------------
 
 
