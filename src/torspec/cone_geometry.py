@@ -154,6 +154,8 @@ class QuadrantWeight:
 
 def torus_radii(sigma: Sigma, delta, basis=None) -> Tuple[float, float]:
     """Radii of the distinguished torus of the sector domain: exp(P diag(sigma) delta)."""
+    if basis is None:
+        return (math.exp(sigma[0] * float(delta[0])), math.exp(sigma[1] * float(delta[1])))
     p = _as_basis(basis).astype(float)
     v = p @ np.array([sigma[0] * float(delta[0]), sigma[1] * float(delta[1])])
     return (math.exp(v[0]), math.exp(v[1]))

@@ -460,8 +460,14 @@ def _chart_shear(sign: int):
             num, den = (v1, v2) if g1 > 0 else (v2, v1)
             stored = num / den
         if s.jac is not None:
-            d1 = (v2 ** g2) if v1 == 0 else g1 * stored / v1
-            d2 = (v1 ** g1) if v2 == 0 else g2 * stored / v2
+            # 1 / v overflows on a subnormal v, as a power (raised) or a quotient (inf)
+            try:
+                d1 = (v2 ** g2) if v1 == 0 else g1 * stored / v1
+                d2 = (v1 ** g1) if v2 == 0 else g2 * stored / v2
+                if not (cmath.isfinite(d1) and cmath.isfinite(d2)):
+                    raise OverflowError
+            except OverflowError:
+                raise PoleInChainError(f"chart derivative overflows inside a shear (atom index {s.index})") from None
             s.jac[0] = d1 * s.jac[0] + d2 * s.jac[1]
         s.w[0] = stored
         s.inf[0] = c_out

@@ -1,10 +1,11 @@
 """Truncated composition-operator matrices on weighted Fourier modes.
 
-The independent verification route.  Two word families get their matrix in
-closed form, with no grid: linear words (no G atom), whose composition
-operator permutes the modes, and chains of twisted-shear blocks `u_block`,
-optionally prefixed by the antipode I11, whose entries are sums of
-products of Fourier coefficients of Blaschke powers.  Every other word is
+The independent verification route.  A word left . chain . right, with
+linear frames (no G atom) around a possibly empty chain of twisted-shear
+blocks `u_block`, gets its matrix in closed form, with no grid: the frames
+relabel the modes, and the chain's entries are sums of products of Fourier
+coefficients of Blaschke powers, read on a box that holds the relabelled
+modes.  Every other word, or one whose box outgrows the matrix, is
 sampled on a torus grid: take the band's discrete Fourier coefficients of
 the transformed monomials (two small DFT-matrix products per row block of
 the grid) to get matrix columns in the weighted basis.  Grid resolution is
@@ -24,6 +25,7 @@ matching against closed-form predictions, trace powers) and flat-file export.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -31,7 +33,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cone_geometry import QuadrantWeight
-from .map_algebra import _atoms, _extended_in, _walk, linear_part
+from .map_algebra import _atom_matrix, _atoms, _extended_in, _mat2_mul, _walk, inverse, linear_part
 
 _BAND_LIMIT = 16
 _TOL = 1e-8
@@ -327,63 +329,68 @@ def _coefficient_cube(k: int, a: complex, band: int) -> np.ndarray:
     return table[k * (modes + band)[None, :, None], (modes[:, None] - modes + 2 * band)[:, None, :]]
 
 
-def _block_matrix(blocks, mirror, nu, band, floor):
-    """The weighted matrix of a chain of u_blocks, with the columns mirrored for an I11 prefix.
+def _box_index(matrix, band, box):
+    """The flat index of A^T n in the lexicographic box of half-width `box`, for every band mode n."""
+    (a, b), (c, d) = matrix
+    n1, n2 = np.indices((2 * band + 1, 2 * band + 1)).reshape(2, -1) - band
+    return (a * n1 + c * n2 + box) * (2 * box + 1) + b * n1 + d * n2 + box
+
+
+def _block_matrix(blocks, rows, columns, box, nu, floor):
+    """The weighted matrix M[m, n] = nu(m) C[rows[m], columns[n]] / nu(n) of a chain of two or more u_blocks.
 
     With c[p]_j from `_blaschke_powers`, one block (k, a) sends z^n to
     b(z1)^(k n1) z1^n2 z2^n1, so C[(m1, m2), (n1, n2)] = [m2 = n1] c[k n1]_(m1 - n2).
     With L blocks, block 1 the rightmost, s_0 = m1, s_1 = m2, s_L = n1 and
     s_(L+1) = n2, C[m, n] sums over s_2 .. s_(L-1) the products over i of
-    c_i[k_i s_i]_(s_(i-1) - s_(i+1)), entries of the (2 band + 1)^3 cubes
-    from `_coefficient_cube`, into which nu(m) and 1 / nu(n) are folded.  Two
-    blocks need no sum, and each further one is a batched matrix product over
-    s_i.  The tables are one-sided (c[p]_j = 0 for j < 0 if p > 0, for j > 0
-    if p < 0), so no s_i outside the band carries a term: the truncation is
-    exact.  The prefix I11 sends z^n to z^-n before the blocks act, so column
-    n is column -n of the blocks' matrix: both column axes reversed, with the
-    same weight since nu is even.  Every index j lies in [-2 band, 2 band].
-    The rows are formed in chunks of about _BLOCK_POINTS entries, each
-    straight into the matrix.
+    c_i[k_i s_i]_(s_(i-1) - s_(i+1)), entries of the (2 box + 1)^3 cubes
+    from `_coefficient_cube`, into which nu(m) and 1 / nu(n) are folded at
+    the box indices of m and n.  Two blocks need no sum, and each further
+    one is a batched matrix product over s_i.  The tables are one-sided
+    (c[p]_j = 0 for j < 0 if p > 0, for j > 0 if p < 0), so no s_i outside
+    the box carries a term: the truncation is exact.  Every index j lies in
+    [-2 box, 2 box].  The rows are formed in chunks of about _BLOCK_POINTS
+    box entries, straight into the matrix where `columns` relabels nothing.
     """
-    width = 2 * band + 1
-    size = nu.size
-    row_weights = nu.reshape(width, width)
-    column_weights = 1.0 / row_weights
+    width, size = 2 * box + 1, nu.size
+    weights = np.zeros((2, width * width))
+    weights[0, rows], weights[1, columns] = nu, 1.0 / nu
     # block 1 is applied first, and is the last one in the word
-    cubes = [_coefficient_cube(k, complex(a), band) for k, a in reversed(blocks)]
-    if len(blocks) == 1:
-        # [m1, m2, n2], the entries of row (m1, m2) at n1 = m2
-        cubes[0] *= row_weights[:, :, None] * column_weights
-    else:
-        cubes[0] *= row_weights[:, :, None]
-        cubes[-1] *= column_weights
-    # each chunk is seen as [row, n1, n2], with both column axes reversed after I11
-    order = -1 if mirror else 1
+    cubes = [_coefficient_cube(k, complex(a), box) for k, a in reversed(blocks)]
+    cubes[0] *= weights[0].reshape(width, width)[:, :, None]
+    cubes[-1] *= weights[1].reshape(width, width)
+    straight = np.array_equal(columns, np.arange(size))
     matrix = np.zeros((size, size), dtype=complex)
-    step = max(1, _BLOCK_POINTS // size)
+    step = max(1, _BLOCK_POINTS // width ** 2)
     for start in range(0, size, step):
-        index = np.arange(start, min(start + step, size))
-        m1, m2 = index // width, index % width
-        block = matrix[start:start + index.size]
-        cube = block.reshape(index.size, width, width)[:, ::order, ::order]
-        if len(blocks) == 1:
-            cube[np.arange(index.size), m2] = cubes[0][m1, m2]
-        else:
-            # [row, s_1, s_2], then [row, s_(i-1), s_i] block by block
-            np.multiply(cubes[0][m1, m2][:, :, None], cubes[1][m2], out=cube)
-            for later in cubes[2:]:
-                cube[...] = np.matmul(cube.transpose(2, 0, 1), later.transpose(1, 0, 2)).transpose(1, 0, 2)
+        s0, s1 = np.divmod(rows[start:start + step], width)
+        block = matrix[start:start + s0.size]
+        chain = block if straight else np.empty((s0.size, width * width), dtype=complex)
+        cube = chain.reshape(s0.size, width, width)  # [row, s_1, s_2], then [row, s_(i-1), s_i] block by block
+        np.multiply(cubes[0][s0, s1][:, :, None], cubes[1][s1], out=cube)
+        for later in cubes[2:]:
+            cube[...] = np.matmul(cube.transpose(2, 0, 1), later.transpose(1, 0, 2)).transpose(1, 0, 2)
+        if not straight:
+            np.take(chain, columns, axis=1, out=block)
         block[np.abs(block) < floor] = 0.0
     return matrix
 
 
 def _closed_form_matrix(atoms, nu, band, floor):
-    """The weighted matrix of a linear word or of [I11 .] a chain of u_blocks; None for any other word."""
-    if all(atom.kind != "G" for atom in atoms):
-        return _linear_matrix(atoms, nu, band, floor)
-    mirror = atoms[0].kind == "I" and atoms[0].k == 1 and atoms[0].l == 1
-    blocks = _u_blocks(atoms[mirror:])
-    return None if blocks is None else _block_matrix(blocks, mirror, nu, band, floor)
+    """The weighted matrix of a word left . chain . right (see `assemble_operator`); None for any other word."""
+    at = [i for i, atom in enumerate(atoms) if atom.kind == "G"] or [len(atoms)]  # no G: all of it is `left`
+    blocks = _u_blocks(atoms[at[0]:at[-1] + 1])
+    if not blocks:  # the empty chain: a linear word
+        return None if blocks is None else _linear_matrix(atoms, nu, band, floor)
+    # A_R^-1 and A_L in Python integers, so a wide frame is refused before any array is built
+    right, left = (functools.reduce(_mat2_mul, map(_atom_matrix, run), ((1, 0), (0, 1)))
+                   for run in (inverse(atoms[at[-1] + 1:]), atoms[:at[0]]))
+    if len(blocks) == 1:  # u_block(0, 0) is R, and C of R . block is C of the block, columns swapped
+        blocks, left = [(0, 0)] + blocks, _mat2_mul(left, ((0, 1), (1, 0)))
+    box = band * max(abs(x) + abs(y) for x, y in (*zip(*left), *zip(*right)))
+    if (2 * box + 1) ** 3 > nu.size ** 2:
+        return None
+    return _block_matrix(blocks, *(_box_index(frame, band, box) for frame in (right, left)), box, nu, floor)
 
 
 def assemble_operator(
@@ -405,19 +412,23 @@ def assemble_operator(
     Every QuadrantWeight is even; any other weight raises ValueError, since
     the transposition and the change check both rest on it.
 
-    Two families of words, read off the atoms rather than the text, are
-    built in closed form with no grid.  A linear word (no G atom) gives the
-    weighted partial permutation M[A^T n, n] = nu(A^T n) / nu(n), with
-    A = linear_part(word).  A chain of u_blocks, optionally prefixed by I11,
-    gives sums of products of Fourier coefficients of Blaschke powers, exact
-    to a few ulps (`_block_matrix`).  Both snap entries below 1e-13 to zero,
-    the floor of a grid with no change, and form the matrix in row chunks.
-    Such an operator reports converged=True, max_change=0.0 and
-    grid = 4 band + 1: not a torus grid, but the
-    mode span |j| <= 2 band that the coefficient tables cover.  Every other
-    word (W blocks, the frame-conjugated words of `build`, stray G atoms)
-    takes the grid route below, which is also the closed form's reference
-    in the tests.
+    Words left . chain . right, read off the atoms rather than the text, are
+    built in closed form with no grid: `left` is every atom before the first
+    G atom, `right` every atom after the last, and the atoms between spell a
+    chain of u_blocks, possibly empty.  z^n composed with z -> z^A is
+    z^(A^T n), so M[m, n] = nu(m) C[A_R^-T m, A_L^T n] / nu(n), with A_L, A_R
+    the frames' linear parts and C the chain's matrix.  A linear word is the
+    empty chain, M[A^T n, n] = nu(A^T n) / nu(n) with A = linear_part(word);
+    any other C is a sum of products of Fourier coefficients of Blaschke
+    powers, exact to a few ulps (`_block_matrix`) on the box of half-width
+    band times the largest column sum of |A_L| or |A_R|.  A word whose
+    (2 box + 1)^3 coefficient cubes would outgrow the (2 band + 1)^4 matrix,
+    and every other word (W blocks, a lone G core, stray G atoms), takes the
+    grid route below, which is also the closed form's reference in the tests.
+    The closed form snaps entries below 1e-13 to zero, the floor of a grid
+    with no change, and forms the matrix in row chunks.  Such an operator
+    reports converged=True, max_change=0.0 and grid = 4 band + 1: not a
+    torus grid, but the mode span |j| <= 2 band of the band's tables.
 
     On the grid route, every column n >= 0 (standing also for its mirror
     -n) is summed on the grid max(8*band, 64) and then, from scratch, on
@@ -455,8 +466,7 @@ def assemble_operator(
     nu = _mode_weights(weight, band)
     if not np.array_equal(nu, nu[::-1]):
         raise ValueError("the weight must be even under n -> -n")
-    atoms = _atoms(word)
-    matrix = _closed_form_matrix(atoms, nu, band, _snap_floor(0.0, True))
+    matrix = _closed_form_matrix(_atoms(word), nu, band, _snap_floor(0.0, True))
     if matrix is None:
         return _grid_operator(word, nu, band, kind)
     return _operator(matrix, band, 4 * band + 1, kind, 0.0, True)

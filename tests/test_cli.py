@@ -223,6 +223,18 @@ def test_build_stretched(capsys):
     assert report["report"]["decay"]["d"] == 2
 
 
+def test_build_word_verifies_in_closed_form(capsys):
+    # four blocks framed by R . I11 and R: the closed form reads them with no
+    # grid (grid 4 band + 1), where the grid route was still moving at grid 640
+    code, built = run_json(capsys, "build", "--matrix", "[[-3,-7],[-8,-19]]", "--decay", "stretched", "--eta", "1.0")
+    assert code == 0
+    code, report = run_json(capsys, "resonances", "--word", built["word"], "--verify", "--band", "10")
+    assert code == 0
+    verify = report["verify"]
+    assert verify["grid"] == 41 and verify["converged"] and verify["verified"]
+    assert verify["matched"] == 47 and verify["max_rel_err"] < 1e-13
+
+
 def test_build_trivial(capsys):
     code, report = run_json(capsys, "build", "--matrix", "[[2,1],[1,1]]", "--decay", "trivial")
     assert code == 0

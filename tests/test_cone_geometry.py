@@ -152,6 +152,11 @@ def test_torus_radii_identity_basis():
     r = torus_radii((1, -1), (0.1, 0.2))
     assert r[0] == pytest.approx(math.exp(0.1))
     assert r[1] == pytest.approx(math.exp(-0.2))
+    # no basis skips the matrix product, and gives the identity basis' radii bit for bit
+    for sigma in SIGMAS:
+        for delta in ((0.1, 0.2), (0.37, 1e-300), (-2.5, 0.0), (1e-17, 3.0)):
+            want = torus_radii(sigma, delta, basis=np.eye(2, dtype=int))
+            assert torus_radii(sigma, delta) == want and all(type(v) is float for v in want)
     # with a nontrivial basis the radii mix the sector scales
     p = np.array([[1, 1], [0, 1]])
     r2 = torus_radii((1, 1), (0.1, 0.2), basis=p)

@@ -321,6 +321,25 @@ def test_chart_shear_through_a_subnormal_coordinate():
     assert state.w == [(1e-320 + 0j) / (1e-310 + 0j), 1e-320 + 0j] and state.inf == [1, 0]
 
 
+@pytest.mark.parametrize(
+    "atoms, w, inf",
+    [
+        # d1 = z2^-1 as a power at (INF, 2.2e-311): the power itself overflows
+        ((atom_F(),), [0j, 2.2e-311 + 0j], [1, 0]),
+        # d1 = stored / z1 = 1 / 1e-310 as a quotient: inf, not raised by Python
+        ((atom_R(), atom_Finv()), [1e-310 + 0j, 1e-310 + 0j], [0, 0]),
+    ],
+    ids=["power", "quotient"],
+)
+def test_chart_shear_derivative_overflow_names_the_atom(atoms, w, inf):
+    # the true derivative, about 1e310, is beyond the float range: a stated
+    # ValueError with the atom index, not a bare OverflowError or an inf row
+    state = _Walk(list(w), list(inf), [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)])
+    with pytest.raises(PoleInChainError, match=rf"chart derivative overflows inside a shear \(atom index {len(atoms) - 1}\)"):
+        _interpret(state, atoms, _CHART)
+    assert issubclass(PoleInChainError, ValueError)
+
+
 # --- Jacobians ------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from torspec import cli, operator_numerics
 from torspec.cone_geometry import QuadrantWeight
 from torspec.dynamics_checks import auto_weight
+from torspec.gl2z import build_homotopic_map
 from torspec.map_algebra import (
     _atoms,
     _extended_in,
@@ -457,6 +458,17 @@ def test_transfer_matches_jacobian_route(name, word, band, grid, kind):
     assert np.max(np.abs(op.matrix - want)) <= 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _word(text):
+    """parse_word(text), or for "build M" the word that `build --matrix M --decay stretched --eta 1.0` prints."""
+    if text.startswith("build "):
+        return build_homotopic_map(json.loads(text[6:]), "stretched", 1.0).word
+    return parse_word(text)
+
+
+# fixed weights for the words that auto_weight refuses
+_PLAIN = QuadrantWeight.standard((0.1, 0.1), (0.1, 0.1))
+
 # (word, band, weight): None takes auto_weight's
 _CLOSED_FORM_CASES = [("U(1,0.5) . U(1,0.3)", band, None) for band in range(4, 13)] + [
     ("U(2,0.3+0.2i) . U(1,-0.4i)", 8, None),
@@ -485,16 +497,24 @@ _CLOSED_FORM_CASES = [("U(1,0.5) . U(1,0.3)", band, None) for band in range(4, 1
     ("I11 . U(1,0.2) . U(2,0.1) . U(1,0.3i) . U(1,0.15)", 6, None),
     ("U(1,0.2) . U(1,0.1) . U(2,0.15) . U(1,0.2i) . U(1,0.1)", 6, None),
     ("I11 . U(1,0.2) . U(1,0.1) . U(3,0.15) . U(1,0.2i) . U(1,0.1)", 6, None),
+    # build's words frame^-1 . [I11 .] psi . frame: frames R, two blocks; frame
+    # [[0, 1], [1, 1]], two blocks (a box of twice the band); R, one block
+    ("build [[1,1],[1,2]]", 8, None),
+    ("build [[2,9],[-3,-13]]", 6, _PLAIN),
+    ("build [[0,1],[1,3]]", 8, None),
+    # asymmetric frames pin the order of the factors: a wrong order can keep the spectrum
+    ("R . U(1,0.5) . U(1,0.3) . F", 6, None),
+    ("Finv . U(1,0.4) . F", 6, _PLAIN),
 ]
 
 
 @pytest.mark.parametrize("kind", ["composition", "transfer"])
 @pytest.mark.parametrize("text, band, weight", _CLOSED_FORM_CASES, ids=[f"{c[0]}-{c[1]}" for c in _CLOSED_FORM_CASES])
 def test_closed_form_matches_grid_route(text, band, weight, kind):
-    # linear words and chains of u_blocks, after an optional I11, are built
+    # linear words and chains of u_blocks between two linear frames are built
     # from Blaschke-power coefficients with no grid; the converged grid route
     # is their reference, within 1e-13 or its own snap floor 2 max_change
-    word = parse_word(text)
+    word = _word(text)
     if weight is None:
         weight, _ = auto_weight(word)
     grid = _grid_operator(word, _mode_weights(weight, band), band, kind)
@@ -543,34 +563,50 @@ def test_blaschke_power_table_matches_mpmath(a):
         "W(1,0.2) . W(2,0.3)",
         "G(0.2,0.1) . F . F . R",
         "G(0,0.3) . F . R . G(-0.2,0) . U(1,0.2)",
+        # conjugator [[-2, -1], [7, 4]]: a box of 11 times the band, whose
+        # (2 box + 1)^3 cubes would outgrow the (2 band + 1)^4 matrix
+        "build [[10,7],[-17,-12]]",
     ],
-    ids=["u-and-w-block", "w-blocks", "raw-G", "unmatched-G"],
+    ids=["u-and-w-block", "w-blocks", "raw-G", "unmatched-G", "frames-beyond-the-box"],
 )
 def test_other_words_take_the_grid_route(text):
-    weight = QuadrantWeight.standard((0.1, 0.1), (0.1, 0.1))
-    op = assemble_operator(parse_word(text), weight, 3)
+    op = assemble_operator(_word(text), _PLAIN, 3)
     # the closed form reports grid 4 band + 1 = 13
     assert op.grid >= 64
 
 
-@pytest.mark.parametrize("seed", range(6))
+_FRAMED_CHAINS = [
+    "F . U(1,0.4) . U(2,0.3-0.2i) . U(1,0.2) . R . Finv",
+    "R . I11 . U(1,0.3) . U(2,0.2i) . U(1,-0.25) . U(3,0.1) . R",
+    "Finv . R . U(2,0.5) . U(1,0.3) . U(1,0.4i) . U(1,0.2) . I01 . F",
+]
+# two blocks need no intermediate sum: the crop holds the very same products
+_FRAMED_PAIRS = ["build [[1,1],[1,2]]", "build [[2,9],[-3,-13]]", "R . U(1,0.5) . U(1,0.3) . F"]
+
+
+@pytest.mark.parametrize("seed", [*range(6), *_FRAMED_CHAINS, *_FRAMED_PAIRS])
 def test_chain_band_is_the_crop_of_a_wider_band(seed):
     # the one-sided coefficient tables keep every intermediate mode of a
-    # chain inside the band, so the truncation loses no term; the sums still
+    # chain inside its box, so the truncation loses no term; the sums still
     # run over more zeros at the wider band, so they agree to rounding
-    # (1.1e-16 at worst on these chains), not bit for bit
-    rng = random.Random(seed)
-    length = rng.randint(3, 5)
-    ks = [rng.choice((1, 1, 2, 3)) for _ in range(length)]
-    params = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(length)]
-    atoms = _atoms(psi_word(ks, params, seed % 2))
+    # (1.1e-16 at worst on these chains), not bit for bit; a seed draws a
+    # chain of 3-5 blocks, and a text a chain of 2-4 blocks in linear frames
+    if isinstance(seed, str):
+        atoms, ks, params = _atoms(_word(seed)), None, None
+    else:
+        rng = random.Random(seed)
+        length = rng.randint(3, 5)
+        ks = [rng.choice((1, 1, 2, 3)) for _ in range(length)]
+        params = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(length)]
+        atoms = _atoms(psi_word(ks, params, seed % 2))
     narrow, wide = 6, 12
     small = _closed_form_matrix(atoms, np.ones((2 * narrow + 1) ** 2), narrow, 0.0)
     large = _closed_form_matrix(atoms, np.ones((2 * wide + 1) ** 2), wide, 0.0)
     modes = np.arange(-wide, wide + 1)
     inside = np.abs(modes) <= narrow
     keep = np.flatnonzero(inside[:, None] & inside[None, :])
-    assert np.max(np.abs(small - large[np.ix_(keep, keep)])) <= 1e-15, (ks, params)
+    bound = 0.0 if seed in _FRAMED_PAIRS else 1e-15
+    assert np.max(np.abs(small - large[np.ix_(keep, keep)])) <= bound, (ks, params)
 
 
 class _TiltedWeight:
@@ -591,6 +627,8 @@ _MEMORY_CASES = [
     ("U(1,0.5) . U(1,0.3)", 12, 2.5),
     ("U(1,0.4) . U(1,0.3) . U(1,0.2)", 12, 2.5),
     ("F . F . R", 16, 2.0),
+    # right frame F: the chain is read on a box of twice the band
+    ("R . U(1,0.5) . U(1,0.3) . F", 12, 2.5),
 ]
 
 
