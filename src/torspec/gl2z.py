@@ -33,8 +33,6 @@ from .map_algebra import (
 )
 from .resonance_theory import decay_classification, spectrum_model_psi
 
-_PEEL_DEPTH = 64
-_PEEL_NODES = 10_000
 _REDUCE_STEPS = 200
 # longest word `build_homotopic_map` expands; seeded matrices with entries
 # up to 20 need about 30 atoms
@@ -117,37 +115,34 @@ class StandardForm:
 
 
 def _try_peel(x: Mat) -> Optional[Tuple[int, ...]]:
-    """Write x as a block product by stripping factors from the left."""
-    budget = [_PEEL_NODES]
+    """Write x as a block product by stripping factors from the left.
 
-    def go(y: Mat, depth: int):
-        if y == _IDENT:
-            return ()
-        if depth == 0 or budget[0] <= 0:
-            return None
-        budget[0] -= 1
-        (a, b), (c, d) = y
+    The first column holds the continuants of [k_1; ...; k_n], so k_1 = a // c,
+    less 1 when c divides a and (c, d) != (1, 0): [..., k, 1] and [..., k + 1]
+    share a first column only.  The factorization is unique, and c falls at
+    every other step, so the loop ends.
+    """
+    factors = []
+    while x != _IDENT:
+        (a, b), (c, d) = x
         if c <= 0:
             return None
-        q = a // c
-        for k in (q, q - 1):
-            if k < 1:
-                continue
-            rest = go(((c, d), (a - k * c, b - k * d)), depth - 1)
-            if rest is not None:
-                return (k,) + rest
-        return None
-
-    return go(x, _PEEL_DEPTH)
+        k = a // c - (a % c == 0 and (c, d) != (1, 0))
+        if k < 1:
+            return None
+        factors.append(k)
+        x = ((c, d), (a - k * c, b - k * d))
+    return tuple(factors)
 
 
 def reduce(m) -> StandardForm:
     """Exact conjugation of a hyperbolic matrix into its block standard form.
 
     Returns (s, K, Q) with Q m Q^{-1} = (-1)^s prod_i [[K_i,1],[1,0]], all in
-    exact integers; the identity is re-checked before returning.  Raises
-    ValueError for non-hyperbolic input and ArithmeticError if the search
-    fails (which the certification makes loud rather than silent).
+    exact integers; the identity is re-checked before returning.  Exponents
+    are read off exactly, for any number of blocks, between continued-fraction
+    conjugation steps.  Raises ValueError for non-hyperbolic input and
+    ArithmeticError if the steps run out (made loud by the certification).
     """
     original = _as_mat(m)
     if not is_hyperbolic(original):
@@ -176,10 +171,7 @@ def reduce(m) -> StandardForm:
         q2 = 2 * c
         disc = (a + d) ** 2 - 4 * det
         t = p + math.isqrt(disc)
-        k = t // q2
-        if q2 < 0 and t % q2 == 0:
-            k -= 1
-        g = _block(k)
+        g = _block(t // q2 - (q2 < 0 and t % q2 == 0))
         x = _mat2_mul(_mat2_mul(_inv(g), x), g)
         acc = _mat2_mul(acc, g)
     if factors is None:
@@ -273,30 +265,32 @@ class HomotopicMap:
     parameter: float
 
 
-def _bisect_parameter(factors, s, eta, make_params) -> Tuple[float, int, float]:
+def _parameter_for_rate(factors, s, eta, make_params) -> Tuple[float, int, float]:
+    """The parameter a at which the psi family decays at rate eta: (a, d, achieved).
+
+    The family's multiplier moduli are integer powers of sqrt(a), and the rate
+    is homogeneous of degree 1 in their logs: eta(a) = eta(0.5) log2(1 / a).
+    Stepping from there to the adjacent doubles lo < hi with eta(lo) > eta >=
+    eta(hi) gives (lo + hi) / 2, where a bisection of [1e-6, 1 - 1e-6] ends.
+    """
     lo, hi = 1e-6, 1.0 - 1e-6
 
     def rate(a: float):
-        return decay_classification(
-            spectrum_model_psi(factors, make_params(a), s)
-        )
+        return decay_classification(spectrum_model_psi(factors, make_params(a), s))
 
-    d_lo, eta_lo = rate(lo)
-    d_hi, eta_hi = rate(hi)
+    eta_lo, eta_hi = rate(lo)[1], rate(hi)[1]
     # rate falls monotonically as the parameter approaches 1
     if not (eta_hi <= eta <= eta_lo):
         raise TargetInfeasible(
             f"decay rate {eta:g} outside the achievable range "
             f"[{eta_hi:.3g}, {eta_lo:.3g}]"
         )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        _, eta_mid = rate(mid)
-        if eta_mid > eta:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
+    a = min(max(0.5 ** (eta / rate(0.5)[1]), math.nextafter(lo, 1.0)), hi)
+    while rate(a)[1] > eta:
+        a = math.nextafter(a, 1.0)
+    while (below := math.nextafter(a, 0.0)) > lo and rate(below)[1] <= eta:
+        a = below
+    a = 0.5 * (below + a)
     d, achieved = rate(a)
     if abs(achieved - eta) > 1e-6:
         raise TargetInfeasible("bisection failed to pin the requested rate")
@@ -320,10 +314,11 @@ def build_homotopic_map(m, decay: str, eta: Optional[float] = None) -> Homotopic
 
     decay = "trivial" gives the resonance-free family (spectrum {1}),
     "exponential" a single-axis spectrum with 1D rate eta, "stretched" a
-    full planar spectrum with 2D rate eta.  The induced lattice action of
-    the returned word equals the input matrix exactly.  A word longer than
-    _ATOM_BUDGET atoms is refused with ValueError before it is expanded:
-    shear exponents and the conjugator grow with the matrix entries.
+    full planar spectrum with 2D rate eta, at the Blaschke parameter read off
+    the closed-form rate, eta proportional to -log a.  The induced lattice
+    action of the returned word equals the input matrix exactly.  A word
+    longer than _ATOM_BUDGET atoms is refused with ValueError before it is
+    expanded: shear exponents and the conjugator grow with the matrix entries.
     """
     form = reduce(m)
     atoms = _build_atom_count(form, decay)
@@ -353,9 +348,7 @@ def build_homotopic_map(m, decay: str, eta: Optional[float] = None) -> Homotopic
                     "(determinant +1 standard form)"
                 )
             make = lambda a: (a,) + (0.0,) + (a,) * (n - 2)
-        parameter, dim, achieved = _bisect_parameter(
-            form.factors, form.sign_flips, eta, make
-        )
+        parameter, dim, achieved = _parameter_for_rate(form.factors, form.sign_flips, eta, make)
         core = psi_word(form.factors, make(parameter), form.sign_flips)
     else:
         raise ValueError("decay must be 'trivial', 'exponential' or 'stretched'")

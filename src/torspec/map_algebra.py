@@ -304,9 +304,11 @@ def word_to_text(word: WordLike) -> str:
 # column and row apart until an atom mixes them.  The scalar API passes
 # 1-element arrays, so a point of a grid call has the same bits as the scalar
 # call at that point.  On the complex side the point at infinity is a boolean
-# mask per coordinate (the value array holds garbage under the mask).  The
-# chart column runs on Python complex scalars for the sector fixed points
-# (see `fixed_points`), and raises an indeterminate point at once.
+# mask per coordinate (the value array holds garbage under the mask); a
+# product or quotient beyond the float range joins the mask, as it lies within
+# 1/1.8e308 of infinity on the sphere.  The chart column runs on Python
+# complex scalars for the sector fixed points (see `fixed_points`), and
+# raises an indeterminate point at once.
 # The 2x2 Jacobian travels as two rows and takes the chain rule as row operations.
 
 
@@ -348,6 +350,12 @@ def _swap(s: _Walk, atom: Atom) -> None:
         s.jac.reverse()
 
 
+def _flag_nan_quotient(s: _Walk, i: int) -> None:
+    # numpy's complex division by a subnormal divides by way of its overflowed
+    # reciprocal, so 0 / 1e-320 comes out nan instead of 0
+    s.flag(np.isnan(s.w[i]) & ~s.inf[i], IndeterminatePointError("quotient is nan in floating point", s.index))
+
+
 def _complex_F(s: _Walk, atom: Atom) -> None:
     (w1, w2), (m1, m2) = s.w, s.inf
     if s.jac is not None:
@@ -357,7 +365,7 @@ def _complex_F(s: _Walk, atom: Atom) -> None:
     zero_inf = (m1 & ~m2 & (w2 == 0)) | (m2 & ~m1 & (w1 == 0))
     s.flag(zero_inf, IndeterminatePointError("0 * inf is indeterminate", s.index))
     s.w[0] = w1 * w2
-    s.inf[0] = m1 | m2
+    s.inf[0] = m1 | m2 | np.isinf(s.w[0])
 
 
 def _complex_Finv(s: _Walk, atom: Atom) -> None:
@@ -372,7 +380,8 @@ def _complex_Finv(s: _Walk, atom: Atom) -> None:
     zero_zero = ~m1 & ~m2 & (w1 == 0) & (w2 == 0)
     s.flag(zero_zero, IndeterminatePointError("0 / 0 is indeterminate", s.index))
     s.w[0] = np.where(m2, 0j, w1 / w2)
-    s.inf[0] = ~m2 & (m1 | (w2 == 0))
+    s.inf[0] = ~m2 & (m1 | (w2 == 0) | np.isinf(s.w[0]))
+    _flag_nan_quotient(s, 0)
 
 
 def _complex_I(s: _Walk, atom: Atom) -> None:
@@ -385,7 +394,8 @@ def _complex_I(s: _Walk, atom: Atom) -> None:
             s.flag(w == 0, PoleInChainError("I(k, l) differentiated at 0"))
             s.scale_row(i, -1.0 / (w * w))
         s.w[i] = np.where(m, 0j, 1.0 / w)
-        s.inf[i] = ~m & (w == 0)
+        s.inf[i] = ~m & ((w == 0) | np.isinf(s.w[i]))
+        _flag_nan_quotient(s, i)
 
 
 def _blaschke(a: complex, w, inf):
@@ -573,7 +583,8 @@ def evaluate(word: WordLike, z) -> ExtendedPoint:
     `z` is a pair of coordinates, each a complex number or an array (all
     arrays broadcast to one shape).  Any complex infinity, INF among them, is
     the point at infinity; on the way out it is INF.  The call raises
-    IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf.
+    IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf, or
+    a quotient numpy forms as nan (0 over a subnormal divisor).
     """
     values, masks, scalar = _extended_in(z)
     (w1, w2), (m1, m2), _ = _walk(word, values, masks)

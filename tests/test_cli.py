@@ -167,6 +167,21 @@ def test_reduce_fibonacci(capsys):
     assert report["standard"] == [[2, 1], [1, 1]]
 
 
+_CAT_33 = "[[44945570212853,27777890035288],[27777890035288,17167680177565]]"
+
+
+def test_reduce_and_build_cat_map_33rd_power(capsys):
+    # a product of 66 blocks [[1,1],[1,0]]: the exponents are read off in one pass
+    code, report = run_json(capsys, "reduce", "--matrix", _CAT_33)
+    assert code == 0
+    assert report["factors"] == [1] * 66
+    assert report["sign_flips"] == 0 and report["conjugator"] == [[1, 0], [0, 1]]
+    code, report = run_json(capsys, "build", "--matrix", _CAT_33, "--decay", "stretched", "--eta", "1.0")
+    assert code == 0
+    assert report["standard_form"]["factors"] == [1] * 66
+    assert report["decay_dimension"] == 2 and abs(report["eta"] - 1.0) < 1e-6
+
+
 def test_reduce_rejects_parabolic(capsys):
     assert cli.main(["reduce", "--matrix", "[[1,1],[0,1]]"]) == 2
 

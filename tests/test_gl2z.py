@@ -1,23 +1,27 @@
 """Standard-form reduction, word reassembly, decay-targeted construction."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 
+from torspec import cli
 from torspec.gl2z import (
     _ATOM_BUDGET,
+    _IDENT,
     HomotopicMap,
     StandardForm,
     TargetInfeasible,
     _build_atom_count,
+    _try_peel,
     build_homotopic_map,
     is_hyperbolic,
     matrix_to_word,
     random_hyperbolic,
     reduce,
 )
-from torspec.map_algebra import linear_part, parse_word, psi_word, xi_word
+from torspec.map_algebra import _mat2_mul, linear_part, parse_word, psi_word, xi_word
 from torspec.resonance_theory import (
     decay_classification,
     spectrum_model_from_word,
@@ -58,6 +62,49 @@ def test_reduce_negative_trace():
     form = reduce(((-2, -1), (-1, -1)))
     assert form.sign_flips == 1
     assert form.factors == (1, 1)
+
+
+def _product(ks):
+    return StandardForm(0, tuple(ks), _IDENT).standard_matrix()
+
+
+# the cat map [[2,1],[1,1]] = [[1,1],[1,0]]^2 to the 33rd power
+_CAT_33 = ((44945570212853, 27777890035288), (27777890035288, 17167680177565))
+
+
+def test_reduce_reads_long_block_products():
+    assert _product((1,) * 66) == _CAT_33
+    assert reduce(_CAT_33) == StandardForm(0, (1,) * 66, _IDENT)
+
+
+def test_peel_reads_back_every_block_product():
+    rng = random.Random(13)
+    for n in range(91):
+        ks = tuple(rng.choice((1, 1, 2, 3, rng.randrange(1, 40))) for _ in range(n))
+        assert _try_peel(_product(ks)) == ks
+    # [..., k, 1] and [..., k + 1] share a first column but not a second
+    assert _try_peel(_product((3, 1))) == (3, 1)
+    assert _try_peel(_product((4,))) == (4,)
+    assert _try_peel(_product((2, 3, 1))) == (2, 3, 1)
+
+
+def test_peel_result_reassembles_on_other_matrices():
+    rng = random.Random(17)
+    read = refused = 0
+    for _ in range(3000):
+        if rng.randrange(2):
+            x = _product([rng.randrange(1, 5) for _ in range(rng.randrange(0, 12))])
+            shear = ((1, rng.randrange(-3, 4)), (0, 1)) if rng.randrange(2) else ((1, 0), (rng.randrange(-3, 4), 1))
+            x = _mat2_mul(x, shear)
+        else:
+            x = tuple(tuple(rng.randrange(-20, 21) for _ in range(2)) for _ in range(2))
+        factors = _try_peel(x)
+        if factors is None:
+            refused += 1
+        else:
+            read += 1
+            assert _product(factors) == x and all(k >= 1 for k in factors)
+    assert read > 100 and refused > 100
 
 
 def test_reduce_rejects_non_hyperbolic():
@@ -128,6 +175,89 @@ def test_build_exponential_hits_rate():
     import math
 
     assert built.parameter == pytest.approx(math.exp(-2 * target / s_odd), rel=1e-9)
+
+
+def _bisected_parameter(factors, s, eta, make_params):
+    """The parameter where 80 halvings of [1e-6, 1 - 1e-6] pin the rate eta."""
+    lo, hi = 1e-6, 1.0 - 1e-6
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if decay_classification(spectrum_model_psi(factors, make_params(mid), s))[1] > eta:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _family(decay, n):
+    """The psi parameters `build_homotopic_map` gives a decay family at a."""
+    if decay == "stretched":
+        return lambda a: (a,) * n
+    return lambda a: (a, 0.0) + (a,) * (n - 2)
+
+
+def test_build_parameter_is_the_bisected_one():
+    # read off the closed-form rate, the parameter is the same double a
+    # bisection ends at, over both decays and both sign flips
+    rng, etas = random.Random(5), random.Random(6)
+    covered = set()
+    for _ in range(40):
+        m = random_hyperbolic(rng, 20)
+        form = reduce(m)
+        n = len(form.factors)
+        for decay in ("stretched", "exponential"):
+            if decay == "exponential" and n % 2:
+                continue
+            eta = etas.uniform(0.3, 2.0)
+            built = build_homotopic_map(m, decay, eta)
+            make = _family(decay, n)
+            reference = _bisected_parameter(form.factors, form.sign_flips, eta, make)
+            assert built.parameter == reference
+            model = spectrum_model_psi(form.factors, make(reference), form.sign_flips)
+            assert (built.decay_dimension, built.eta) == decay_classification(model)
+            covered.add((decay, form.sign_flips))
+    assert covered == {(d, s) for d in ("stretched", "exponential") for s in (0, 1)}
+
+
+# the first 10 distinct classes of random_hyperbolic(random.Random(11),
+# entry_bound=6): the exit code of `build --decay stretched --eta 1.0` and
+# the first line it writes to stderr
+_BUILD_OUTCOMES = [
+    (((-3, -1), (-1, 0)), 0, None),
+    (((0, 1), (1, 3)), 0, None),
+    (((4, 3), (1, 1)), 0, None),
+    (((-5, -3), (-3, -2)), 0, None),
+    (((-4, -3), (-1, -1)), 0, None),
+    (((2, 1), (1, 0)), 0, None),
+    (
+        ((1, -1), (-1, 0)),
+        3,
+        "torspec: certification failed: could not certify the forward sector mapping for this word; "
+        "supply explicit weight scales or check hyperbolicity",
+    ),
+    (((2, 1), (1, 1)), 0, None),
+    (((4, 1), (3, 1)), 0, None),
+    (((3, 2), (1, 1)), 0, None),
+]
+
+
+def test_build_outcomes_on_seeded_classes(capsys):
+    rng, classes = random.Random(11), []
+    while len(classes) < 10:
+        m = random_hyperbolic(rng, entry_bound=6)
+        if m not in classes:
+            classes.append(m)
+    assert classes == [m for m, _, _ in _BUILD_OUTCOMES]
+    for m, code, first_err in _BUILD_OUTCOMES:
+        matrix = json.dumps([list(row) for row in m])
+        assert cli.main(["build", "--matrix", matrix, "--decay", "stretched", "--eta", "1.0"]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[:1] == ([first_err] if first_err else [])
+        if code == 0:
+            form = reduce(m)
+            make = _family("stretched", len(form.factors))
+            reference = _bisected_parameter(form.factors, form.sign_flips, 1.0, make)
+            assert json.loads(captured.out)["parameter"] == reference
 
 
 def test_build_conjugated_frame():

@@ -271,8 +271,9 @@ def test_array_evaluation_at_infinity():
 
 
 # Nonzero moduli of coordinates and G parameters stay above 1e-30, so no
-# value an 8-atom word forms overflows: `evaluate` would carry an overflowed
-# value as a finite one and turn it into nan at the next atom.
+# quotient an 8-atom word forms has a subnormal divisor: numpy's complex
+# division makes 0 / 1e-320 nan, and `evaluate` refuses the point, where the
+# chart column carries it (see test_evaluate_refuses_a_nan_quotient).
 def _nonzero_above(floor, top):
     return st.complex_numbers(min_magnitude=floor, max_magnitude=top, allow_nan=False, allow_infinity=False)
 
@@ -306,6 +307,40 @@ def test_chart_column_matches_evaluate(word, z1, z2):
         return
     for w, v, b in zip(evaluate(word, (z1, z2)), state.w, state.inf):
         assert _chordal(v, b, *_chart_coord(w)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "text, z, expected",
+    [
+        # 1 / 2.2e-311 overflows: the point at infinity, and the second I takes it to 0
+        ("I10 . I10", (2.2e-311, 0), (0j, 0j)),
+        # z1 = -0.5 / (-6.4e-263)^2 overflows to the point at infinity, which G(0.5) takes to -2
+        ("G(0.5,0) . Finv . Finv . G(0.5,6.4e-263)", (0, 0), (-2 + 0j, -6.4e-263 + 0j)),
+    ],
+)
+def test_evaluate_reads_an_overflowed_value_as_infinity(text, z, expected):
+    # a modulus beyond the float range is within 1/1.8e308 of infinity on the
+    # sphere; before, the overflowed value stayed finite and turned into nan
+    word = parse_word(text)
+    assert evaluate(word, z) == expected
+    (v1, b1), (v2, b2) = _chart_coord(z[0]), _chart_coord(z[1])
+    state = _Walk([v1, v2], [b1, b2], None)
+    _interpret(state, word.atoms, _CHART)
+    for w, v, b in zip(expected, state.w, state.inf):
+        assert _chordal(v, b, *_chart_coord(w)) < 1e-12
+
+
+def test_evaluate_refuses_a_nan_quotient():
+    # numpy's complex division by a subnormal gives nan even for a zero
+    # numerator, so the complex column cannot form 0 / 1e-320: the point is
+    # refused, naming the atom, while the chart column carries it
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        assert np.isnan(np.array([0j]) / np.array([1e-320 + 0j]))[0]
+    with pytest.raises(IndeterminatePointError, match=r"quotient is nan .*\(atom index 1\)"):
+        evaluate(parse_word("R . Finv"), (0, 1e-320))
+    state = _Walk([0j, 1e-320 + 0j], [0, 0], None)
+    _interpret(state, (atom_Finv(),), _CHART)
+    assert state.w == [0j, 1e-320 + 0j] and state.inf == [0, 0]
 
 
 def test_chart_shear_through_a_subnormal_coordinate():
