@@ -34,6 +34,8 @@ from .map_algebra import (
 from .resonance_theory import decay_classification, spectrum_model_psi
 
 _REDUCE_STEPS = 200
+# doubles `_parameter_for_rate` may step from its closed-form estimate
+_ULP_STEPS = 64
 # longest word `build_homotopic_map` expands; seeded matrices with entries
 # up to 20 need about 30 atoms
 _ATOM_BUDGET = 1000
@@ -171,7 +173,10 @@ def reduce(m) -> StandardForm:
         q2 = 2 * c
         disc = (a + d) ** 2 - 4 * det
         t = p + math.isqrt(disc)
-        g = _block(t // q2 - (q2 < 0 and t % q2 == 0))
+        k = t // q2
+        if q2 < 0 and t % q2 == 0:
+            k -= 1
+        g = _block(k)
         x = _mat2_mul(_mat2_mul(_inv(g), x), g)
         acc = _mat2_mul(acc, g)
     if factors is None:
@@ -268,28 +273,43 @@ class HomotopicMap:
 def _parameter_for_rate(factors, s, eta, make_params) -> Tuple[float, int, float]:
     """The parameter a at which the psi family decays at rate eta: (a, d, achieved).
 
-    The family's multiplier moduli are integer powers of sqrt(a), and the rate
-    is homogeneous of degree 1 in their logs: eta(a) = eta(0.5) log2(1 / a).
-    Stepping from there to the adjacent doubles lo < hi with eta(lo) > eta >=
-    eta(hi) gives (lo + hi) / 2, where a bisection of [1e-6, 1 - 1e-6] ends.
+    The family's multiplier moduli are integer powers of sqrt(a), and while none
+    underflows the rate is homogeneous of degree 1 in their logs: eta(a) =
+    eta(0.5) log2(1 / a).  Stepping from there to the adjacent doubles lo < hi
+    with eta(lo) > eta >= eta(hi) gives (lo + hi) / 2, where a bisection of
+    [1e-6, 1 - 1e-6] ends.  A decay dimension other than at 0.5 on the way (an
+    underflowed modulus) or more than _ULP_STEPS steps raise TargetInfeasible.
     """
     lo, hi = 1e-6, 1.0 - 1e-6
 
     def rate(a: float):
-        return decay_classification(spectrum_model_psi(factors, make_params(a), s))
+        return decay_classification(
+            spectrum_model_psi(factors, make_params(a), s)
+        )
 
-    eta_lo, eta_hi = rate(lo)[1], rate(hi)[1]
+    d_lo, eta_lo = rate(lo)
+    d_hi, eta_hi = rate(hi)
     # rate falls monotonically as the parameter approaches 1
     if not (eta_hi <= eta <= eta_lo):
         raise TargetInfeasible(
             f"decay rate {eta:g} outside the achievable range "
             f"[{eta_hi:.3g}, {eta_lo:.3g}]"
         )
-    a = min(max(0.5 ** (eta / rate(0.5)[1]), math.nextafter(lo, 1.0)), hi)
-    while rate(a)[1] > eta:
-        a = math.nextafter(a, 1.0)
-    while (below := math.nextafter(a, 0.0)) > lo and rate(below)[1] <= eta:
-        a = below
+    d_half, eta_half = rate(0.5)
+    a = min(max(0.5 ** (eta / eta_half), math.nextafter(lo, 1.0)), hi)
+    for _ in range(_ULP_STEPS):
+        d, achieved = rate(a)
+        if d != d_half:
+            raise TargetInfeasible(f"a multiplier modulus underflows near the parameter for rate {eta:g}")
+        below = math.nextafter(a, 0.0)
+        if achieved > eta:
+            a = math.nextafter(a, 1.0)
+        elif below > lo and rate(below)[1] <= eta:
+            a = below
+        else:
+            break
+    else:
+        raise TargetInfeasible(f"rate {eta:g} not crossed within {_ULP_STEPS} doubles of its closed form")
     a = 0.5 * (below + a)
     d, achieved = rate(a)
     if abs(achieved - eta) > 1e-6:
@@ -348,7 +368,9 @@ def build_homotopic_map(m, decay: str, eta: Optional[float] = None) -> Homotopic
                     "(determinant +1 standard form)"
                 )
             make = lambda a: (a,) + (0.0,) + (a,) * (n - 2)
-        parameter, dim, achieved = _parameter_for_rate(form.factors, form.sign_flips, eta, make)
+        parameter, dim, achieved = _parameter_for_rate(
+            form.factors, form.sign_flips, eta, make
+        )
         core = psi_word(form.factors, make(parameter), form.sign_flips)
     else:
         raise ValueError("decay must be 'trivial', 'exponential' or 'stretched'")

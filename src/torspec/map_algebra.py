@@ -350,10 +350,14 @@ def _swap(s: _Walk, atom: Atom) -> None:
         s.jac.reverse()
 
 
-def _flag_nan_quotient(s: _Walk, i: int) -> None:
+def _flag_nan_quotient(s: _Walk, i: int, *operands) -> None:
     # numpy's complex division by a subnormal divides by way of its overflowed
-    # reciprocal, so 0 / 1e-320 comes out nan instead of 0
-    s.flag(np.isnan(s.w[i]) & ~s.inf[i], IndeterminatePointError("quotient is nan in floating point", s.index))
+    # reciprocal, so 0 / 1e-320 comes out nan instead of 0; a nan operand
+    # made upstream passes through as before
+    made = np.isnan(s.w[i]) & ~s.inf[i]
+    for w in operands:
+        made = made & ~np.isnan(w)
+    s.flag(made, IndeterminatePointError("quotient is nan in floating point", s.index))
 
 
 def _complex_F(s: _Walk, atom: Atom) -> None:
@@ -381,7 +385,7 @@ def _complex_Finv(s: _Walk, atom: Atom) -> None:
     s.flag(zero_zero, IndeterminatePointError("0 / 0 is indeterminate", s.index))
     s.w[0] = np.where(m2, 0j, w1 / w2)
     s.inf[0] = ~m2 & (m1 | (w2 == 0) | np.isinf(s.w[0]))
-    _flag_nan_quotient(s, 0)
+    _flag_nan_quotient(s, 0, w1, w2)
 
 
 def _complex_I(s: _Walk, atom: Atom) -> None:
@@ -395,7 +399,7 @@ def _complex_I(s: _Walk, atom: Atom) -> None:
             s.scale_row(i, -1.0 / (w * w))
         s.w[i] = np.where(m, 0j, 1.0 / w)
         s.inf[i] = ~m & ((w == 0) | np.isinf(s.w[i]))
-        _flag_nan_quotient(s, i)
+        _flag_nan_quotient(s, i, w)
 
 
 def _blaschke(a: complex, w, inf):
@@ -584,7 +588,8 @@ def evaluate(word: WordLike, z) -> ExtendedPoint:
     arrays broadcast to one shape).  Any complex infinity, INF among them, is
     the point at infinity; on the way out it is INF.  The call raises
     IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf, or
-    a quotient numpy forms as nan (0 over a subnormal divisor).
+    a quotient of non-nan operands that numpy forms as nan (0 over a
+    subnormal divisor).
     """
     values, masks, scalar = _extended_in(z)
     (w1, w2), (m1, m2), _ = _walk(word, values, masks)

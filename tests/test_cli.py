@@ -182,6 +182,14 @@ def test_reduce_and_build_cat_map_33rd_power(capsys):
     assert report["decay_dimension"] == 2 and abs(report["eta"] - 1.0) < 1e-6
 
 
+def test_build_refuses_a_rate_where_a_modulus_underflows(capsys):
+    argv = ["build", "--matrix", "[[6361,120],[53,1]]", "--decay", "stretched", "--eta", "360"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "torspec: error: a multiplier modulus underflows near the parameter for rate 360\n"
+
+
 def test_reduce_rejects_parabolic(capsys):
     assert cli.main(["reduce", "--matrix", "[[1,1],[0,1]]"]) == 2
 

@@ -14,6 +14,7 @@ from torspec.gl2z import (
     StandardForm,
     TargetInfeasible,
     _build_atom_count,
+    _parameter_for_rate,
     _try_peel,
     build_homotopic_map,
     is_hyperbolic,
@@ -217,6 +218,42 @@ def test_build_parameter_is_the_bisected_one():
             assert (built.decay_dimension, built.eta) == decay_classification(model)
             covered.add((decay, form.sign_flips))
     assert covered == {(d, s) for d in ("stretched", "exponential") for s in (0, 1)}
+
+
+def test_build_refuses_a_rate_where_a_modulus_underflows():
+    # the closed form puts rate 360 of the blocks (120, 53) at a ~ 1.7e-3,
+    # where a^120 underflows to 0 and the planar families drop out: the
+    # walk stops at once instead of stepping toward the axis-rate crossing
+    m = ((6361, 120), (53, 1))
+    assert reduce(m).factors == (120, 53)
+    with pytest.raises(TargetInfeasible, match="multiplier modulus underflows"):
+        build_homotopic_map(m, "stretched", 360.0)
+    built = build_homotopic_map(m, "stretched", 1.0)
+    assert built.decay_dimension == 2
+    assert built.parameter == _bisected_parameter((120, 53), 0, 1.0, _family("stretched", 2))
+
+
+def test_parameter_keeps_the_decay_dimension_of_the_family():
+    # two rates cross 23.057...: a planar one near 0.49 and, where a^260
+    # underflows, an axis one; the bisection ends on the axis crossing
+    factors, eta, make = (3, 260, 3, 95), 23.05711993267736, _family("stretched", 4)
+    a, d, achieved = _parameter_for_rate(factors, 1, eta, make)
+    assert (a, d) == (0.49335344907863654, 2) and abs(achieved - eta) < 1e-6
+    reference = _bisected_parameter(factors, 1, eta, make)
+    assert decay_classification(spectrum_model_psi(factors, make(reference), 1))[0] == 1
+
+
+def test_parameter_walk_is_bounded(monkeypatch):
+    # a rate that is not homogeneous in log a, log(a)^2, puts the closed-form
+    # estimate far from the crossing: the walk gives up after its step budget
+    import math
+
+    calls = []
+    monkeypatch.setattr("torspec.gl2z.spectrum_model_psi", lambda factors, params, s: params[0])
+    monkeypatch.setattr("torspec.gl2z.decay_classification", lambda a: calls.append(a) or (2, math.log(a) ** 2))
+    with pytest.raises(TargetInfeasible, match="not crossed within 64 doubles"):
+        _parameter_for_rate((1, 1), 0, 1.0, lambda a: (a, a))
+    assert len(calls) <= 3 + 2 * 64
 
 
 # the first 10 distinct classes of random_hyperbolic(random.Random(11),

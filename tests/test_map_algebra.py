@@ -343,6 +343,16 @@ def test_evaluate_refuses_a_nan_quotient():
     assert state.w == [0j, 1e-320 + 0j] and state.inf == [0, 0]
 
 
+def test_evaluate_passes_a_nan_operand_through_quotients():
+    # only a nan the quotient itself makes is refused: a nan coordinate comes
+    # back nan, point by point, and the other points of the array are kept
+    nan = complex("nan")
+    w1, w2 = evaluate(parse_word("I10 . Finv"), (nan, 1))
+    assert np.isnan(w1) and w2 == 1
+    w1, w2 = evaluate(parse_word("Finv . G(0.5,0)"), (np.array([nan, 0.3]), np.array([1, 2])))
+    assert np.isnan(w1[0]) and not np.isnan(w1[1]) and list(w2) == [1, 2]
+
+
 def test_chart_shear_through_a_subnormal_coordinate():
     # 1 / v overflows on a subnormal v, yet the stored value is bounded:
     # F fixes (INF, 2.2e-311)
