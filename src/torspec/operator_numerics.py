@@ -8,11 +8,12 @@ coefficients of Blaschke powers, read on a box that holds the relabelled
 modes.  Every other word, or one whose box outgrows the matrix, is
 sampled on a torus grid: take the band's discrete Fourier coefficients of
 the transformed monomials (two small DFT-matrix products per row block of
-the grid) to get matrix columns in the weighted basis.  Grid resolution is
-doubled until the whole matrix moves by less than a tolerance between two
-grids, so analytic tails are under control rather than assumed; each grid
-sums every column afresh, and the weighted matrix is formed once, from the
-finest grid.  The grid route also checks the closed form in the tests.
+the grid); each grid's sums become the columns n >= 0 of the weighted
+matrix, a half, once and in place.  Grid resolution is doubled until two
+successive halves differ by less than a tolerance in every entry, so
+analytic tails are under control rather than assumed; the matrix is the
+last half and its conjugate mirror image.  The grid route also checks the
+closed form in the tests.
 The transfer operator is the adjoint of the composition operator on the
 dual weighted space, and its truncation is the mirrored transpose of the
 composition matrix.  The spectrum is read off the matrix's exact zeros:
@@ -33,10 +34,12 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cone_geometry import QuadrantWeight
-from .map_algebra import _atom_matrix, _atoms, _extended_in, _mat2_mul, _walk, inverse, linear_part
+from .map_algebra import _atom_matrix, _atoms, _mat2_mul, _walk, inverse, linear_part
 
 _BAND_LIMIT = 16
 _TOL = 1e-8
+# the snap floor of the closed form, and the least one of the grid route
+_SNAP = 1e-13
 # relative modulus difference below which two eigenvalues sort as tied
 _TIE_REL = 1e-12
 _MAX_DOUBLINGS = 3
@@ -49,13 +52,11 @@ class TruncationSizeError(ValueError):
     """Band too large to assemble without an explicit override.
 
     The limit, band 16, is the same on both routes.  On the grid route,
-    assembly time and memory grow fast with the band: for
-    U(1,0.4) . U(1,0.3) at band 16 (2-vCPU Intel Xeon VM, one BLAS thread)
-    assembly on grids 128 and 256 took 0.52 s.  That word is now built in
-    closed form, and for such words the limit guards the (2 band + 1)^4
-    matrix instead, which holds 18, 88 and 272 MiB at bands 16, 24 and 32
-    (18%, 16% and 14% nonzero).  On the same VM, assembly took 0.018 s,
-    0.14 s and 0.39 s there, and `operator_spectrum`, which reads the
+    assembly time and memory grow fast with the band.  In closed form the
+    limit guards the (2 band + 1)^4 matrix, which holds 18, 88 and 272 MiB
+    at bands 16, 24 and 32 (18%, 16% and 14% nonzero).  On a 2-vCPU Intel
+    Xeon VM (one BLAS thread), assembly took 0.018 s, 0.14 s and 0.39 s
+    there, and `operator_spectrum`, which reads the
     eigenvalues off the matrix's triangular structure, 0.013 s, 0.061 s and
     0.25 s; both grow like the matrix.
     """
@@ -71,12 +72,10 @@ class AssembledOperator:
     converged: bool
 
 
-def _grid_points(grid: int, rows: slice = slice(None)) -> Tuple[np.ndarray, np.ndarray]:
-    """The torus grid's coordinate arrays at its rows `rows` (a slice) and all of its columns."""
-    angles = 2.0 * np.pi * np.arange(grid) / grid
-    ring = np.exp(1j * angles)
-    z1 = ring[rows, None] * np.ones((1, grid))
-    return z1, np.ones((z1.shape[0], 1)) * ring[None, :]
+def _grid_points(grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The torus grid as an open grid: z1 on a (grid, 1) column and z2 on a (1, grid) row."""
+    ring = np.exp(1j * (2.0 * np.pi * np.arange(grid) / grid))
+    return ring[:, None], ring[None, :]
 
 
 def _band_dft(band: int, grid: int) -> np.ndarray:
@@ -112,12 +111,12 @@ def _band_sums(word, band, grid):
     right = dft.T
     sums = np.zeros((width * width, width * width // 2 + 1), dtype=complex)
     step = max(1, _BLOCK_POINTS // grid)
+    z1, z2 = _grid_points(grid)
     for start in range(0, grid, step):
         rows = slice(start, start + step)
         left = dft[:, rows]
         # every atom maps the torus to itself, so no point is ever at infinity here
-        values, masks, _ = _extended_in(_grid_points(grid, rows))
-        (t1, t2), _, _ = _walk(word, values, masks)
+        (t1, t2), _, _ = _walk(word, (z1[rows], z2), (np.zeros(1, dtype=bool),) * 2)
         t2_inverse = np.conj(t2)
         p1 = np.ones_like(t1)
         for n1 in range(band + 1):
@@ -137,87 +136,70 @@ def _band_sums(word, band, grid):
     return sums
 
 
-def _max_change(coarse, fine, nu, grid):
-    """max |M_(grid / 2) - M_grid| over all entries, from the raw sums S over grid // 2 and T over grid.
+def _weighted_half(word, nu, band, grid):
+    """The columns n >= 0 of the weighted matrix on one grid: nu(k) S[k, n] / (nu(n) grid^2).
 
-    With W[k, n] = nu(k) / nu(n), the change is (4 S - T) W / grid^2.  Column
-    n > 0 also stands for its mirror -n, whose entry (-k, -n) has the same
-    modulus and, nu being even, the same weight, so the columns n >= 0 hold
-    every change; a NaN gives NaN.  Rows go in chunks of about _BLOCK_POINTS entries.
+    S, from `_band_sums`, is weighted in place, in row chunks of about _BLOCK_POINTS entries.
     """
-    size, centre = nu.size, nu.size // 2
-    worst = 0.0
-    step = max(1, _BLOCK_POINTS // coarse.shape[1])
-    for start in range(0, size, step):
-        rows = slice(start, start + step)
-        change = np.abs(4.0 * coarse[rows] - fine[rows]) * (nu[rows, None] / nu[centre:])
-        worst = np.maximum(worst, change.max())
-    return float(worst) / grid ** 2
+    half = _band_sums(word, band, grid)
+    step = max(1, _BLOCK_POINTS // half.shape[1])
+    for start in range(0, nu.size, step):
+        block = half[start:start + step]
+        block /= grid ** 2
+        block *= nu[start:start + step, None]
+        block /= nu[nu.size // 2:]
+    return half
 
 
-def _weigh(block, nu, rows, floor):
-    """Rows `rows` of the unweighted matrix C, in place, to M = nu(k) C / nu(n) with entries below floor set to 0."""
-    block *= nu[rows, None]
-    block /= nu
-    block[np.abs(block) < floor] = 0.0
+def _change(coarse, fine):
+    """max |coarse - fine| over two weighted halves, in row chunks; a NaN gives NaN.
 
-
-def _snap_floor(max_change, converged):
-    """Twice the certified resolution of the matrix, kept within [1e-13, _TOL]; smaller entries snap to 0."""
-    return min(max(1e-13, 2.0 * max_change if converged else 0.0), _TOL)
-
-
-def _operator_matrix(sums, nu, grid, floor):
-    """The weighted matrix from the sums of the columns n >= 0 over `grid`; entries below floor become 0.
-
-    Column n >= 0 and its mirror -n are S W / grid^2 with
-    W[k, n] = nu(k) / nu(n).  t^-1 = conj(t) on the torus, so
-    V_-n = conj(V_n) and coefficient k of column -n is conj(coefficient -k
-    of column n): the columns before mode (0, 0) are mirrored from the sums.
-    The rows are formed in chunks of about _BLOCK_POINTS entries.
+    Entry (-k, -n) of the mirror of column n > 0 is the conjugate of entry
+    (k, n), so the halves hold every change of the whole matrix.
     """
-    size, centre = nu.size, nu.size // 2
+    step = max(1, _BLOCK_POINTS // fine.shape[1])
+    worst = [np.abs(coarse[s:s + step] - fine[s:s + step]).max() for s in range(0, len(fine), step)]
+    return float(np.max(worst))
+
+
+def _mirrored(half, floor):
+    """The whole weighted matrix from its columns n >= 0, entries below floor set to 0, formed in row chunks.
+
+    t^-1 = conj(t) on the torus, so V_-n = conj(V_n); nu being even,
+    entry (k, -n) is then conj(entry (-k, n)): the columns before mode
+    (0, 0) are the half's conjugate mirror image.
+    """
+    size, centre = half.shape[0], half.shape[0] // 2
     matrix = np.empty((size, size), dtype=complex)
-    flipped = sums[::-1, :0:-1]
+    flipped = half[::-1, :0:-1]
     step = max(1, _BLOCK_POINTS // size)
     for start in range(0, size, step):
-        rows = slice(start, start + step)
-        block = matrix[rows]
-        block[:, centre:] = sums[rows]
-        np.conjugate(flipped[rows], out=block[:, :centre])
-        block /= grid ** 2
-        _weigh(block, nu, rows, floor)
+        block = matrix[start:start + step]
+        block[:, centre:] = half[start:start + step]
+        np.conjugate(flipped[start:start + step], out=block[:, :centre])
+        block[np.abs(block) < floor] = 0.0
     return matrix
 
 
-def _operator(matrix, band, grid, kind, max_change, converged):
-    """The AssembledOperator of a composition matrix; `transfer` takes the view M[::-1, ::-1].T."""
-    if kind == "transfer":
-        matrix = matrix[::-1, ::-1].T
-    return AssembledOperator(matrix, band, grid, kind, max_change, converged)
-
-
-def _grid_operator(word, nu, band, kind="composition"):
-    """The grid route of `assemble_operator`, for a weight nu from `_mode_weights` that is even."""
+def _grid_operator(word, nu, band):
+    """The grid route of `assemble_operator`, for an even weight nu from `_mode_weights`: (matrix, grid, max_change, converged)."""
     grid = max(8 * band, 64)
-    sums = _band_sums(word, band, grid)
+    half = _weighted_half(word, nu, band, grid)
     max_change, converged = np.inf, False
     for _ in range(_MAX_DOUBLINGS):
         grid *= 2
-        fine = _band_sums(word, band, grid)
-        max_change = _max_change(sums, fine, nu, grid)
-        sums = fine
+        fine = _weighted_half(word, nu, band, grid)
+        max_change = _change(half, fine)
+        half = fine
         # a NaN change is not below _TOL, so it reads as not converged
         converged = max_change < _TOL
         if converged:
             break
     if not converged:
-        warnings.warn(
-            f"operator matrix still moving by {max_change:.3e} at grid {grid}",
-            RuntimeWarning,
-        )
-    matrix = _operator_matrix(sums, nu, grid, _snap_floor(max_change, converged))
-    return _operator(matrix, band, grid, kind, max_change, converged)
+        warnings.warn(f"operator matrix still moving by {max_change:.3e} at grid {grid}", RuntimeWarning)
+    # twice the certified resolution, kept within [_SNAP, _TOL]
+    floor = min(max(_SNAP, 2.0 * max_change if converged else 0.0), _TOL)
+    return _mirrored(half, floor), grid, max_change, converged
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +422,12 @@ def assemble_operator(
     below 1e-8.  The sums walk the grid in row blocks of a fixed size and
     keep only the band's coefficients; a column costs about
     (2 band + 1) G^2 complex multiply-adds on grid G, so a route that ends
-    on grid 4g sums 21/16 of that grid's points.  The assembly holds at most
-    two half-width accumulators, those of the last two grids, and forms the
-    weighted matrix once, from the finest grid's sums.  Bands above 16 need
+    on grid 4g sums 21/16 of that grid's points.  Each grid's sums are
+    weighted once, in place, into the half of the matrix with n >= 0; the
+    change is the largest entrywise difference of two grids' halves, and
+    the matrix is the last half and its conjugate mirror image.  The
+    assembly holds at most two halves, those of the last two grids, and
+    then the last half and the matrix.  Bands above 16 need
     force=True on either route: the matrix, and with it the closed form's
     assembly and the spectrum of a triangular matrix, grow like band^4, and
     the grid route's assembly like band^5.
@@ -466,10 +451,12 @@ def assemble_operator(
     nu = _mode_weights(weight, band)
     if not np.array_equal(nu, nu[::-1]):
         raise ValueError("the weight must be even under n -> -n")
-    matrix = _closed_form_matrix(_atoms(word), nu, band, _snap_floor(0.0, True))
-    if matrix is None:
-        return _grid_operator(word, nu, band, kind)
-    return _operator(matrix, band, 4 * band + 1, kind, 0.0, True)
+    matrix = _closed_form_matrix(_atoms(word), nu, band, _SNAP)
+    route = _grid_operator(word, nu, band) if matrix is None else (matrix, 4 * band + 1, 0.0, True)
+    matrix, grid, max_change, converged = route
+    if kind == "transfer":
+        matrix = matrix[::-1, ::-1].T
+    return AssembledOperator(matrix, band, grid, kind, max_change, converged)
 
 
 # ---------------------------------------------------------------------------

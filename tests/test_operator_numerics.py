@@ -8,6 +8,7 @@ import random
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,16 +36,16 @@ from torspec.operator_numerics import (
     _band_dft,
     _band_sums,
     _blaschke_powers,
+    _change,
     _closed_form_matrix,
     _diagonal_blocks,
     _grid_operator,
     _grid_points,
-    _max_change,
+    _mirrored,
     _mode_weights,
-    _operator_matrix,
-    _snap_floor,
     _sort_eigenvalues,
     _strong_components,
+    _weighted_half,
     assemble_operator,
     match_spectra,
     numeric_trace_power,
@@ -63,6 +64,12 @@ CAT = parse_word("F . F . R")
 
 def _mode_index(n1, n2, band):
     return (n1 + band) * (2 * band + 1) + (n2 + band)
+
+
+def _grid_route(word, weight, band, kind="composition"):
+    """`assemble_operator` on the grid route, whatever the word."""
+    with mock.patch.object(operator_numerics, "_closed_form_matrix", lambda *args: None):
+        return assemble_operator(word, weight, band, kind=kind)
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +224,7 @@ def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
     if name == "reversing":
         assert orientation(word) == -1
     word, weight = _kernel_case(word, kind)
-    got = _operator_matrix(_band_sums(word, band, grid), _mode_weights(weight, band), grid, 0.0)
+    got = _mirrored(_weighted_half(word, _mode_weights(weight, band), band, grid), 0.0)
     assert np.max(np.abs(got - _reference_case(index, grid))) <= 1e-13
 
 
@@ -225,16 +232,14 @@ def test_band_kernel_matches_fft_reference(monkeypatch, small_blocks, index):
 def test_nested_grids_share_points(band):
     # every doubling the schedule makes, g -> 2g: the points and the band DFT
     # matrix of grid g are the even-indexed ones of grid 2g, bit for bit, so
-    # the two grids a change compares are nested trapezoid rules; the row
-    # blocks of `_band_sums` take whole rows of both
+    # the two grids a change compares are nested trapezoid rules; the open
+    # grid's column (z1) and row (z2) hold the same points
     for j in range(3):
         grid = max(8 * band, 64) * 2 ** j
-        fine = _grid_points(2 * grid)
-        for coarse, finer in zip(_grid_points(grid), fine):
-            assert np.array_equal(coarse, finer[::2, ::2])
-        rows = slice(5, 2 * grid, 7)
-        for block, finer in zip(_grid_points(2 * grid, rows), fine):
-            assert np.array_equal(block, finer[rows])
+        (column, row), (fine_column, fine_row) = _grid_points(grid), _grid_points(2 * grid)
+        assert column.shape == (grid, 1) and row.shape == (1, grid)
+        assert np.array_equal(column[:, 0], row[0])
+        assert np.array_equal(column, fine_column[::2]) and np.array_equal(row, fine_row[:, ::2])
         assert np.array_equal(_band_dft(band, grid), _band_dft(band, 2 * grid)[:, ::2])
 
 
@@ -246,7 +251,7 @@ def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
     _, word, band, grid, kind = _KERNEL_CASES[index]
     if small_blocks:
         # 3 rows of grid 2g and 6 rows of grid g per block, each with a
-        # partial last one; the weighted rows go one at a time
+        # partial last one; the weighted rows go a few at a time
         points = 3 * 2 * grid + 1
         monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", points)
         for columns in (2 * grid, grid):
@@ -254,13 +259,13 @@ def test_one_doubling_matches_fft_reference(monkeypatch, small_blocks, index):
             assert step < grid and grid % step
     word, weight = _kernel_case(word, kind)
     nu = _mode_weights(weight, band)
-    coarse = _band_sums(word, band, grid)
-    fine = _band_sums(word, band, 2 * grid)
-    got = _operator_matrix(fine, nu, 2 * grid, 0.0)
+    coarse = _weighted_half(word, nu, band, grid)
+    fine = _weighted_half(word, nu, band, 2 * grid)
+    got = _mirrored(fine, 0.0)
     want = _reference_case(index, 2 * grid)
     assert np.max(np.abs(got - want)) <= 1e-13
     change = np.max(np.abs(_reference_case(index, grid) - want))
-    assert _max_change(coarse, fine, nu, 2 * grid) == pytest.approx(change, rel=0.0, abs=1e-14)
+    assert _change(coarse, fine) == pytest.approx(change, rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["composition", "transfer"])
@@ -270,7 +275,7 @@ def test_half_width_change_matches_full_matrices(kind):
     word, weight = _kernel_case(psi_word((1, 2), (0.4 + 0.2j, -0.3j), 0), kind)
     nu = _mode_weights(weight, band)
     assert np.array_equal(nu, nu[::-1])
-    got = _max_change(_band_sums(word, band, grid), _band_sums(word, band, 2 * grid), nu, 2 * grid)
+    got = _change(_weighted_half(word, nu, band, grid), _weighted_half(word, nu, band, 2 * grid))
     want = np.max(np.abs(
         _reference_assemble_at_grid(word, weight, band, grid)
         - _reference_assemble_at_grid(word, weight, band, 2 * grid)
@@ -281,24 +286,27 @@ def test_half_width_change_matches_full_matrices(kind):
 
 @pytest.mark.parametrize("index", range(len(_KERNEL_CASES)), ids=_CASE_IDS)
 def test_row_chunks_change_nothing(monkeypatch, index):
-    # the change and the weighted matrix are formed entry by entry, so any
-    # row chunking, here one row, seven rows with a partial last chunk and
-    # all rows at once, gives them bit for bit
+    # the weighted halves, their change and the matrix are formed entry by
+    # entry, so any row chunking, here one row, seven rows with a partial
+    # last chunk and all rows at once, gives them bit for bit; the band sums
+    # are taken once, so only the chunks of the weighting differ
     _, word, band, grid, kind = _KERNEL_CASES[index]
     word, weight = _kernel_case(word, kind)
     nu = _mode_weights(weight, band)
-    coarse = _band_sums(word, band, grid)
-    fine = _band_sums(word, band, 2 * grid)
+    sums = {g: _band_sums(word, band, g) for g in (grid, 2 * grid)}
+    monkeypatch.setattr(operator_numerics, "_band_sums", lambda word, band, grid: sums[grid].copy())
     assert nu.size % 7
     results = []
     for rows in (1, 7, nu.size):
-        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", rows * fine.shape[1])
-        change = _max_change(coarse, fine, nu, 2 * grid)
+        monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", rows * sums[grid].shape[1])
+        coarse, fine = (_weighted_half(word, nu, band, g) for g in (grid, 2 * grid))
+        change = _change(coarse, fine)
         monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", rows * nu.size)
-        results.append((change, _operator_matrix(fine, nu, 2 * grid, _snap_floor(change, True))))
-    for change, matrix in results[1:]:
-        assert change == results[0][0]
-        assert np.array_equal(matrix, results[0][1])
+        results.append((fine, change, _mirrored(fine, min(max(1e-13, 2.0 * change), 1e-8))))
+    for half, change, matrix in results[1:]:
+        assert np.array_equal(half, results[0][0])
+        assert change == results[0][1]
+        assert np.array_equal(matrix, results[0][2])
 
 
 @pytest.mark.parametrize(
@@ -307,7 +315,7 @@ def test_row_chunks_change_nothing(monkeypatch, index):
     ids=["first-entry", "last-column", "last-row", "last-entry", "inner"],
 )
 def test_nan_anywhere_gives_nan_change(monkeypatch, where):
-    # a NaN in either grid's sums, in any row chunk and any column, makes
+    # a NaN in either grid's half, in any row chunk and any column, makes
     # the change NaN, which the route reads as not converged
     band = 4
     size = (2 * band + 1) ** 2
@@ -321,8 +329,7 @@ def test_nan_anywhere_gives_nan_change(monkeypatch, where):
     # seven rows per chunk: the last chunk is partial
     monkeypatch.setattr(operator_numerics, "_BLOCK_POINTS", 7 * coarse.shape[1])
     assert size % 7
-    nu = np.ones(size)
-    assert math.isnan(_max_change(coarse, fine, nu, 64))
+    assert math.isnan(_change(coarse, fine))
 
 README_WORD = parse_word("U(1,0.5) . U(1,0.3)")
 
@@ -334,7 +341,7 @@ def test_assembly_leaves_no_thread(route):
     weight, _ = auto_weight(word)
     before = threading.active_count()
     if route == "grid":
-        op = _grid_operator(word, _mode_weights(weight, 6), 6)
+        op = _grid_route(word, weight, 6)
     else:
         op = assemble_operator(word, weight, 6)
     assert op.converged
@@ -350,7 +357,7 @@ def test_grid_route_stops_at_first_settled_grid(word, band):
     # the second) and returns that change and the matrix of that grid; the
     # change there is rounding (about 5e-15), so it agrees to rounding only
     word, weight = _kernel_case(word, "composition")
-    op = _grid_operator(word, _mode_weights(weight, band), band)
+    op = _grid_route(word, weight, band)
     first = grid = max(8 * band, 64)
     fine = _reference_assemble_at_grid(word, weight, band, grid)
     for _ in range(operator_numerics._MAX_DOUBLINGS):
@@ -376,12 +383,12 @@ def test_nan_change_does_not_converge(monkeypatch):
     monkeypatch.setattr(operator_numerics, "_band_sums", with_nan)
     weight, _ = auto_weight(README_WORD)
     with pytest.warns(RuntimeWarning, match="still moving by nan"):
-        op = _grid_operator(README_WORD, _mode_weights(weight, 6), 6)
+        op = _grid_route(README_WORD, weight, 6)
     assert not op.converged and math.isnan(op.max_change)
     assert op.grid == 64 * 2 ** operator_numerics._MAX_DOUBLINGS
 
 
-# the changes `_max_change` reports at successive doublings, and the grid
+# the changes `_change` reports at successive doublings, and the grid
 # (as a multiple of the first) and verdict the route must end on
 _SCRIPTED_CHANGES = {
     "first": ([1e-9], 2, True),
@@ -396,44 +403,45 @@ _SCRIPTED_CHANGES = {
 @pytest.mark.parametrize("script", list(_SCRIPTED_CHANGES))
 def test_grid_route_stops_at_first_change_below_tolerance(monkeypatch, script):
     # the loop stops at the first change strictly below 1e-8 (a NaN is not),
-    # warns only if none is, and forms the matrix from that grid's sums alone,
-    # snapped at that change
+    # warns only if none is, and forms the matrix from that grid's half
+    # alone, snapped at twice that change, within [1e-13, 1e-8]
     changes, multiple, converged = _SCRIPTED_CHANGES[script]
     band = 4
     word, weight = _kernel_case(README_WORD, "composition")
     nu = _mode_weights(weight, band)
     grids = []
+    band_sums = operator_numerics._band_sums
 
-    def scripted(coarse, fine, nu, grid):
+    def summed(word, band, grid):
         grids.append(grid)
-        return changes[len(grids) - 1]
+        return band_sums(word, band, grid)
 
-    monkeypatch.setattr(operator_numerics, "_max_change", scripted)
+    monkeypatch.setattr(operator_numerics, "_band_sums", summed)
+    monkeypatch.setattr(operator_numerics, "_change", lambda coarse, fine: changes[len(grids) - 2])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        op = _grid_operator(word, nu, band)
+        matrix, grid, max_change, settled = _grid_operator(word, nu, band)
     first = max(8 * band, 64)
-    assert grids == [first * 2 ** (j + 1) for j in range(len(changes))]
-    assert op.grid == first * multiple and op.converged == converged
-    assert op.max_change == changes[-1]
+    assert grids == [first * 2 ** j for j in range(len(changes) + 1)]
+    assert grid == first * multiple and settled == converged
+    assert max_change == changes[-1]
     assert len(caught) == (0 if converged else 1)
-    floor = _snap_floor(changes[-1], converged)
-    want = _operator_matrix(_band_sums(word, band, op.grid), nu, op.grid, floor)
-    assert np.array_equal(op.matrix, want)
+    floor = min(max(1e-13, 2.0 * changes[-1] if converged else 0.0), 1e-8)
+    assert np.array_equal(matrix, _mirrored(_weighted_half(word, nu, band, grid), floor))
 
 
 def test_unconverged_columns_warn(monkeypatch):
     monkeypatch.setattr(operator_numerics, "_MAX_DOUBLINGS", 1)
     weight, _ = auto_weight(README_WORD)
     with pytest.warns(RuntimeWarning, match="still moving"):
-        op = _grid_operator(README_WORD, _mode_weights(weight, 10), 10)
+        op = _grid_route(README_WORD, weight, 10)
     assert not op.converged and op.max_change >= 1e-8
     assert op.grid == 160
 
 
 def test_linear_word_settles_at_first_doubling():
     weight, _ = auto_weight(CAT)
-    op = _grid_operator(CAT, _mode_weights(weight, 16), 16)
+    op = _grid_route(CAT, weight, 16)
     assert op.converged and op.grid == 256
 
 
@@ -446,9 +454,8 @@ def test_transfer_matches_jacobian_route(name, word, band, grid, kind):
     # symbol omega det Dh^-1, against the mirrored transpose of the
     # composition matrix: two quadratures of one integral
     weight, _ = auto_weight(word)
-    nu = _mode_weights(weight, band)
-    op = _grid_operator(word, nu, band, kind="transfer")
-    composition = _grid_operator(word, nu, band)
+    op = _grid_route(word, weight, band, "transfer")
+    composition = _grid_route(word, weight, band)
     assert op.converged and op.grid == composition.grid
     assert op.matrix.base is not None
     assert np.array_equal(op.matrix, composition.matrix[::-1, ::-1].T)
@@ -517,7 +524,7 @@ def test_closed_form_matches_grid_route(text, band, weight, kind):
     word = _word(text)
     if weight is None:
         weight, _ = auto_weight(word)
-    grid = _grid_operator(word, _mode_weights(weight, band), band, kind)
+    grid = _grid_route(word, weight, band, kind)
     op = assemble_operator(word, weight, band, kind=kind)
     assert grid.converged
     assert op.converged and op.max_change == 0.0
@@ -630,11 +637,6 @@ _MEMORY_CASES = [
     # right frame F: the chain is read on a box of twice the band
     ("R . U(1,0.5) . U(1,0.3) . F", 12, 2.5),
 ]
-
-
-def _grid_route(word, weight, band):
-    """`assemble_operator` on the grid route, whatever the word."""
-    return _grid_operator(word, _mode_weights(weight, band), band)
 
 
 def _peak_shares(text, band):
