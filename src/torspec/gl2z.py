@@ -279,6 +279,8 @@ def _parameter_for_rate(factors, s, eta, make_params) -> Tuple[float, int, float
     with eta(lo) > eta >= eta(hi) gives (lo + hi) / 2, where a bisection of
     [1e-6, 1 - 1e-6] ends.  A decay dimension other than at 0.5 on the way (an
     underflowed modulus) or more than _ULP_STEPS steps raise TargetInfeasible.
+    A probe at 1e-6 whose decay dimension differs bounds no range: the walk
+    refuses any target whose parameter lies where a modulus underflows.
     """
     lo, hi = 1e-6, 1.0 - 1e-6
 
@@ -287,7 +289,10 @@ def _parameter_for_rate(factors, s, eta, make_params) -> Tuple[float, int, float
             spectrum_model_psi(factors, make_params(a), s)
         )
 
+    d_half, eta_half = rate(0.5)
     d_lo, eta_lo = rate(lo)
+    if d_lo != d_half:
+        eta_lo = math.inf
     d_hi, eta_hi = rate(hi)
     # rate falls monotonically as the parameter approaches 1
     if not (eta_hi <= eta <= eta_lo):
@@ -295,7 +300,6 @@ def _parameter_for_rate(factors, s, eta, make_params) -> Tuple[float, int, float
             f"decay rate {eta:g} outside the achievable range "
             f"[{eta_hi:.3g}, {eta_lo:.3g}]"
         )
-    d_half, eta_half = rate(0.5)
     a = min(max(0.5 ** (eta / eta_half), math.nextafter(lo, 1.0)), hi)
     for _ in range(_ULP_STEPS):
         d, achieved = rate(a)

@@ -350,14 +350,24 @@ def _swap(s: _Walk, atom: Atom) -> None:
         s.jac.reverse()
 
 
-def _flag_nan_quotient(s: _Walk, i: int, *operands) -> None:
-    # numpy's complex division by a subnormal divides by way of its overflowed
-    # reciprocal, so 0 / 1e-320 comes out nan instead of 0; a nan operand
-    # made upstream passes through as before
-    made = np.isnan(s.w[i]) & ~s.inf[i]
-    for w in operands:
-        made = made & ~np.isnan(w)
-    s.flag(made, IndeterminatePointError("quotient is nan in floating point", s.index))
+def _quotient(s: _Walk, num, den, masked):
+    """num / den, divided again with both operands scaled by 2**54 wherever numpy's quotient is not finite.
+
+    numpy's complex division goes by way of the divisor's reciprocal, which
+    overflows on a subnormal: 0 / 1e-320 comes out nan and 1e-320 / 1e-320
+    inf + nan i.  The power of two is exact and lifts the divisor out of the
+    subnormal range, and a quotient that truly overflows stays infinite.
+    Points under `masked` and zero divisors keep numpy's quotient, and a nan
+    operand gives nan; a nan that the second division makes of non-nan
+    operands, with neither part infinite, is refused.
+    """
+    q = num / den
+    again = ~np.isfinite(q) & ~masked & (den != 0)
+    if np.any(again):
+        q = np.where(again, (num * 2.0 ** 54) / (den * 2.0 ** 54), q)
+        made = again & np.isnan(q) & ~np.isinf(q) & ~np.isnan(num) & ~np.isnan(den)
+        s.flag(made, IndeterminatePointError("quotient is nan in floating point", s.index))
+    return q
 
 
 def _complex_F(s: _Walk, atom: Atom) -> None:
@@ -383,9 +393,8 @@ def _complex_Finv(s: _Walk, atom: Atom) -> None:
     s.flag(m1 & m2, IndeterminatePointError("inf / inf is indeterminate", s.index))
     zero_zero = ~m1 & ~m2 & (w1 == 0) & (w2 == 0)
     s.flag(zero_zero, IndeterminatePointError("0 / 0 is indeterminate", s.index))
-    s.w[0] = np.where(m2, 0j, w1 / w2)
+    s.w[0] = np.where(m2, 0j, _quotient(s, w1, w2, m1 | m2))
     s.inf[0] = ~m2 & (m1 | (w2 == 0) | np.isinf(s.w[0]))
-    _flag_nan_quotient(s, 0, w1, w2)
 
 
 def _complex_I(s: _Walk, atom: Atom) -> None:
@@ -397,9 +406,8 @@ def _complex_I(s: _Walk, atom: Atom) -> None:
             s.finite(i)
             s.flag(w == 0, PoleInChainError("I(k, l) differentiated at 0"))
             s.scale_row(i, -1.0 / (w * w))
-        s.w[i] = np.where(m, 0j, 1.0 / w)
+        s.w[i] = np.where(m, 0j, _quotient(s, 1.0, w, m))
         s.inf[i] = ~m & ((w == 0) | np.isinf(s.w[i]))
-        _flag_nan_quotient(s, i, w)
 
 
 def _blaschke(a: complex, w, inf):

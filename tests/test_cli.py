@@ -190,6 +190,19 @@ def test_build_refuses_a_rate_where_a_modulus_underflows(capsys):
     assert captured.err == "torspec: error: a multiplier modulus underflows near the parameter for rate 360\n"
 
 
+def test_build_exponential_where_the_range_probe_underflows(capsys):
+    # every multiplier modulus underflows at the range probe a = 1e-6, which
+    # reads no rate there; before, the comparison with it raised a TypeError
+    argv = ["build", "--matrix", "[[6361,120],[53,1]]", "--decay", "exponential", "--eta"]
+    code, report = run_json(capsys, *argv, "1.0")
+    assert code == 0
+    assert report["parameter"] == 0.9834714538216174 and report["decay_dimension"] == 1
+    assert cli.main(argv + ["1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "torspec: error: a multiplier modulus underflows near the parameter for rate 1000\n"
+
+
 def test_reduce_rejects_parabolic(capsys):
     assert cli.main(["reduce", "--matrix", "[[1,1],[0,1]]"]) == 2
 

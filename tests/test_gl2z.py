@@ -233,6 +233,20 @@ def test_build_refuses_a_rate_where_a_modulus_underflows():
     assert built.parameter == _bisected_parameter((120, 53), 0, 1.0, _family("stretched", 2))
 
 
+def test_build_exponential_where_the_range_probe_underflows():
+    # at a = 1e-6 every multiplier modulus of the blocks (120, 53) underflows,
+    # so the range probe there reads no rate: it bounds nothing, the parameter
+    # is still the bisected one, and a target beyond the underflow is refused
+    m = ((6361, 120), (53, 1))
+    make = _family("exponential", 2)
+    assert decay_classification(spectrum_model_psi((120, 53), make(1e-6), 0)) == (0, None)
+    built = build_homotopic_map(m, "exponential", 1.0)
+    assert built.decay_dimension == 1
+    assert built.parameter == _bisected_parameter((120, 53), 0, 1.0, make)
+    with pytest.raises(TargetInfeasible, match="multiplier modulus underflows"):
+        build_homotopic_map(m, "exponential", 1000.0)
+
+
 def test_parameter_keeps_the_decay_dimension_of_the_family():
     # two rates cross 23.057...: a planar one near 0.49 and, where a^260
     # underflows, an axis one; the bisection ends on the axis crossing

@@ -272,8 +272,8 @@ def test_array_evaluation_at_infinity():
 
 # Nonzero moduli of coordinates and G parameters stay above 1e-30, so no
 # quotient an 8-atom word forms has a subnormal divisor: numpy's complex
-# division makes 0 / 1e-320 nan, and `evaluate` refuses the point, where the
-# chart column carries it (see test_evaluate_refuses_a_nan_quotient).
+# division makes 0 / 1e-320 nan, which `evaluate` divides again (see
+# test_evaluate_divides_by_a_subnormal).
 def _nonzero_above(floor, top):
     return st.complex_numbers(min_magnitude=floor, max_magnitude=top, allow_nan=False, allow_infinity=False)
 
@@ -330,17 +330,36 @@ def test_evaluate_reads_an_overflowed_value_as_infinity(text, z, expected):
         assert _chordal(v, b, *_chart_coord(w)) < 1e-12
 
 
-def test_evaluate_refuses_a_nan_quotient():
-    # numpy's complex division by a subnormal gives nan even for a zero
-    # numerator, so the complex column cannot form 0 / 1e-320: the point is
-    # refused, naming the atom, while the chart column carries it
+@pytest.mark.parametrize(
+    "z, quotient",
+    [
+        ((1e-320, 1e-320), 0.9999999999999999),
+        ((1e-300, 1e-320), 1.000011132941258e20),
+        ((0, 1e-320), 0j),
+        ((1e-320j, 1e-320 + 1e-320j), 0.49999999999999994 + 0.49999999999999994j),
+    ],
+)
+def test_evaluate_divides_by_a_subnormal(z, quotient):
+    # numpy's complex division by a subnormal goes by way of the overflowed
+    # reciprocal, so its quotient is not finite; `evaluate` divides again
+    # with both operands scaled by 2**54 and agrees with the chart column
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        assert np.isnan(np.array([0j]) / np.array([1e-320 + 0j]))[0]
+        assert not np.isfinite(np.array([complex(z[0])]) / np.array([complex(z[1])]))[0]
+    w = evaluate(parse_word("R . Finv"), z)
+    assert w == (z[1], quotient)
+    (v1, b1), (v2, b2) = _chart_coord(z[0]), _chart_coord(z[1])
+    state = _Walk([v1, v2], [b1, b2], None)
+    _interpret(state, (atom_R(), atom_Finv()), _CHART)
+    for got, v, b in zip(w, state.w, state.inf):
+        assert _chordal(v, b, *_chart_coord(got)) < 1e-12
+
+
+def test_evaluate_refuses_a_quotient_that_stays_nan():
+    # huge over huge: the sum in numpy's denominator overflows, so the
+    # reciprocal is 0 and the quotient nan, and scaling up cannot mend that
+    z = 1e308 + 1e308j
     with pytest.raises(IndeterminatePointError, match=r"quotient is nan .*\(atom index 1\)"):
-        evaluate(parse_word("R . Finv"), (0, 1e-320))
-    state = _Walk([0j, 1e-320 + 0j], [0, 0], None)
-    _interpret(state, (atom_Finv(),), _CHART)
-    assert state.w == [0j, 1e-320 + 0j] and state.inf == [0, 0]
+        evaluate(parse_word("R . Finv"), (z, z))
 
 
 def test_evaluate_passes_a_nan_operand_through_quotients():
