@@ -1,8 +1,12 @@
 """One sha256 per CLI call: exit code, stdout, stderr and the files it wrote.
 
 The calls are the first 10 rounds of every benchmark workload for seeds 1-3
-(from `perfbench/workloads.py`) and every `torspec` example of the README.
-Each runs in-process in a fresh temporary directory.  The script imports
+(from `perfbench/workloads.py`), every `torspec` example of the README, and
+the routes no workload reaches: every `torspec` call of CI's smoke steps,
+`spectrum` (both kinds) and `resonances --verify` at bands 6-12 on five
+grid-route words, and the calls of the strict expected failures and of the
+`build` edge cases in the tests.  Each runs in-process in a fresh temporary
+directory; a call that raises stops the script with its traceback.  The script imports
 `torspec` from `./src` and the workloads from `./perfbench` of the working
 directory, so the same file compares two checkouts:
 
@@ -18,6 +22,7 @@ every call behaves byte for byte the same.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import re
@@ -33,13 +38,48 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import WORKLOADS, rounds  # noqa: E402
 from torspec import cli  # noqa: E402
+from torspec.gl2z import build_homotopic_map  # noqa: E402
+from torspec.map_algebra import word_to_text  # noqa: E402
 
 SEEDS = (1, 2, 3)
 ROUNDS = 10
+# every torspec call of CI's smoke steps but the framed build word's
+# `resonances --verify`, which `argvs` adds once that word is built
+SMOKE = [
+    'spectrum --word "W(1,0.2) . W(2,0.3)" --band 12',
+    'spectrum --word "G(0.2,0.1) . F . F . R" --band 10 --kind transfer',
+    'build --matrix "[[-3,-7],[-8,-19]]" --decay stretched --eta 1.0',
+    'reduce --matrix "[[44945570212853,27777890035288],[27777890035288,17167680177565]]"',
+    'check --word "U(1,0.4) . U(2,-0.2i) . U(1,0.35)" --grid 512',
+]
+# words that no workload assembles; a matrix stands for build's word for it
+GRID_WORDS = [
+    "W(1,0.2) . W(2,0.3)",
+    "G(0.2,0.1) . F . F . R",
+    "U(1,0.2) . W(1,0.3)",
+    "G(0,0.3) . F . R . G(-0.2,0) . U(1,0.2)",
+    "[[10,7],[-17,-12]]",
+]
+GRID_BANDS = (6, 8, 10, 12)
+# the strict expected failures and the build edge cases of the tests
+EDGES = [
+    *(f'build --matrix "[[-1,-2],[-1,-1]]" --decay stretched --eta {eta}' for eta in ("0.9", "1.0", "1.408")),
+    'resonances --word "U(1,0.95) . U(1,0.95)"',
+    'resonances --word "U(1,0.3) . U(1,0.3)"',
+    'resonances --word "U(1,0.3) . U(1,0.3)" --verify --band 12',
+    'build --matrix "[[6361,120],[53,1]]" --decay exponential --eta 1.0',
+    'build --matrix "[[6361,120],[53,1]]" --decay exponential --eta 1000',
+    'build --matrix "[[6361,120],[53,1]]" --decay stretched --eta 360',
+]
+
+
+def built_word(matrix: str) -> str:
+    """The word that `build --matrix MATRIX --decay stretched --eta 1.0` makes, also where its report fails."""
+    return word_to_text(build_homotopic_map(json.loads(matrix), "stretched", 1.0).word)
 
 
 def argvs():
-    """Workload argvs (seeds 1-3, 10 rounds each), then the README examples."""
+    """Workload argvs (seeds 1-3, 10 rounds each), the README examples, then the routes no workload reaches."""
     for workload in WORKLOADS:
         for seed in SEEDS:
             stream = rounds(workload, seed)
@@ -50,6 +90,15 @@ def argvs():
         for line in block.splitlines():
             if line.startswith("torspec "):
                 yield shlex.split(line)[1:]
+    yield from map(shlex.split, SMOKE)
+    yield ["resonances", "--word", built_word("[[-3,-7],[-8,-19]]"), "--verify", "--band", "10"]
+    for text in GRID_WORDS:
+        word = built_word(text) if text.startswith("[") else text
+        for band in map(str, GRID_BANDS):
+            for kind in ("composition", "transfer"):
+                yield ["spectrum", "--word", word, "--band", band, "--weight", "0.1,0.1,0.1,0.1", "--kind", kind]
+            yield ["resonances", "--word", word, "--verify", "--band", band]
+    yield from map(shlex.split, EDGES)
 
 
 def digest(argv) -> str:
