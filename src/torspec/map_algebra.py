@@ -596,8 +596,8 @@ def evaluate(word: WordLike, z) -> ExtendedPoint:
     arrays broadcast to one shape).  Any complex infinity, INF among them, is
     the point at infinity; on the way out it is INF.  The call raises
     IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf, or
-    a quotient of non-nan operands that numpy forms as nan (0 over a
-    subnormal divisor).
+    a quotient of non-nan operands that stays nan when formed again with
+    both scaled by 2**54 (huge over huge; a subnormal divisor is mended so).
     """
     values, masks, scalar = _extended_in(z)
     (w1, w2), (m1, m2), _ = _walk(word, values, masks)

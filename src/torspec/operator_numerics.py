@@ -56,9 +56,9 @@ class TruncationSizeError(ValueError):
     limit guards the (2 band + 1)^4 matrix, which holds 18, 88 and 272 MiB
     at bands 16, 24 and 32 (18%, 16% and 14% nonzero).  On a 2-vCPU Intel
     Xeon VM (one BLAS thread), assembly took 0.018 s, 0.14 s and 0.39 s
-    there, and `operator_spectrum`, which reads the
-    eigenvalues off the matrix's triangular structure, 0.013 s, 0.061 s and
-    0.25 s; both grow like the matrix.
+    there, and `operator_spectrum`, which reads the eigenvalues off the
+    matrix's triangular structure, 0.013 s, 0.061 s and 0.25 s; both grow
+    like the matrix.
     """
 
 

@@ -6,9 +6,9 @@ the routes no workload reaches: every `torspec` call of CI's smoke steps,
 `spectrum` (both kinds) and `resonances --verify` at bands 6-12 on five
 grid-route words, and the calls of the strict expected failures and of the
 `build` edge cases in the tests.  Each runs in-process in a fresh temporary
-directory; a call that raises stops the script with its traceback.  The script imports
-`torspec` from `./src` and the workloads from `./perfbench` of the working
-directory, so the same file compares two checkouts:
+directory; a call that raises stops the script with its traceback.  The
+script imports `torspec` from `./src` and the workloads from `./perfbench`
+of the working directory, so the same file compares two checkouts:
 
     git worktree add ../parent HEAD~1
     python3 tools/stdout_digests.py > /tmp/change.txt
