@@ -306,18 +306,27 @@ def word_to_text(word: WordLike) -> str:
 # call at that point.  On the complex side the point at infinity is a boolean
 # mask per coordinate (the value array holds garbage under the mask); a
 # product or quotient beyond the float range joins the mask, as it lies within
-# 1/1.8e308 of infinity on the sphere.  The chart column runs on Python
-# complex scalars for the sector fixed points (see `fixed_points`), and
-# raises an indeterminate point at once.
+# 1/1.8e308 of infinity on the sphere.  A coordinate has no mask (None) while
+# none of its points is at infinity, as on every torus sample.  An atom forms
+# its new values first; if its inputs have no mask and those values are all
+# finite, it skips its fault checks and mask algebra, and its new coordinate
+# has no mask.  That changes no result: each check of the column (0 * inf,
+# 0/0, inf/inf, the quotient divided again, the poles and infinite points of
+# a Jacobian) fires only where an input mask is set or a new value is not
+# finite, and then the atom runs them all, an absent mask read as all false.
+# The chart column runs on Python complex scalars for the sector fixed points
+# (see `fixed_points`), and raises an indeterminate point at once.
 # The 2x2 Jacobian travels as two rows and takes the chain rule as row operations.
 
 
 class _Walk:
     """A point part-way through a word: values, infinity masks, Jacobian rows.
 
-    In the chart column `w` holds the two stored values (modulus <= 1),
-    `inf` the two chart bits (1 means the coordinate stores 1/z) and `jac`
-    is None or two numpy rows.
+    In the complex column a coordinate's mask is None while none of its
+    points is at infinity (see the column comment above).  In the chart
+    column `w` holds the two stored values (modulus <= 1), `inf` the two
+    chart bits (1 means the coordinate stores 1/z) and `jac` is None or two
+    numpy rows.
     """
 
     __slots__ = ("w", "inf", "jac", "index", "fault")
@@ -336,7 +345,8 @@ class _Walk:
 
     def finite(self, *coords: int) -> None:
         for i in coords:
-            self.flag(self.inf[i], PoleInChainError(f"z{i + 1} is infinite; conjugate by I(k, l) first"))
+            if self.inf[i] is not None:
+                self.flag(self.inf[i], PoleInChainError(f"z{i + 1} is infinite; conjugate by I(k, l) first"))
 
     def scale_row(self, i: int, factor) -> None:
         self.jac[i] = [factor * self.jac[i][0], factor * self.jac[i][1]]
@@ -350,21 +360,35 @@ def _swap(s: _Walk, atom: Atom) -> None:
         s.jac.reverse()
 
 
-def _quotient(s: _Walk, num, den, masked):
-    """num / den, divided again with both operands scaled by 2**54 wherever numpy's quotient is not finite.
+def _all_finite(values) -> bool:
+    return bool(np.isfinite(values).all())
+
+
+def _mask(m, like):
+    """The mask, an absent one as all false, for the checks a point at infinity or a non-finite value calls for."""
+    return np.zeros(like.shape, dtype=bool) if m is None else m
+
+
+def _quotient(s: _Walk, q, num, den, masked):
+    """numpy's quotient q = num / den, divided again wherever it is not finite.
 
     numpy's complex division goes by way of the divisor's reciprocal, which
     overflows on a subnormal: 0 / 1e-320 comes out nan and 1e-320 / 1e-320
-    inf + nan i.  The power of two is exact and lifts the divisor out of the
-    subnormal range, and a quotient that truly overflows stays infinite.
-    Points under `masked` and zero divisors keep numpy's quotient, and a nan
-    operand gives nan; a nan that the second division makes of non-nan
-    operands, with neither part infinite, is refused.
+    inf + nan i.  Both operands are scaled by 2**54, which is exact and lifts
+    the divisor out of the subnormal range; a quotient that truly overflows
+    stays infinite.  Where that is still not finite and |den| >= 1, both are
+    scaled by 2**-54 instead: huge over huge overflows numpy's denominator,
+    and scaling up cannot mend that.  Points under `masked` and zero
+    divisors keep numpy's quotient, and a nan operand gives nan; a nan that
+    the second division makes of non-nan operands, with neither part
+    infinite, is refused.
     """
-    q = num / den
     again = ~np.isfinite(q) & ~masked & (den != 0)
     if np.any(again):
         q = np.where(again, (num * 2.0 ** 54) / (den * 2.0 ** 54), q)
+        down = again & ~np.isfinite(q) & (np.abs(den) >= 1.0)
+        if np.any(down):
+            q = np.where(down, (num * 2.0 ** -54) / (den * 2.0 ** -54), q)
         made = again & np.isnan(q) & ~np.isinf(q) & ~np.isnan(num) & ~np.isnan(den)
         s.flag(made, IndeterminatePointError("quotient is nan in floating point", s.index))
     return q
@@ -372,28 +396,38 @@ def _quotient(s: _Walk, num, den, masked):
 
 def _complex_F(s: _Walk, atom: Atom) -> None:
     (w1, w2), (m1, m2) = s.w, s.inf
+    s.w[0] = w1 * w2
+    quick = m1 is None and m2 is None and _all_finite(s.w[0])
     if s.jac is not None:
         s.finite(0, 1)
         (j11, j12), (j21, j22) = s.jac
         s.jac[0] = [w2 * j11 + w1 * j21, w2 * j12 + w1 * j22]
+    if quick:
+        return
+    m1, m2 = _mask(m1, w1), _mask(m2, w1)
     zero_inf = (m1 & ~m2 & (w2 == 0)) | (m2 & ~m1 & (w1 == 0))
     s.flag(zero_inf, IndeterminatePointError("0 * inf is indeterminate", s.index))
-    s.w[0] = w1 * w2
     s.inf[0] = m1 | m2 | np.isinf(s.w[0])
 
 
 def _complex_Finv(s: _Walk, atom: Atom) -> None:
     (w1, w2), (m1, m2) = s.w, s.inf
+    s.w[0] = w1 / w2
+    quick = m1 is None and m2 is None and _all_finite(s.w[0])
     if s.jac is not None:
         s.finite(0, 1)
-        s.flag(w2 == 0, PoleInChainError("Finv differentiated at z2 = 0"))
+        if not quick:
+            s.flag(w2 == 0, PoleInChainError("Finv differentiated at z2 = 0"))
         (j11, j12), (j21, j22) = s.jac
         slope = w1 / (w2 * w2)
         s.jac[0] = [j11 / w2 - slope * j21, j12 / w2 - slope * j22]
+    if quick:
+        return
+    m1, m2 = _mask(m1, w1), _mask(m2, w1)
     s.flag(m1 & m2, IndeterminatePointError("inf / inf is indeterminate", s.index))
     zero_zero = ~m1 & ~m2 & (w1 == 0) & (w2 == 0)
     s.flag(zero_zero, IndeterminatePointError("0 / 0 is indeterminate", s.index))
-    s.w[0] = np.where(m2, 0j, _quotient(s, w1, w2, m1 | m2))
+    s.w[0] = np.where(m2, 0j, _quotient(s, s.w[0], w1, w2, m1 | m2))
     s.inf[0] = ~m2 & (m1 | (w2 == 0) | np.isinf(s.w[0]))
 
 
@@ -402,18 +436,18 @@ def _complex_I(s: _Walk, atom: Atom) -> None:
         if not bit:
             continue
         w, m = s.w[i], s.inf[i]
+        s.w[i] = 1.0 / w
+        quick = m is None and _all_finite(s.w[i])
         if s.jac is not None:
             s.finite(i)
-            s.flag(w == 0, PoleInChainError("I(k, l) differentiated at 0"))
+            if not quick:
+                s.flag(w == 0, PoleInChainError("I(k, l) differentiated at 0"))
             s.scale_row(i, -1.0 / (w * w))
-        s.w[i] = np.where(m, 0j, _quotient(s, 1.0, w, m))
+        if quick:
+            continue
+        m = _mask(m, w)
+        s.w[i] = np.where(m, 0j, _quotient(s, s.w[i], 1.0, w, m))
         s.inf[i] = ~m & ((w == 0) | np.isinf(s.w[i]))
-
-
-def _blaschke(a: complex, w, inf):
-    """b_a on masked values, a != 0: (value, infinity mask, denominator)."""
-    den = 1.0 - a.conjugate() * w
-    return np.where(inf, -1 / a.conjugate(), (w - a) / den), ~inf & (den == 0), den
 
 
 def _complex_G(s: _Walk, atom: Atom) -> None:
@@ -422,9 +456,17 @@ def _complex_G(s: _Walk, atom: Atom) -> None:
     for i, a in enumerate((atom.a, atom.b)):
         if a == 0:
             continue
-        s.w[i], s.inf[i], den = _blaschke(a, s.w[i], s.inf[i])
+        # b_a(z) = (z - a) / (1 - conj(a) z), a pole where the denominator is 0
+        w, m = s.w[i], s.inf[i]
+        den = 1.0 - a.conjugate() * w
+        s.w[i] = (w - a) / den
+        if m is not None or not _all_finite(s.w[i]):
+            m = _mask(m, w)
+            s.w[i] = np.where(m, -1 / a.conjugate(), s.w[i])
+            s.inf[i] = ~m & (den == 0)
+            if s.jac is not None:
+                s.flag(den == 0, PoleInChainError("G differentiated at a pole"))
         if s.jac is not None:
-            s.flag(den == 0, PoleInChainError("G differentiated at a pole"))
             s.scale_row(i, (1.0 - abs(a) ** 2) / (den * den))
 
 
@@ -544,19 +586,22 @@ def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
     """Carry a point (and its Jacobian rows, if asked) through the word.
 
     `point` is a pair of arrays; `inf` their infinity masks for a complex
-    walk, or None for a walk on lifted angles, which need only broadcast
-    together.  Returns (values at the broadcast shape, masks, Jacobian rows
-    or None); the first pole or indeterminate configuration met at any point
-    is raised once the walk is over.
+    walk (None for a coordinate with no point at infinity), or None for a
+    walk on lifted angles, which need only broadcast together.  Returns
+    (values at the broadcast shape, masks, Jacobian rows or None); the first
+    pole or indeterminate configuration met at any point is raised once the
+    walk is over.
     """
     lifted = inf is None
-    arrays = point if lifted else np.broadcast_arrays(*point, *inf)
+    values = list(point if lifted else np.broadcast_arrays(*point))
+    shape = np.broadcast_shapes(values[0].shape, values[1].shape)
+    if not lifted:
+        inf = [m if m is None else np.broadcast_to(m, shape) for m in inf]
     jac = None
     if jacobian:  # no local keeps the identity's planes alive once the rows move on
-        shape = np.broadcast_shapes(arrays[0].shape, arrays[1].shape)
-        jac = [[np.ones(shape, arrays[0].dtype), np.zeros(shape, arrays[0].dtype)]]
+        jac = [[np.ones(shape, values[0].dtype), np.zeros(shape, values[0].dtype)]]
         jac.append(jac[0][::-1])
-    state = _Walk(list(arrays[:2]), None if lifted else list(arrays[2:]), jac)
+    state = _Walk(values, inf, jac)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         _interpret(state, _atoms(word), lifted)
     if state.fault is not None:
@@ -569,17 +614,19 @@ def _extended_in(coords):
 
     A scalar travels as a 1-element array: numpy runs arithmetic on 0-d arrays
     through its scalar routines, whose complex products round differently from
-    the array loops.  Any complex infinity marks the point at infinity.
+    the array loops.  Any complex infinity marks the point at infinity; a
+    coordinate with none has no mask (None).
     """
     values = [np.atleast_1d(np.asarray(c, dtype=complex)) for c in coords]
-    return values, [np.isinf(v) for v in values], all(np.ndim(c) == 0 for c in coords)
+    masks = [m if m.any() else None for m in map(np.isinf, values)]
+    return values, masks, all(np.ndim(c) == 0 for c in coords)
 
 
 def _extended_out(w, inf, scalar: bool):
-    """Back to the caller's form, with INF at the points at infinity."""
+    """Back to the caller's form, with INF at the points at infinity (a new array)."""
     if scalar:
-        return INF if inf[0] else complex(w[0])
-    return np.where(inf, INF, w)
+        return INF if inf is not None and inf[0] else complex(w[0])
+    return w.copy() if inf is None else np.where(inf, INF, w)
 
 
 def _matrix(jac, scalar: bool) -> np.ndarray:
@@ -597,7 +644,8 @@ def evaluate(word: WordLike, z) -> ExtendedPoint:
     the point at infinity; on the way out it is INF.  The call raises
     IndeterminatePointError if any point meets 0 * inf, 0/0 or inf/inf, or
     a quotient of non-nan operands that stays nan when formed again with
-    both scaled by 2**54 (huge over huge; a subnormal divisor is mended so).
+    both scaled by 2**54, or by 2**-54 where |divisor| >= 1 (a subnormal
+    divisor, and huge over huge, are mended so).
     """
     values, masks, scalar = _extended_in(z)
     (w1, w2), (m1, m2), _ = _walk(word, values, masks)
@@ -801,7 +849,8 @@ def simplify(word: WordLike) -> MapWord:
             if _try_rewrite(atoms, i):
                 changed = True
                 budget -= 1
-                atoms = [a for a in atoms if not _is_identity_atom(a)]
+                # the list held no identity atom, and a rewrite makes new atoms only at i and i + 1
+                atoms[i : i + 2] = [a for a in atoms[i : i + 2] if not _is_identity_atom(a)]
                 i = max(i - 1, 0)
             else:
                 i += 1

@@ -116,7 +116,7 @@ def _band_sums(word, band, grid):
         rows = slice(start, start + step)
         left = dft[:, rows]
         # every atom maps the torus to itself, so no point is ever at infinity here
-        (t1, t2), _, _ = _walk(word, (z1[rows], z2), (np.zeros(1, dtype=bool),) * 2)
+        (t1, t2), _, _ = _walk(word, (z1[rows], z2), (None, None))
         t2_inverse = np.conj(t2)
         p1 = np.ones_like(t1)
         for n1 in range(band + 1):

@@ -354,12 +354,22 @@ def test_evaluate_divides_by_a_subnormal(z, quotient):
         assert _chordal(v, b, *_chart_coord(got)) < 1e-12
 
 
-def test_evaluate_refuses_a_quotient_that_stays_nan():
-    # huge over huge: the sum in numpy's denominator overflows, so the
-    # reciprocal is 0 and the quotient nan, and scaling up cannot mend that
+def test_evaluate_divides_huge_over_huge():
+    # the sum in numpy's denominator overflows, so the reciprocal is 0 and the
+    # quotient nan, and scaling both operands up overflows again; where
+    # |divisor| >= 1 they are scaled down by 2**-54 instead
     z = 1e308 + 1e308j
-    with pytest.raises(IndeterminatePointError, match=r"quotient is nan .*\(atom index 1\)"):
-        evaluate(parse_word("R . Finv"), (z, z))
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan(np.array([z]) / np.array([z]))[0]
+    assert evaluate(parse_word("R . Finv"), (z, z)) == (z, 1)
+
+
+def test_evaluate_refuses_a_quotient_that_stays_nan():
+    # huge over small: numpy's quotient is inf + inf i, scaling up overflows
+    # the numerator to inf + inf i, and over a real divisor that gives
+    # inf * 0 = nan in both parts; the divisor is below 1, so nothing scales down
+    with pytest.raises(IndeterminatePointError, match=r"quotient is nan .*\(atom index 0\)"):
+        evaluate(parse_word("Finv"), (1e300 + 1e300j, 1e-10))
 
 
 def test_evaluate_passes_a_nan_operand_through_quotients():
