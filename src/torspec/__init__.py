@@ -107,6 +107,7 @@ from .dynamics_checks import (
     CertificationError,
     auto_weight,
     check_psec,
+    classify_mapping,
     find_connecting_torus,
     is_area_preserving,
     resolve_cases,
@@ -144,6 +145,7 @@ __all__ = [
     "auto_weight",
     "build_homotopic_map",
     "check_psec",
+    "classify_mapping",
     "closed_form_multipliers_psi",
     "closed_trace",
     "complex_jacobian",

@@ -75,20 +75,51 @@ def _float_token(x: float) -> str:
     return '"%s"' % repr(x)
 
 
+# the token of a value of one of these types, looked up by its exact type first
+_TOKENS = {
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    int: str,
+    float: _float_token,
+    complex: lambda z: "[%s, %s]" % (_float_token(z.real), _float_token(z.imag)),
+    str: json.dumps,
+}
+_ROW_FIELDS = {float: "%.17g", int: "%d"}
+
+
+def _row_block(rows, indent: int) -> Optional[str]:
+    """A list of same-typed flat rows of finite floats and ints, written with one row template.
+
+    The template forms each field as its token does.  None for any other
+    list, which `render_json` then writes element by element.
+    """
+    first = rows[0]
+    if type(first) is not list and type(first) is not tuple:
+        return None
+    kinds = tuple(map(type, first))
+    fields = [_ROW_FIELDS.get(kind) for kind in kinds]
+    if None in fields:
+        return None
+    for row in rows:
+        if (type(row) is not list and type(row) is not tuple) or tuple(map(type, row)) != kinds:
+            return None
+    template = "  " * (indent + 1) + "[" + ", ".join(fields) + "]"
+    text = ",\n".join([template] * len(rows)) % tuple(v for row in rows for v in row)
+    # %.17g writes inf and nan with an "n", a finite float or an int never
+    if "n" in text:
+        return None
+    return "[\n%s\n%s]" % (text, "  " * indent)
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Render nested dicts/lists with stable float formatting."""
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _float_token(obj)
-    if isinstance(obj, complex):
-        return "[%s, %s]" % (_float_token(obj.real), _float_token(obj.imag))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    token = _TOKENS.get(type(obj))
+    if token is not None:
+        return token(obj)
+    # bool and None have no subclasses; numpy's float64 is a float
+    for kind in (int, float, complex, str):
+        if isinstance(obj, kind):
+            return _TOKENS[kind](obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -100,6 +131,9 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
+        block = _row_block(obj, indent)
+        if block is not None:
+            return block
         parts = [render_json(v, indent + 1) for v in obj]
         if any(isinstance(v, (dict, list, tuple)) for v in obj):
             pad = "  " * (indent + 1)

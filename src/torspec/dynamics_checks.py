@@ -116,53 +116,111 @@ def _positive_pair(value, name: str) -> Tuple[float, float]:
     return pair
 
 
-def _torus_samples(radii, samples: int) -> np.ndarray:
-    """`sample_torus` of each radii pair, concatenated: one unit sample scaled per torus.
+def _torus_samples(radii, unit: np.ndarray) -> np.ndarray:
+    """The points `unit` of a unit-radius `sample_torus`, scaled per radii pair, concatenated.
 
     The angles of `sample_torus` do not depend on the radii, and scaling the
     unit sample is the product `sample_torus` forms, so the points are the
-    same bit for bit.
+    same bit for bit; a subset of the unit sample's rows gives the same rows
+    of each torus sample.
     """
-    unit = sample_torus((1.0, 1.0), samples)
     return (np.array(radii, dtype=float)[:, None, :] * unit).reshape(-1, 2)
 
 
-def _signed_log_images(word, tori, samples: int) -> Optional[np.ndarray]:
-    """sigma_i log|image_i| of the word at `samples` points of each (radii, sigma) torus.
+def _signed_log_images(word, tori, unit: np.ndarray) -> Optional[np.ndarray]:
+    """sigma_i log|image_i| of the word at the `unit` points of each (radii, sigma) torus.
 
     One evaluate call covers every torus.  Returns shape (len(tori), 2,
-    samples), or None when any sample point is indeterminate.
+    len(unit)), or None when any sample point is indeterminate.
     """
-    z = _torus_samples([radii for radii, _ in tori], samples)
+    z = _torus_samples([radii for radii, _ in tori], unit)
     try:
         img = evaluate(word, (z[:, 0], z[:, 1]))
     except IndeterminatePointError:
         return None
-    logs = _log_abs(np.stack(img)).reshape(2, len(tori), samples).swapaxes(0, 1)
+    logs = _log_abs(np.stack(img)).reshape(2, len(tori), len(unit)).swapaxes(0, 1)
     return np.array([sigma for _, sigma in tori])[:, :, None] * logs
 
 
 _T_SEARCH = tuple(0.5 * 2.0 ** (-j) for j in range(12))
+# the prefilter walks every (samples // 16)-th sample point of each torus
+_PREFILTER_POINTS = 16
 
 
-def _rung_margins(active, sectors, rungs, delta, Delta, samples: int) -> List[Tuple[float, float]]:
-    """(EP, ER) margins of each scale t in `rungs`, all rungs in one evaluate call.
+def _margins(active, sectors, candidates, unit: np.ndarray) -> List[Tuple[float, float]]:
+    """(EP, ER) margins of each candidate at the `unit` points of its tori, all in one evaluate call.
 
-    If any point is indeterminate the rungs are walked one at a time, so a
-    rung is refused (margins -inf) only for its own points.
+    A candidate (delta, Delta, t) samples the sector tori of scale t*delta
+    against the thresholds t*Delta.  If any point is indeterminate the
+    candidates are walked one at a time, so a candidate is refused (margins
+    -inf) only for its own points.
     """
-    tori = [(torus_radii(s, (t * delta[0], t * delta[1])), s) for t in rungs for s in sectors]
-    signed = _signed_log_images(active, tori, samples)
+    tori = [(torus_radii(s, (t * delta[0], t * delta[1])), s) for delta, _, t in candidates for s in sectors]
+    signed = _signed_log_images(active, tori, unit)
     if signed is None:
-        if len(rungs) == 1:
+        if len(candidates) == 1:
             return [(-math.inf, -math.inf)]
-        return [m for t in rungs for m in _rung_margins(active, sectors, (t,), delta, Delta, samples)]
-    signed = signed.reshape(len(rungs), len(sectors), 2, samples)
-    threshold = np.multiply.outer(rungs, Delta)[:, None, :, None]
+        return [m for c in candidates for m in _margins(active, sectors, [c], unit)]
+    signed = signed.reshape(len(candidates), len(sectors), 2, len(unit))
+    threshold = np.array([(t * Delta[0], t * Delta[1]) for _, Delta, t in candidates])[:, None, :, None]
     # worst slack per sector, then over sectors, dropping a NaN sector
     ep = np.fmin.reduce((signed - threshold).min(axis=(2, 3)), axis=1, initial=math.inf)
     er = np.fmin.reduce((-signed - threshold).min(axis=(2, 3)), axis=1, initial=math.inf)
     return list(zip(ep.tolist(), er.tolist()))
+
+
+def _search(active, sectors, candidates, samples: int, prefilter: bool) -> Tuple[int, Tuple[float, float]]:
+    """The first candidate whose tori certify, as (index, (EP, ER) margins).
+
+    The first candidate is walked alone on all samples, since most words
+    certify there.  Without `prefilter` every other candidate is then walked
+    on all samples in one call.  With it, every other candidate is first
+    walked on a fixed strided 16 of the samples and dropped where both of
+    its margins are already <= 0: a margin is a minimum over the points, and
+    the strided points are rows of the full sample, so more points can only
+    lower it.  The first survivor is walked alone on all samples, then the
+    rest in one call.  If none certifies, the last candidate walked on all
+    samples is returned with its margins.
+    """
+    unit = sample_torus((1.0, 1.0), samples)
+
+    def groups():
+        yield [0]
+        rest = list(range(1, len(candidates)))
+        if prefilter and rest:
+            coarse = unit[:: max(samples // _PREFILTER_POINTS, 1)]
+            margins = _margins(active, sectors, [candidates[i] for i in rest], coarse)
+            rest = [i for i, m in zip(rest, margins) if max(m) > 0]
+            yield rest[:1]
+            rest = rest[1:]
+        yield rest
+
+    walked = None
+    for group in groups():
+        if not group:
+            continue
+        for i, margins in zip(group, _margins(active, sectors, [candidates[i] for i in group], unit)):
+            walked = (i, margins)
+            if max(margins) > 0:
+                return walked
+    return walked
+
+
+def _case_entry(ell: int, candidate, margins: Tuple[float, float]) -> CaseEntry:
+    delta, Delta, t = candidate
+    margin_ep, margin_er = margins
+    if margin_ep > 0:
+        return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
+    if margin_er > 0:
+        return CaseEntry(ell, "ER", delta, Delta, t, margin_er)
+    return CaseEntry(ell, "FAIL", delta, Delta, t, max(margin_ep, margin_er))
+
+
+def _direction(word, ell: int):
+    """The word walked in direction ell and the sectors it is sampled on."""
+    if ell == 1:
+        return word, same_sign_sectors()
+    return inverse(word), mixed_sectors()
 
 
 def classify_mapping(
@@ -196,20 +254,9 @@ def classify_mapping(
     Delta = _positive_pair(Delta, "Delta")
     if not (Delta[0] > delta[0] and Delta[1] > delta[1]):
         raise ValueError("Delta must exceed delta componentwise")
-    sectors = same_sign_sectors() if ell == 1 else mixed_sectors()
-    active = word if ell == 1 else inverse(word)
-
-    stages = (_T_SEARCH[:1], _T_SEARCH[1:]) if t_search else ((1.0,),)
-    last = None
-    for rungs in stages:
-        margins = _rung_margins(active, sectors, rungs, delta, Delta, samples)
-        for t, (margin_ep, margin_er) in zip(rungs, margins):
-            if margin_ep > 0:
-                return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
-            if margin_er > 0:
-                return CaseEntry(ell, "ER", delta, Delta, t, margin_er)
-            last = CaseEntry(ell, "FAIL", delta, Delta, t, max(margin_ep, margin_er))
-    return last
+    candidates = [(delta, Delta, t) for t in (_T_SEARCH if t_search else (1.0,))]
+    i, margins = _search(*_direction(word, ell), candidates, samples, prefilter=False)
+    return _case_entry(ell, candidates[i], margins)
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +393,12 @@ def find_connecting_torus(
     else:
         q = (dbar, -dbar * ratio) if sigma_tilde == (1, -1) else (-dbar * ratio, dbar)
 
+    unit = sample_torus((1.0, 1.0), samples)
     t = 1.0
     while t >= 1e-4:
         u = (t * q[0], t * q[1])
         if sigma_tilde[0] * u[0] > delta_tilde[0] and sigma_tilde[1] * u[1] > delta_tilde[1]:
-            signed = _signed_log_images(word, [((math.exp(u[0]), math.exp(u[1])), sigma)], samples)
+            signed = _signed_log_images(word, [((math.exp(u[0]), math.exp(u[1])), sigma)], unit)
             margin = -math.inf if signed is None else float(np.min(signed - np.array(Delta)[:, None]))
             if margin > 0:
                 return ConnectorReport(True, sigma, sigma_tilde, q, t, margin, None)
@@ -390,8 +438,12 @@ def resolve_cases(word, samples: int = 128) -> MappingCase:
     For words with no disk-automorphism factors the trial shapes start from
     the dominant eigendirections of the degree matrix (and of its
     sign-conjugated inverse); otherwise a short list of fixed shapes is
-    scanned, each with a halving scale search.  Raises CertificationError at
-    the first direction, forward then backward, that stays unclassified.
+    scanned, each with the halving scale search of `classify_mapping`.  Each
+    direction is one `_search` over every (shape, scale) pair, shape first:
+    its prefilter drops only pairs that cannot certify, so the first pair
+    that certifies is the one a scan shape by shape would take.  Raises
+    CertificationError at the first direction, forward then backward, that
+    stays unclassified.
     """
     reduced = simplify(word)
     shapes_f: List[Tuple[float, float]] = list(_FALLBACK_SHAPES)
@@ -405,12 +457,11 @@ def resolve_cases(word, samples: int = 128) -> MappingCase:
             shapes_b.insert(0, shape_b)
     entries = []
     for ell, name, shapes in ((1, "forward", shapes_f), (-1, "backward", shapes_b)):
-        for shape in shapes:
-            Delta = (1.05 * shape[0], 1.05 * shape[1])
-            entry = classify_mapping(word, ell, shape, Delta, samples=samples, t_search=True)
-            if entry.case != "FAIL":
-                break
-        else:
+        # shape first, then rung: the order of a scale search per shape
+        candidates = [(shape, (1.05 * shape[0], 1.05 * shape[1]), t) for shape in shapes for t in _T_SEARCH]
+        i, margins = _search(*_direction(word, ell), candidates, samples, prefilter=True)
+        entry = _case_entry(ell, candidates[i], margins)
+        if entry.case == "FAIL":
             raise CertificationError(
                 f"could not certify the {name} sector mapping for this word; "
                 "supply explicit weight scales or check hyperbolicity"

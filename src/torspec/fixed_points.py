@@ -160,6 +160,12 @@ def _case_for_sector(cases: MappingCase, sigma) -> Tuple[int, str]:
     return lvl, entry.case
 
 
+def _reduced_power(word, lvl: int, case: str) -> MapWord:
+    """The simplified map one sector direction iterates: the word or its inverse, squared if the case is "ER"."""
+    active = word if lvl == 1 else inverse(word)
+    return simplify(word_power(active, 1 if case == "EP" else 2))
+
+
 def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
     """Locate the fixed point of one sector and compute its multipliers.
 
@@ -174,10 +180,18 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
     if sigma not in SIGMAS:
         raise ValueError(f"not a sign sector: {sigma!r}")
     lvl, case = _case_for_sector(cases, sigma)
-    active = word if lvl == 1 else inverse(word)
-    power = 1 if case == "EP" else 2
+    return _sector_record(_reduced_power(word, lvl, case), sigma, lvl, case)
+
+
+def _sector_record(reduced: MapWord, sigma, lvl: int, case: str) -> FixedPointRecord:
+    """`sector_fixed_point` of the sector's simplified active map `reduced`.
+
+    Simplifying the conjugation of the simplified map gives the atoms that
+    simplifying the whole conjugated word gives: a chart atom moves through
+    the word and changes no merge.
+    """
     chart = MapWord([atom_I((1 + sigma[0]) // 2, (1 + sigma[1]) // 2)])
-    effective = simplify(concat(chart, word_power(active, power), chart))
+    effective = simplify(concat(chart, reduced, chart))
 
     state = _Walk([0j, 0j], [0, 0], None)
     converged = False
@@ -211,11 +225,20 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
 
 
 def all_fixed_point_data(word, cases: Optional[MappingCase] = None) -> FixedPointData:
-    """Fixed-point records for all four sectors, in the canonical sector order."""
+    """Fixed-point records for all four sectors, in the canonical sector order.
+
+    Each direction's active map is simplified once, for both of its sectors.
+    """
     if cases is None:
         cases = resolve_cases(word)
-    records = tuple(sector_fixed_point(word, sigma, cases) for sigma in SIGMAS)
-    return FixedPointData(records, cases)
+    reduced = {}
+    records = []
+    for sigma in SIGMAS:
+        lvl, case = _case_for_sector(cases, sigma)
+        if lvl not in reduced:
+            reduced[lvl] = _reduced_power(word, lvl, case)
+        records.append(_sector_record(reduced[lvl], sigma, lvl, case))
+    return FixedPointData(tuple(records), cases)
 
 
 def _conj_inv(value):

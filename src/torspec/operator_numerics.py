@@ -480,12 +480,15 @@ def _sort_eigenvalues(values: np.ndarray) -> np.ndarray:
 def _sort_order(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The order of `_sort_eigenvalues`, and each value's tie group (0 for the largest moduli)."""
     moduli = np.abs(values)
-    group = np.empty(values.size, dtype=np.int64)
+    ranked = np.argsort(-moduli, kind="stable")
+    labels = []
     count, lead = -1, 0.0
-    for i in np.argsort(-moduli, kind="stable"):
-        if count < 0 or lead - moduli[i] > _TIE_REL * lead:
-            count, lead = count + 1, moduli[i]
-        group[i] = count
+    for modulus in moduli[ranked].tolist():
+        if count < 0 or lead - modulus > _TIE_REL * lead:
+            count, lead = count + 1, modulus
+        labels.append(count)
+    group = np.empty(values.size, dtype=np.int64)
+    group[ranked] = labels
     imag = np.where(np.abs(values.imag) < _TIE_REL * moduli, 0.0, values.imag)
     args = np.mod(np.arctan2(imag, values.real), 2.0 * np.pi)
     # the signs of zero parts come last, so values equal but for a signed zero

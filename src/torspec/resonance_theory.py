@@ -226,15 +226,21 @@ def _lattice_values(pair, threshold: float, positive_only: bool) -> List[complex
     return out
 
 
-def _snap(value: complex) -> complex:
-    # relative snap: collapse conjugate-pair noise without flattening the tail
-    re, im = value.real, value.imag
-    scale = abs(value)
-    if abs(im) < 5e-13 * scale:
-        im = 0.0
-    if abs(re) < 5e-13 * scale:
-        re = 0.0
-    return complex(re, im)
+def _snap(values: List[complex]) -> np.ndarray:
+    """The values with each part below a relative 5e-13 of the modulus set to 0.0.
+
+    A relative snap collapses conjugate-pair noise without flattening the
+    tail.  The modulus is `np.hypot` of the parts, as `abs` of a Python
+    complex is, and the parts are stored apart, so each kept part and the
+    sign of its zero stay as they were.
+    """
+    values = np.array(values, dtype=complex).reshape(-1)
+    re, im = values.real, values.imag
+    scale = np.hypot(re, im)
+    snapped = np.empty_like(values)
+    snapped.real = np.where(np.abs(re) < 5e-13 * scale, 0.0, re)
+    snapped.imag = np.where(np.abs(im) < 5e-13 * scale, 0.0, im)
+    return snapped
 
 
 def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[EigenvalueEntry, ...]:
@@ -264,24 +270,25 @@ def enumerate_eigenvalues(model: SpectrumModel, cutoff: float) -> Tuple[Eigenval
                 w = cmath.sqrt(v)
                 values += (w, -w)
 
-    snapped = np.array([_snap(v) for v in values], dtype=complex)
+    snapped = _snap(values)
     order, groups = _sort_order(snapped)
-    entries: List[EigenvalueEntry] = [EigenvalueEntry(1.0 + 0j, 1)]
+    merged, counts = [1.0 + 0j], [1]
     current, start = -1, 1
     for v, group in zip(snapped[order].tolist(), groups[order].tolist()):
         if group != current:
-            current, start = group, len(entries)
+            current, start = group, len(merged)
         # the first entry of the tie group within the tolerance: two values
         # that close can sit apart in their group, on either side of the
         # argument seam at 0
-        for i in range(start, len(entries)):
-            entry = entries[i]
-            if abs(v - entry.value) <= _GROUP_TOL * max(abs(v), abs(entry.value)):
-                entries[i] = EigenvalueEntry(entry.value, entry.multiplicity + 1)
+        for i in range(start, len(merged)):
+            u = merged[i]
+            if abs(v - u) <= _GROUP_TOL * max(abs(v), abs(u)):
+                counts[i] += 1
                 break
         else:
-            entries.append(EigenvalueEntry(v, 1))
-    return tuple(entries)
+            merged.append(v)
+            counts.append(1)
+    return tuple(map(EigenvalueEntry, merged, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Exit codes, report shapes, and byte stability of the command line."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torspec import cli
 from torspec.operator_numerics import _sort_eigenvalues
@@ -428,6 +430,89 @@ def test_render_json_tokens():
     assert cli.render_json(complex(1, -2)) == "[1, -2]"
     with pytest.raises(TypeError):
         cli.render_json(object())
+
+
+def _reference_render_json(obj, indent=0):
+    """render_json as it was: every value through one isinstance chain."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return cli._float_token(obj)
+    if isinstance(obj, complex):
+        return "[%s, %s]" % (cli._float_token(obj.real), cli._float_token(obj.imag))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "  " * (indent + 1)
+        rows = ",\n".join(
+            "%s%s: %s" % (pad, json.dumps(str(k)), _reference_render_json(v, indent + 1)) for k, v in obj.items()
+        )
+        return "{\n%s\n%s}" % (rows, "  " * indent)
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        parts = [_reference_render_json(v, indent + 1) for v in obj]
+        if any(isinstance(v, (dict, list, tuple)) for v in obj):
+            pad = "  " * (indent + 1)
+            return "[\n%s\n%s]" % (",\n".join(pad + p for p in parts), "  " * indent)
+        return "[%s]" % ", ".join(parts)
+    if hasattr(obj, "item"):
+        return _reference_render_json(obj.item(), indent)
+    raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+
+
+report_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308]),
+)
+report_ints = st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+report_leaves = st.one_of(
+    report_floats,
+    report_ints,
+    st.booleans(),
+    st.none(),
+    st.text(alphabet=st.one_of(st.sampled_from('"\\/\n\t\u00e9\u2028\U0001f600'), st.characters()), max_size=6),
+    st.builds(complex, report_floats, report_floats),
+    report_floats.map(np.float64),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def report_rows(draw):
+    """Rows of one type signature of floats and ints, at times with one field of another leaf."""
+    kinds = draw(st.lists(st.sampled_from([report_floats, report_ints]), max_size=4))
+    rows = [[draw(kind) for kind in kinds] for _ in range(draw(st.integers(1, 5)))]
+    if kinds and draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(kinds) - 1))] = draw(report_leaves)
+    return [tuple(row) if draw(st.booleans()) else row for row in rows]
+
+
+report_trees = st.recursive(
+    st.one_of(report_leaves, report_rows()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(report_trees, st.integers(0, 3))
+@example([[0.5, -0.0, 2], [1e-310, 3.0, -1]], 0)
+@example({"rows": [[1.0, math.inf], [2.0, 3.0]], "mixed": [[1, 2.0], [1.0, 2]]}, 1)
+@settings(max_examples=400, deadline=None)
+def test_render_json_matches_the_isinstance_chain(tree, indent):
+    assert cli.render_json(tree, indent) == _reference_render_json(tree, indent)
 
 
 def test_explicit_weight_flag(capsys):

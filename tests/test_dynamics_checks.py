@@ -380,6 +380,10 @@ TUNING_WORDS = [
     build_homotopic_map([[2, 1], [1, 1]], "stretched", eta=1.0).word,
     build_homotopic_map([[0, 1], [-1, 3]], "exponential", eta=1.0).word,  # backward fails
     parse_word("F"),  # forward fails
+    build_homotopic_map([[1, -1], [-1, 0]], "stretched", eta=1.0).word,  # mixed sign, forward fails
+    build_homotopic_map([[-3, -2], [-5, -3]], "stretched", eta=1.0).word,  # mixed sign, backward fails
+    # one block: forward certifies at the second shape, backward at the third
+    build_homotopic_map([[1, 1], [1, 0]], "stretched", eta=1.0).word,
 ]
 
 
@@ -441,6 +445,31 @@ def test_indeterminate_rung_is_refused_alone(monkeypatch, refused, t):
     assert got.case == "EP" and got.t == t
 
 
+def test_indeterminate_candidate_in_the_prefilter_is_refused_alone(monkeypatch):
+    # every call that samples the certifying candidate's tori raises, as a pole there would
+    word = TUNING_WORDS[-1]
+    expected = resolve_cases(word, samples=64)
+    refused = expected.forward
+    pairs = [torus_radii(s, (refused.t * refused.delta[0], refused.t * refused.delta[1])) for s in same_sign_sectors()]
+    plain = map_algebra.evaluate
+    calls = []
+
+    def evaluate_refusing(active, z):
+        calls.append(len(z[0]))
+        moduli = np.abs(np.stack(z, axis=1))[:, None, :]
+        if np.isclose(moduli, pairs, rtol=1e-12, atol=0.0).all(axis=2).any():
+            raise IndeterminatePointError("patched", 0)
+        return plain(active, z)
+
+    monkeypatch.setattr(dynamics_checks, "evaluate", evaluate_refusing)
+    got = resolve_cases(word, samples=64)
+    # the first candidate, the joint prefilter walk of the other 59, then one prefilter walk per candidate
+    assert calls[:61] == [2 * 64, 59 * 2 * 16] + [2 * 16] * 59
+    assert got.forward != refused
+    monkeypatch.setitem(globals(), "evaluate", evaluate_refusing)
+    assert got == _reference_resolve_cases(word, samples=64)
+
+
 def test_ladder_samples_are_per_torus_samples_bit_for_bit():
     sectors = (*same_sign_sectors(), *mixed_sectors())
     for shape in (PERRON_FWD, (8.0, 4.0), (0.15, 0.2)):
@@ -448,21 +477,30 @@ def test_ladder_samples_are_per_torus_samples_bit_for_bit():
             torus_radii(s, (t * shape[0], t * shape[1])) for t in dynamics_checks._T_SEARCH for s in sectors
         ]
         for samples in (1, 64, 128, 257):
-            got = dynamics_checks._torus_samples(radii, samples)
+            unit = sample_torus((1.0, 1.0), samples)
+            got = dynamics_checks._torus_samples(radii, unit)
             assert got.tobytes() == np.concatenate([sample_torus(r, samples) for r in radii]).tobytes()
+            # the prefilter's strided points are the same rows of every torus sample
+            stride = max(samples // dynamics_checks._PREFILTER_POINTS, 1)
+            coarse = dynamics_checks._torus_samples(radii, unit[::stride])
+            assert coarse.tobytes() == np.concatenate([sample_torus(r, samples)[::stride] for r in radii]).tobytes()
 
 
 def test_tuning_stops_at_the_failed_forward_direction(monkeypatch):
-    calls = []
+    word = parse_word("F")
+    plain = map_algebra.evaluate
+    walked = []
 
-    def recorder(*args, **kwargs):
-        calls.append(args[1])
-        return classify_mapping(*args, **kwargs)
+    def recorder(active, z):
+        walked.append(active)
+        return plain(active, z)
 
-    monkeypatch.setattr(dynamics_checks, "classify_mapping", recorder)
+    monkeypatch.setattr(dynamics_checks, "evaluate", recorder)
     with pytest.raises(CertificationError, match="forward"):
-        resolve_cases(parse_word("F"), samples=16)
-    assert calls and -1 not in calls
+        resolve_cases(word, samples=16)
+    # only the word itself is walked: nothing is tuned backward
+    assert walked and all(active == word for active in walked)
+    assert inverse(word) not in walked
 
 
 def test_auto_weight_rejects_parabolic_word():

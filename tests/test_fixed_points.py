@@ -4,6 +4,7 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torspec import fixed_points, map_algebra
 from torspec.fixed_points import (
@@ -14,10 +15,20 @@ from torspec.fixed_points import (
 )
 from torspec.map_algebra import (
     INF,
+    MapWord,
     _Walk,
+    atom_F,
+    atom_Finv,
+    atom_G,
+    atom_I,
+    atom_R,
     complex_jacobian,
+    concat,
+    inverse,
     parse_word,
     psi_word,
+    simplify,
+    word_power,
     xi_word,
 )
 
@@ -193,3 +204,48 @@ def test_reconcile_charts_refuses_off_the_unit_circle():
     end = _Walk([0.5 + 0j, 0j], [1, 0], None)
     with pytest.raises(FixedPointError):
         fixed_points._reconcile_charts(end, _Walk([0j, 0j], [0, 0], None))
+
+
+# disk parameters that merge when adjacent (a conj(c) real), and generic ones that seldom do
+merging_params = st.one_of(
+    st.sampled_from([0j, 0.3, -0.3, 0.5, 0.2j, -0.4j, 0.1 + 0.1j, -0.2 - 0.2j]),
+    st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def merging_atoms(draw):
+    kind = draw(st.sampled_from(["F", "Finv", "R", "I", "G", "G"]))
+    if kind == "I":
+        return atom_I(draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    if kind == "G":
+        return atom_G(draw(merging_params), draw(merging_params))
+    return {"F": atom_F(), "Finv": atom_Finv(), "R": atom_R()}[kind]
+
+
+def _simplified(word):
+    """The simplified atoms as text, or the error simplifying raised."""
+    try:
+        return repr(simplify(word).atoms)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@given(st.lists(merging_atoms(), max_size=12).map(MapWord))
+@settings(max_examples=300, deadline=None)
+def test_sector_words_simplify_once_per_direction(word):
+    # each sector conjugates its direction's simplified map by its chart atom;
+    # that gives the atoms, G parameters bit for bit, of simplifying the
+    # whole conjugated word
+    for active in (word, inverse(word)):
+        for power in (1, 2):
+            raw = word_power(active, power)
+            try:
+                reduced = simplify(raw)
+            except ValueError as exc:
+                reduced, refused = None, repr(exc)
+            for k in (0, 1):
+                for l in (0, 1):
+                    chart = MapWord([atom_I(k, l)])
+                    once = refused if reduced is None else _simplified(concat(chart, reduced, chart))
+                    assert once == _simplified(concat(chart, raw, chart))

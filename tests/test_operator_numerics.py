@@ -42,8 +42,10 @@ from torspec.operator_numerics import (
     _grid_operator,
     _grid_points,
     _mirrored,
+    _TIE_REL,
     _mode_weights,
     _sort_eigenvalues,
+    _sort_order,
     _strong_components,
     _weighted_half,
     assemble_operator,
@@ -858,6 +860,44 @@ def test_spectrum_sort_ignores_modulus_noise(pairs, data):
     noisy = [r * cmath.exp(1j * arg) * (1.0 + k * 2.0 ** -52) for (r, arg), k in zip(entries, ulps)]
     data.draw(st.randoms()).shuffle(noisy)
     assert np.allclose(_sort_eigenvalues(np.array(noisy)), expected, rtol=1e-13, atol=0.0)
+
+
+def _reference_sort_order(values):
+    """`_sort_order` as it walked its tie groups, one numpy scalar per step."""
+    moduli = np.abs(values)
+    group = np.empty(values.size, dtype=np.int64)
+    count, lead = -1, 0.0
+    for i in np.argsort(-moduli, kind="stable"):
+        if count < 0 or lead - moduli[i] > _TIE_REL * lead:
+            count, lead = count + 1, moduli[i]
+        group[i] = count
+    imag = np.where(np.abs(values.imag) < _TIE_REL * moduli, 0.0, values.imag)
+    args = np.mod(np.arctan2(imag, values.real), 2.0 * np.pi)
+    keys = (np.signbit(values.imag), np.signbit(values.real), values.imag, values.real, args, group)
+    return np.lexsort(keys), group
+
+
+# parts that make modulus ties a few ulps apart, signed zeros and values equal but for them
+tie_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.5 * (1 + 2.0 ** -52), 0.5 * (1 - 2.0 ** -53), 0.3, 0.4, -0.4, 1.0]),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+
+
+@given(st.lists(st.tuples(tie_parts, tie_parts, st.booleans()), max_size=24), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_sort_order_matches_the_scalar_tie_walk(parts, rng):
+    values = []
+    for re, im, paired in parts:
+        values.append(complex(re, im))
+        if paired:
+            values.append(complex(re, -im))
+    rng.shuffle(values)
+    values = np.array(values, dtype=complex)
+    order, group = _sort_order(values)
+    expected_order, expected_group = _reference_sort_order(values)
+    assert order.tobytes() == expected_order.tobytes()
+    assert group.tobytes() == expected_group.tobytes()
 
 
 def test_spectrum_sort_ignores_input_order_of_signed_zeros():

@@ -4,6 +4,7 @@ import bisect
 import cmath
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 
 from torspec.fixed_points import all_fixed_point_data
 from torspec.map_algebra import orientation, parse_word, psi_word
-from torspec.operator_numerics import _TIE_REL, _sort_eigenvalues
+from torspec.operator_numerics import _TIE_REL, _sort_eigenvalues, _sort_order
 from torspec.resonance_theory import (
     _GROUP_TOL,
     EigenvalueEntry,
     SpectrumModel,
     _count_quadrant,
+    _families,
     _lattice_values,
-    _snap,
     closed_form_multipliers_psi,
     closed_trace,
     counting_function,
@@ -338,6 +339,17 @@ def test_orientation_matches_block_parity():
 # ---------------------------------------------------------------------------
 
 
+def _reference_snap(value):
+    # the scalar snap enumerate_eigenvalues made of each value before it snapped them in numpy
+    re, im = value.real, value.imag
+    scale = abs(value)
+    if abs(im) < 5e-13 * scale:
+        im = 0.0
+    if abs(re) < 5e-13 * scale:
+        re = 0.0
+    return complex(re, im)
+
+
 def _reference_enumerate_eigenvalues(model, cutoff):
     values = []
     lam = model.same_sign_multipliers
@@ -361,7 +373,7 @@ def _reference_enumerate_eigenvalues(model, cutoff):
             values.append(w)
             values.append(-w)
 
-    values = _sort_eigenvalues(np.array([_snap(v) for v in values], dtype=complex)).tolist()
+    values = _sort_eigenvalues(np.array([_reference_snap(v) for v in values], dtype=complex)).tolist()
     # the tie groups' leading moduli, smallest first: a modulus belongs to
     # the group of the first lead at or above it
     leads = []
@@ -382,6 +394,68 @@ def _reference_enumerate_eigenvalues(model, cutoff):
             members[group].append(len(entries))
             entries.append((EigenvalueEntry(v, 1), group))
     return tuple(entry for entry, _ in entries)
+
+
+def _reference_merge(model, cutoff):
+    """enumerate_eigenvalues as it merged: a scalar snap per value and a new entry per merged copy.
+
+    The order comes from `_sort_order`, which its own test pins to the
+    scalar tie walk it had.
+    """
+    values = []
+    for fam in _families(model):
+        if fam.case == "EP":
+            for v in _lattice_values(fam.pair, cutoff, fam.positive_only):
+                w = v.conjugate()
+                if fam.omega is not None:
+                    v, w = fam.omega * v, fam.omega * w
+                values += (v, w)
+        else:
+            for v in _lattice_values(fam.pair, cutoff * cutoff, fam.positive_only):
+                w = cmath.sqrt(v)
+                values += (w, -w)
+    snapped = np.array([_reference_snap(v) for v in values], dtype=complex)
+    order, groups = _sort_order(snapped)
+    entries = [EigenvalueEntry(1.0 + 0j, 1)]
+    current, start = -1, 1
+    for v, group in zip(snapped[order].tolist(), groups[order].tolist()):
+        if group != current:
+            current, start = group, len(entries)
+        for i in range(start, len(entries)):
+            entry = entries[i]
+            if abs(v - entry.value) <= _GROUP_TOL * max(abs(v), abs(entry.value)):
+                entries[i] = EigenvalueEntry(entry.value, entry.multiplicity + 1)
+                break
+        else:
+            entries.append(EigenvalueEntry(v, 1))
+    return tuple(entries)
+
+
+def _entry_bits(entries):
+    return [(struct.pack("<dd", e.value.real, e.value.imag), e.multiplicity) for e in entries]
+
+
+# multipliers with equal moduli, conjugates, zeros, signed zero parts and generic values
+multipliers = st.one_of(
+    st.sampled_from([0j, 0.5, -0.5, 0.5j, -0.5j, 0.3 + 0.4j, 0.3 - 0.4j, complex(-0.0, 0.5), complex(0.5, -0.0)]),
+    st.complex_numbers(max_magnitude=0.7, allow_nan=False, allow_infinity=False),
+)
+spectrum_models = st.builds(
+    SpectrumModel,
+    omega=st.sampled_from([1, -1]),
+    forward_case=st.sampled_from(["EP", "ER"]),
+    backward_case=st.sampled_from(["EP", "ER"]),
+    same_sign_multipliers=st.tuples(multipliers, multipliers),
+    mixed_multipliers=st.tuples(multipliers, multipliers),
+)
+
+
+@given(spectrum_models, st.sampled_from([1e-2, 1e-3, 1e-4]))
+@example(SpectrumModel(1, "EP", "EP", (0.5, 0.5j), (0.5j, -0.5)), 1e-4)
+@example(SpectrumModel(-1, "ER", "EP", (0.3 + 0.4j, 0.3 - 0.4j), (complex(-0.0, 0.5), 0.5)), 1e-4)
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_the_scalar_merge_bit_for_bit(model, cutoff):
+    assert _entry_bits(enumerate_eigenvalues(model, cutoff)) == _entry_bits(_reference_merge(model, cutoff))
 
 
 def _reference_decay_classification(model):

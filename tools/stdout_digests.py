@@ -51,6 +51,8 @@ SMOKE = [
     'build --matrix "[[-3,-7],[-8,-19]]" --decay stretched --eta 1.0',
     'reduce --matrix "[[44945570212853,27777890035288],[27777890035288,17167680177565]]"',
     'check --word "U(1,0.4) . U(2,-0.2i) . U(1,0.35)" --grid 512',
+    'build --matrix "[[1,-1],[-1,0]]" --decay stretched --eta 1.0',
+    'build --matrix "[[-3,-2],[-5,-3]]" --decay stretched --eta 1.0',
 ]
 # words that no workload assembles; a matrix stands for build's word for it
 GRID_WORDS = [
