@@ -20,6 +20,7 @@ evidence with an explicit margin, not interval arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -150,19 +151,19 @@ _PREFILTER_POINTS = 16
 def _margins(active, sectors, candidates, unit: np.ndarray) -> List[Tuple[float, float]]:
     """(EP, ER) margins of each candidate at the `unit` points of its tori, all in one evaluate call.
 
-    A candidate (delta, Delta, t) samples the sector tori of scale t*delta
+    A candidate ((delta, Delta), t) samples the sector tori of scale t*delta
     against the thresholds t*Delta.  If any point is indeterminate the
     candidates are walked one at a time, so a candidate is refused (margins
     -inf) only for its own points.
     """
-    tori = [(torus_radii(s, (t * delta[0], t * delta[1])), s) for delta, _, t in candidates for s in sectors]
+    tori = [(torus_radii(s, (t * delta[0], t * delta[1])), s) for (delta, _), t in candidates for s in sectors]
     signed = _signed_log_images(active, tori, unit)
     if signed is None:
         if len(candidates) == 1:
             return [(-math.inf, -math.inf)]
         return [m for c in candidates for m in _margins(active, sectors, [c], unit)]
     signed = signed.reshape(len(candidates), len(sectors), 2, len(unit))
-    threshold = np.array([(t * Delta[0], t * Delta[1]) for _, Delta, t in candidates])[:, None, :, None]
+    threshold = np.array([(t * Delta[0], t * Delta[1]) for (_, Delta), t in candidates])[:, None, :, None]
     # worst slack per sector, then over sectors, dropping a NaN sector
     ep = np.fmin.reduce((signed - threshold).min(axis=(2, 3)), axis=1, initial=math.inf)
     er = np.fmin.reduce((-signed - threshold).min(axis=(2, 3)), axis=1, initial=math.inf)
@@ -207,7 +208,7 @@ def _search(active, sectors, candidates, samples: int, prefilter: bool) -> Tuple
 
 
 def _case_entry(ell: int, candidate, margins: Tuple[float, float]) -> CaseEntry:
-    delta, Delta, t = candidate
+    (delta, Delta), t = candidate
     margin_ep, margin_er = margins
     if margin_ep > 0:
         return CaseEntry(ell, "EP", delta, Delta, t, margin_ep)
@@ -254,7 +255,7 @@ def classify_mapping(
     Delta = _positive_pair(Delta, "Delta")
     if not (Delta[0] > delta[0] and Delta[1] > delta[1]):
         raise ValueError("Delta must exceed delta componentwise")
-    candidates = [(delta, Delta, t) for t in (_T_SEARCH if t_search else (1.0,))]
+    candidates = [((delta, Delta), t) for t in (_T_SEARCH if t_search else (1.0,))]
     i, margins = _search(*_direction(word, ell), candidates, samples, prefilter=False)
     return _case_entry(ell, candidates[i], margins)
 
@@ -458,7 +459,8 @@ def resolve_cases(word, samples: int = 128) -> MappingCase:
     entries = []
     for ell, name, shapes in ((1, "forward", shapes_f), (-1, "backward", shapes_b)):
         # shape first, then rung: the order of a scale search per shape
-        candidates = [(shape, (1.05 * shape[0], 1.05 * shape[1]), t) for shape in shapes for t in _T_SEARCH]
+        scales = [(shape, (1.05 * shape[0], 1.05 * shape[1])) for shape in shapes]
+        candidates = list(itertools.product(scales, _T_SEARCH))
         i, margins = _search(*_direction(word, ell), candidates, samples, prefilter=True)
         entry = _case_entry(ell, candidates[i], margins)
         if entry.case == "FAIL":
