@@ -114,80 +114,6 @@ from .dynamics_checks import (
     verify_reversing_symmetry,
 )
 
-__all__ = [
-    "INF",
-    "AssembledOperator",
-    "Atom",
-    "CertificateReport",
-    "CertificationError",
-    "EigenvalueEntry",
-    "FixedPointData",
-    "FixedPointError",
-    "FixedPointRecord",
-    "HomotopicMap",
-    "IndeterminatePointError",
-    "MapWord",
-    "MatchReport",
-    "PoleInChainError",
-    "QuadrantWeight",
-    "SpectrumModel",
-    "StandardForm",
-    "TargetInfeasible",
-    "TruncationSizeError",
-    "WordSyntaxError",
-    "all_fixed_point_data",
-    "assemble_operator",
-    "atom_F",
-    "atom_Finv",
-    "atom_G",
-    "atom_I",
-    "atom_R",
-    "auto_weight",
-    "build_homotopic_map",
-    "check_psec",
-    "classify_mapping",
-    "closed_form_multipliers_psi",
-    "closed_trace",
-    "complex_jacobian",
-    "concat",
-    "counting_function",
-    "decay_classification",
-    "embedding_eta_formula",
-    "embedding_gaps",
-    "embedding_singular_values",
-    "enumerate_eigenvalues",
-    "evaluate",
-    "evaluate_lifted",
-    "find_connecting_torus",
-    "fit_stretched_rate",
-    "inverse",
-    "is_area_preserving",
-    "is_hyperbolic",
-    "leading_moduli",
-    "lifted_jacobian",
-    "linear_part",
-    "match_spectra",
-    "matrix_to_word",
-    "numeric_trace_power",
-    "operator_spectrum",
-    "orientation",
-    "parse_word",
-    "psi_cases",
-    "psi_word",
-    "random_hyperbolic",
-    "reduce",
-    "resolve_cases",
-    "sector_fixed_point",
-    "simplify",
-    "spectral_determinant",
-    "spectrum_model_from_fixed_points",
-    "spectrum_model_from_word",
-    "spectrum_model_psi",
-    "u_block",
-    "verify_conjugate_pairs",
-    "verify_reversing_symmetry",
-    "word_power",
-    "word_to_text",
-    "write_spectrum_csv",
-    "xi_word",
-]
+# the import lists above are the public API: every public name they bind, but
+# neither os nor the submodules that binding them loads
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, type(os))]

@@ -462,7 +462,7 @@ def _complex_G(s: _Walk, atom: Atom) -> None:
         s.w[i] = (w - a) / den
         if m is not None or not _all_finite(s.w[i]):
             m = _mask(m, w)
-            s.w[i] = np.where(m, -1 / a.conjugate(), s.w[i])
+            s.w[i] = np.where(m, -1 / a.conjugate(), _quotient(s, s.w[i], w - a, den, m))
             s.inf[i] = ~m & (den == 0)
             if s.jac is not None:
                 s.flag(den == 0, PoleInChainError("G differentiated at a pole"))
@@ -764,12 +764,9 @@ def linear_part(word: WordLike) -> np.ndarray:
 
 
 def orientation(word: WordLike) -> int:
-    """+1 if the word preserves orientation, -1 otherwise."""
+    """+1 if the word preserves orientation, -1 otherwise; each atom's degree matrix has determinant +-1."""
     m = linear_part(word)
-    det = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
-    if det == 0:
-        raise ValueError("degenerate word: degree matrix is singular")
-    return 1 if det > 0 else -1
+    return 1 if int(m[0, 0]) * int(m[1, 1]) > int(m[0, 1]) * int(m[1, 0]) else -1
 
 
 def _merge_blaschke_params(a: complex, c: complex):

@@ -365,6 +365,28 @@ def test_embed_rejects_nonpositive_gap(capsys):
         assert code == 2
 
 
+_EMBED = ["embed", "--alpha", "0.3,0.3", "--gamma", "0.5,0.5", "--alpha-out", "0.1,0.1", "--gamma-out", "0.2,0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_EMBED[:2] + ["0.3"] + _EMBED[3:], "--alpha must be two comma-separated numbers, got '0.3'"),
+        (_EMBED[:4] + ["0.5,0.5,0.5"] + _EMBED[5:], "--gamma must be two comma-separated numbers, got '0.5,0.5,0.5'"),
+        (_EMBED[:8] + [""], "--gamma-out must be two comma-separated numbers, got ''"),
+        (["resonances", "--word", "U(1,0.5) . U(1,0.3)", "--weight", "0.1,0.1,0.05"],
+         "--weight must be 'auto' or four numbers a1,a2,g1,g2"),
+        (["spectrum", "--word", "U(1,0.5) . U(1,0.3)", "--weight", "auto,1"],
+         "--weight must be 'auto' or four numbers a1,a2,g1,g2"),
+    ],
+)
+def test_refusals_exit_2(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"torspec: error: {message}\n"
+
+
 def test_embed_underflowed_singular_values_exit_2(capsys):
     # exp(-399.7 |n|) underflows to 0 inside the fit window
     code = cli.main([

@@ -105,7 +105,7 @@ def _ref_G(s, atom):
             continue
         w, inf = s.w[i], s.inf[i]
         den = 1.0 - a.conjugate() * w
-        s.w[i] = np.where(inf, -1 / a.conjugate(), (w - a) / den)
+        s.w[i] = np.where(inf, -1 / a.conjugate(), _ref_quotient(s, w - a, den, inf))
         s.inf[i] = ~inf & (den == 0)
         if s.jac is not None:
             s.flag(den == 0, PoleInChainError("G differentiated at a pole"))

@@ -93,13 +93,6 @@ def test_weight_oracle_values():
     assert _sectors(w2.basis, [(-2, 5)]) == [(1, -1)]
 
 
-def test_standard_validates_signs():
-    with pytest.raises(ValueError):
-        QuadrantWeight.standard(alpha=(0.0, 0.1), gamma=(0.1, 0.1))
-    with pytest.raises(ValueError):
-        QuadrantWeight.standard(alpha=(0.1, 0.1), gamma=(-0.1, 0.1))
-
-
 def test_alpha_gamma_roundtrip():
     w = QuadrantWeight.standard(alpha=(0.1, 0.2), gamma=(0.4, 0.3))
     assert w.alpha == (0.1, 0.2)
@@ -143,9 +136,27 @@ def test_vectorized_log_weight_matches_scalar(points):
         assert math.isclose(vec[i], _reference_log_weight(w, p), abs_tol=1e-12)
 
 
-def test_basis_must_be_unimodular():
-    with pytest.raises(ValueError):
-        QuadrantWeight.standard(alpha=(0.1, 0.1), gamma=(0.1, 0.1), basis=np.array([[2, 0], [0, 1]]))
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (sigma_key, ((0, 1),), "not a sign pair: (0, 1)"),
+        (QuadrantWeight.standard, ((0.1, 0.1), (0.1, 0.1), [[1, 0, 0], [0, 1, 0]]), "basis must be a 2x2 integer matrix"),
+        (torus_radii, ((1, 1), (0.1, 0.1), [1, 0, 0, 1]), "basis must be a 2x2 integer matrix"),
+        (QuadrantWeight.standard, ((0.1, 0.1), (0.1, 0.1), [[2, 0], [0, 1]]), "basis must be unimodular, det = 2"),
+        (QuadrantWeight.standard, ((math.inf, 0.1), (0.1, 0.1)), "alpha must be finite, got (inf, 0.1)"),
+        (QuadrantWeight.standard, ((0.1, 0.1), (0.1, math.nan)), "gamma must be finite, got (0.1, nan)"),
+        (QuadrantWeight.standard, ((0.0, 0.1), (0.1, 0.1)), "alpha and gamma must be strictly positive"),
+        (QuadrantWeight.standard, ((0.1, 0.1), (-0.1, 0.1)), "alpha and gamma must be strictly positive"),
+        (QuadrantWeight, (I2, (math.nan, 1.0), (-1.0, -1.0)), "d_same must be finite, got (nan, 1.0)"),
+        (QuadrantWeight, (I2, (1.0, 1.0), [-1.0, -math.inf]), "d_mixed must be finite, got [-1.0, -inf]"),
+        (sample_torus, ((1.0, 1.0), 0), "count must be positive"),
+        (sample_torus, ((1.0, 1.0), -3), "count must be positive"),
+    ],
+)
+def test_refusals(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_torus_radii_identity_basis():

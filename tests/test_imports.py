@@ -60,6 +60,15 @@ def test_package_has_modules():
     assert "resonance_theory.py" in MODULES and "cli.py" in MODULES
 
 
+def test_exports_are_the_names_init_imports():
+    # __init__.py states each export once, in its import lists, and reads
+    # __all__ off what they bind: neither os nor a submodule is exported
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(torspec.__all__) == sorted(imported)
+    assert len(set(imported)) == len(imported)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     unused = _unused_imports((PACKAGE / module).read_text())

@@ -11,6 +11,7 @@ from torspec.fixed_points import _chordal
 from torspec.map_algebra import (
     _CHART,
     INF,
+    Atom,
     IndeterminatePointError,
     MapWord,
     PoleInChainError,
@@ -32,9 +33,13 @@ from torspec.map_algebra import (
     moebius_lift,
     orientation,
     parse_word,
+    psi_word,
     simplify,
+    u_block,
+    w_block,
     word_power,
     word_to_text,
+    xi_word,
 )
 
 
@@ -94,25 +99,66 @@ def test_parse_complex_forms():
     assert word[1].a == 0.1 - 0.2j
 
 
-def test_parse_errors_carry_position():
-    with pytest.raises(WordSyntaxError) as err:
-        parse_word("F . . R")
-    assert err.value.position == 1
-    with pytest.raises(WordSyntaxError):
-        parse_word("Q")
-    with pytest.raises(WordSyntaxError):
-        parse_word("U(0, 0.5)")
-    with pytest.raises(WordSyntaxError):
-        parse_word("G(1.5, 0)")
-    with pytest.raises(WordSyntaxError):
-        parse_word("I(2, 0)")
-    with pytest.raises(WordSyntaxError):
-        parse_word("")
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        (parse_word, ("F . R)",), WordSyntaxError, "unbalanced ')' (atom 1)"),
+        (parse_word, ("G(0.5, 0) . F . (R . F",), WordSyntaxError, "unbalanced '(' (atom 2)"),
+        (parse_word, ("",), WordSyntaxError, "empty word (atom 0)"),
+        (parse_word, ("F . . R",), WordSyntaxError, "empty atom (atom 1)"),
+        (parse_word, ("R . $",), WordSyntaxError, "cannot parse atom '$' (atom 1)"),
+        (parse_word, ("Q",), WordSyntaxError, "unknown atom 'Q' (atom 0)"),
+        (parse_word, ("F . Q",), WordSyntaxError, "unknown atom 'Q' (atom 1)"),
+        (parse_word, ("F . G(0.5x, 0)",), WordSyntaxError, "bad numeric literal '0.5x' (atom 1)"),
+        (parse_word, ("G(0.5, 1..2)",), WordSyntaxError, "bad numeric literal ' 1..2' (atom 0)"),
+        (parse_word, ("G(, 0)",), WordSyntaxError, "bad numeric literal '' (atom 0)"),
+        (parse_word, ("R . G(1e999, 0)",), WordSyntaxError, "non-finite literal '1e999' (atom 1)"),
+        (parse_word, ("F . I(0.5, 1)",), WordSyntaxError, "expected an integer, got '0.5' (atom 1)"),
+        (parse_word, ("U(a, 0.5)",), WordSyntaxError, "expected an integer, got 'a' (atom 0)"),
+        (parse_word, ("F(1)",), WordSyntaxError, "F takes no arguments (atom 0)"),
+        (parse_word, ("R . I01(0)",), WordSyntaxError, "I01 takes no arguments (atom 1)"),
+        (parse_word, ("F . R . I(1)",), WordSyntaxError, "I takes (k, l) (atom 2)"),
+        (parse_word, ("I(2, 0)",), WordSyntaxError, "I(k, l) requires k, l in {0, 1} (atom 0)"),
+        (parse_word, ("G(0.5)",), WordSyntaxError, "G takes (a, b) (atom 0)"),
+        (parse_word, ("G(1.5, 0)",), WordSyntaxError,
+         "G parameter a must lie strictly inside the unit disk, got (1.5+0j) (atom 0)"),
+        (parse_word, ("F . U(1, 0.5, 2)",), WordSyntaxError, "U takes (k, a) (atom 1)"),
+        (parse_word, ("U(0, 0.5)",), WordSyntaxError, "U requires k >= 1 (atom 0)"),
+        (parse_word, ("R . W(0, 0.5)",), WordSyntaxError, "W requires k >= 1 (atom 1)"),
+        (parse_word, ("F . U(1, 1i)",), WordSyntaxError,
+         "G parameter b must lie strictly inside the unit disk, got 1j (atom 1)"),
+        (parse_word, (42,), TypeError, "parse_word expects a string"),
+        (parse_word, (None,), TypeError, "parse_word expects a string"),
+        (atom_G, (1.0, 0), ValueError, "G parameter a must lie strictly inside the unit disk, got (1+0j)"),
+        (Atom, ("X",), ValueError, "unknown atom kind 'X'"),
+        (Atom, ("I", 0, -1), ValueError, "I(k, l) requires k, l in {0, 1}"),
+        (Atom, ("G", 0, 0, math.inf, 0), ValueError, "G parameter a must be finite, got (inf+0j)"),
+        (Atom, ("G", 0, 0, 0, complex("nan")), ValueError, "G parameter b must be finite, got (nan+0j)"),
+        (MapWord, ([atom_F(), "R"],), TypeError, "atom 1 is not an Atom: 'R'"),
+        (u_block, (0, 0.5), ValueError, "u_block requires an integer k >= 1"),
+        (u_block, (1.5, 0.5), ValueError, "u_block requires an integer k >= 1"),
+        (w_block, (2.5, 0.1), ValueError, "w_block requires an integer k >= 1"),
+        (psi_word, ([1], [0.5], 2), ValueError, "s must be 0 or 1"),
+        (psi_word, ([1, 2], [0.5]), ValueError, "need equally many exponents and parameters, at least one"),
+        (psi_word, ([], []), ValueError, "need equally many exponents and parameters, at least one"),
+        (xi_word, ([1, 2], 0.5, -1), ValueError, "s must be 0 or 1"),
+        (xi_word, ([1], 0.5), ValueError, "need at least two blocks"),
+        # (F . R)^n has Fibonacci entries; the 90th power's pass 2**62
+        (linear_part, (word_power(parse_word("F . R"), 90),), OverflowError,
+         "degree matrix entries exceed the int64 range"),
+    ],
+)
+def test_refusals(call, args, error, message):
+    with pytest.raises(error) as info:
+        call(*args)
+    assert type(info.value) is error and str(info.value) == message
+    if error is WordSyntaxError:
+        assert message.endswith(f"(atom {info.value.position})")
 
 
-def test_disk_boundary_rejected():
-    with pytest.raises(ValueError):
-        atom_G(1.0, 0)
+def test_long_form_I_is_the_short_atom():
+    assert parse_word(" I( 0 ,1 ) ") == parse_word("I01") == MapWord([atom_I(0, 1)])
+    assert word_to_text(parse_word("I(1, 0) . F")) == "I10 . F"
 
 
 @given(words_strategy)
@@ -364,6 +410,15 @@ def test_evaluate_divides_huge_over_huge():
     assert evaluate(parse_word("R . Finv"), (z, z)) == (z, 1)
 
 
+@pytest.mark.parametrize("text, limit", [("G(0.5,0)", -2), ("G(0.5i,0)", -2j)])
+def test_evaluate_G_divides_huge_over_huge(text, limit):
+    # b_a(z) = (z - a) / (1 - conj(a) z) tends to -1/conj(a) as z grows; at
+    # 1e308 + 1e308i numpy's quotient of the two huge terms overflows, and G
+    # divides again through the same rule as Finv and I
+    w1, w2 = evaluate(parse_word(text), (1e308 + 1e308j, 1))
+    assert np.isfinite(w1) and abs(w1 - limit) < 1e-12 and w2 == 1
+
+
 def test_evaluate_refuses_a_quotient_that_stays_nan():
     # huge over small: numpy's quotient is inf + inf i, scaling up overflows
     # the numerator to inf + inf i, and over a real divisor that gives
@@ -501,6 +556,14 @@ def test_orientation_sign():
     assert orientation(parse_word("F . R")) == -1
     assert orientation(parse_word("F . R . F . R")) == 1
     assert orientation(parse_word("U(2, 0.5)")) == -1
+
+
+@given(words_strategy)
+@settings(max_examples=40)
+def test_orientation_is_the_unit_determinant(word):
+    # every atom's degree matrix lies in GL(2, Z), so no word is degenerate
+    (a, b), (c, d) = linear_part(word).tolist()
+    assert a * d - b * c == orientation(word) in (1, -1)
 
 
 @given(words_strategy)
