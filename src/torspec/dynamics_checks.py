@@ -367,8 +367,9 @@ def find_connecting_torus(
     proposed from the entry bounds of the word's (sign-normalized) lifted
     derivative family; t is then halved from 1 until both fixed-threshold
     conditions hold: sigma_tilde_i (t q)_i > delta_tilde_i, and every sampled
-    image point lies in the sigma domain at scale Delta.  Thresholds are not
-    rescaled with t, so the search can exhaust honestly.
+    image point lies in the sigma domain at scale Delta; a scale whose radii
+    overflow is refused like one whose images miss the domain.  Thresholds
+    are not rescaled with t, so the search can exhaust honestly.
     """
     sigma = (int(sigma[0]), int(sigma[1]))
     sigma_tilde = (int(sigma_tilde[0]), int(sigma_tilde[1]))
@@ -399,7 +400,12 @@ def find_connecting_torus(
     while t >= 1e-4:
         u = (t * q[0], t * q[1])
         if sigma_tilde[0] * u[0] > delta_tilde[0] and sigma_tilde[1] * u[1] > delta_tilde[1]:
-            signed = _signed_log_images(word, [((math.exp(u[0]), math.exp(u[1])), sigma)], unit)
+            try:
+                radii = (math.exp(u[0]), math.exp(u[1]))
+            except OverflowError:  # a radius beyond the float range is refused like images off the domain
+                signed = None
+            else:
+                signed = _signed_log_images(word, [(radii, sigma)], unit)
             margin = -math.inf if signed is None else float(np.min(signed - np.array(Delta)[:, None]))
             if margin > 0:
                 return ConnectorReport(True, sigma, sigma_tilde, q, t, margin, None)

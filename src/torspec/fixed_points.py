@@ -39,8 +39,6 @@ from .map_algebra import (
     MapWord,
     _interpret,
     _Walk,
-    atom_I,
-    concat,
     inverse,
     simplify,
     word_power,
@@ -170,11 +168,10 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
     """Locate the fixed point of one sector and compute its multipliers.
 
     The active map is the word for a same-sign sector, the inverse word for a
-    mixed one, squared if the certified case is "ER".  It is conjugated by the
-    inversion atom that pulls the sector's corner into the closed unit bidisk
-    and iterated from the origin; hyperbolicity certified by the case entry
-    makes that orbit converge.  The Jacobian of one final pass in the chart
-    coordinates gives the multipliers.
+    mixed one, squared if the certified case is "ER".  It is iterated from
+    the sector's corner, stored as 0 in the chart that holds it;
+    hyperbolicity certified by the case entry makes that orbit converge.  The
+    Jacobian of one final pass in the chart coordinates gives the multipliers.
     """
     sigma = (int(sigma[0]), int(sigma[1]))
     if sigma not in SIGMAS:
@@ -184,19 +181,11 @@ def sector_fixed_point(word, sigma, cases: MappingCase) -> FixedPointRecord:
 
 
 def _sector_record(reduced: MapWord, sigma, lvl: int, case: str) -> FixedPointRecord:
-    """`sector_fixed_point` of the sector's simplified active map `reduced`.
-
-    Simplifying the conjugation of the simplified map gives the atoms that
-    simplifying the whole conjugated word gives: a chart atom moves through
-    the word and changes no merge.
-    """
-    chart = MapWord([atom_I((1 + sigma[0]) // 2, (1 + sigma[1]) // 2)])
-    effective = simplify(concat(chart, reduced, chart))
-
-    state = _Walk([0j, 0j], [0, 0], None)
+    """`sector_fixed_point` of the sector's simplified active map `reduced`."""
+    state = _Walk([0j, 0j], [(1 + sigma[0]) // 2, (1 + sigma[1]) // 2], None)
     converged = False
     for _ in range(_MAX_ITER):
-        nxt = _chart_pass(effective, state, jacobian=False)
+        nxt = _chart_pass(reduced, state, jacobian=False)
         step = _state_distance(nxt, state)
         state = nxt
         if step < _STEP_TOL:
@@ -207,7 +196,7 @@ def _sector_record(reduced: MapWord, sigma, lvl: int, case: str) -> FixedPointRe
             f"no convergence for sector {sigma} after {_MAX_ITER} iterations"
         )
 
-    final = _chart_pass(effective, state, jacobian=True)
+    final = _chart_pass(reduced, state, jacobian=True)
     _reconcile_charts(final, state)
     residual = _state_distance(final, state)
     if residual > _RESIDUAL_TOL:
@@ -216,10 +205,6 @@ def _sector_record(reduced: MapWord, sigma, lvl: int, case: str) -> FixedPointRe
             f"for sector {sigma}"
         )
 
-    # undo the sector conjugation to express the point in original coordinates
-    for i in (0, 1):
-        if sigma[i] == 1:
-            final.inf[i] ^= 1
     multipliers = _eigenpair(final.jac)
     return FixedPointRecord(sigma, lvl, case, _extended(final), multipliers, residual)
 

@@ -834,23 +834,19 @@ def simplify(word: WordLike) -> MapWord:
     Identity atoms are dropped, I(k, l) factors migrate left and coalesce,
     R moves left past G, and adjacent G atoms merge when the composition is
     again a plain disk automorphism.  The result is pointwise equal to the
-    input map.
+    input map.  One scan does it: every rule moves an I or R atom left or
+    shortens the word, so the scan ends, and it steps back a place after each
+    rewrite, so no pair behind it can still be rewritten.
     """
     atoms = [a for a in _atoms(word) if not _is_identity_atom(a)]
-    budget = (len(atoms) + 2) ** 2 * 4
-    changed = True
-    while changed and budget > 0:
-        changed = False
-        i = 0
-        while i + 1 < len(atoms):
-            if _try_rewrite(atoms, i):
-                changed = True
-                budget -= 1
-                # the list held no identity atom, and a rewrite makes new atoms only at i and i + 1
-                atoms[i : i + 2] = [a for a in atoms[i : i + 2] if not _is_identity_atom(a)]
-                i = max(i - 1, 0)
-            else:
-                i += 1
+    i = 0
+    while i + 1 < len(atoms):
+        if _try_rewrite(atoms, i):
+            # the list held no identity atom, and a rewrite makes new atoms only at i and i + 1
+            atoms[i : i + 2] = [a for a in atoms[i : i + 2] if not _is_identity_atom(a)]
+            i = max(i - 1, 0)
+        else:
+            i += 1
     return MapWord(atoms)
 
 

@@ -34,7 +34,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .cone_geometry import QuadrantWeight
-from .map_algebra import _atom_matrix, _atoms, _mat2_mul, _walk, inverse, linear_part
+from .map_algebra import _atom_matrix, _atoms, _mat2_mul, _walk, inverse, linear_part, u_block
 
 _BAND_LIMIT = 16
 _TOL = 1e-8
@@ -235,28 +235,20 @@ def _blaschke_powers(a: complex, top: int, span: int) -> np.ndarray:
 def _u_blocks(atoms):
     """The (k, a) of the u_blocks that the atoms spell, in word order, or None if they spell anything else.
 
-    u_block(k, a) is G(0, a) . F^k . R . G(-a, 0), read off the atoms: a
-    G atom with first parameter 0, k >= 1 F atoms, R, and a G atom with
-    second parameter 0 whose first parameter is exactly minus the head's
-    second one, so that G(0, a) undoes G(-a, 0) in the second coordinate.
+    Each block is read off its head G(0, a) and the run of F atoms after it,
+    and stands only if its atoms are `u_block(k, a)`.
     """
     blocks = []
     i = 0
     while i < len(atoms):
-        head = atoms[i]
-        if head.kind != "G" or head.a != 0:
-            return None
-        i += 1
         k = 0
-        while i < len(atoms) and atoms[i].kind == "F":
-            k, i = k + 1, i + 1
-        if not k or i + 1 >= len(atoms) or atoms[i].kind != "R":
+        while i + 1 + k < len(atoms) and atoms[i + 1 + k].kind == "F":
+            k += 1
+        a = atoms[i].b
+        if not k or list(atoms[i:i + k + 3]) != u_block(k, a):
             return None
-        tail = atoms[i + 1]
-        if tail.kind != "G" or tail.b != 0 or tail.a != -head.b:
-            return None
-        blocks.append((k, head.b))
-        i += 2
+        blocks.append((k, a))
+        i += k + 3
     return blocks
 
 
@@ -705,4 +697,5 @@ def _spectrum_rows(fh, values, plot_data: bool) -> None:
     else:
         fh.write("re,im,modulus\n")
         for v in values:
-            fh.write("%.17g,%.17g,%.17g\n" % (v.real, v.imag, abs(v)))
+            # + 0.0 turns -0 into 0, so rounding noise cannot pick the sign of a zero part
+            fh.write("%.17g,%.17g,%.17g\n" % (v.real + 0.0, v.imag + 0.0, abs(v)))

@@ -29,6 +29,8 @@ from torspec.map_algebra import (
     atom_F,
     atom_G,
     atom_R,
+    concat,
+    inverse,
     parse_word,
     psi_word,
     xi_word,
@@ -228,6 +230,35 @@ def test_area_orientation_symmetry():
             (atom_F(),) * k + (atom_R(), atom_G(a, -a)) + (atom_F(),) * k + (atom_R(),)
         )
         assert verify_reversing_symmetry(shear_pair, h, samples=256, tol=1e-10)
+
+
+def _predicted(word):
+    return enumerate_eigenvalues(spectrum_model_from_word(word), 1e-3)
+
+
+@pytest.mark.parametrize(
+    "text, count",
+    [("U(1,0.5) . U(1,0.3)", 117), ("U(2,0.4) . U(1,-0.3)", 45), ("I11 . U(1,0.4) . U(2,0.3i)", 43)],
+)
+def test_area_preserving_maps_predict_their_inverse_spectrum(text, count):
+    # C_h and C_(h^-1) have the same spectrum where h preserves area, and
+    # conjugating by I01 changes no spectrum
+    h = parse_word(text)
+    assert is_area_preserving(h, grid=32)[0]
+    forward = _predicted(h)
+    backward = _predicted(concat(parse_word("I01"), inverse(h), parse_word("I01")))
+    assert sum(e.multiplicity for e in forward) == sum(e.multiplicity for e in backward) == count
+    assert [e.multiplicity for e in forward] == [e.multiplicity for e in backward]
+    for a, b in zip(forward, backward):
+        assert abs(a.value - b.value) <= 1e-12 * abs(a.value)
+
+
+def test_area_changing_map_predicts_another_inverse_spectrum():
+    h = parse_word("U(1,0.2) . W(1,0.3)")
+    assert not is_area_preserving(h, grid=32)[0]
+    counts = [sum(e.multiplicity for e in _predicted(w))
+              for w in (h, concat(parse_word("I01"), inverse(h), parse_word("I01")))]
+    assert counts == [9, 19]
 
 
 def test_embedding_rate():

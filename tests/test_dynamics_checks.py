@@ -111,6 +111,13 @@ def test_psec_passes_for_psi_pair():
     assert report.witnesses == ()
 
 
+@pytest.mark.parametrize("grid", (16, 32, 64))
+def test_psec_passes_by_second_diagonal_expansion(grid):
+    report = check_psec(parse_word("Finv . U(3,-0.48) . U(3,0.59) . U(2,-0.45) . F"), grid=grid)
+    assert report.passed
+    assert report.criterion == "second-diagonal-expansion"
+
+
 def test_psec_single_block_sits_on_the_edge():
     report = check_psec(psi_word((1,), (0.5,)), grid=12)
     assert not report.passed
@@ -288,11 +295,42 @@ def test_connecting_torus_cat_is_consistent_with_degree_matrix():
     assert bad.reason == "search-exhausted"
 
 
+@pytest.mark.parametrize("sigma_tilde", [(-1, 1), (1, -1)])
+def test_connecting_torus_into_the_negative_corner(sigma_tilde):
+    report = find_connecting_torus(
+        PSI2, sigma_tilde=sigma_tilde, sigma=(-1, -1),
+        delta_tilde=(0.05, 0.05), Delta=(0.1, 0.1), samples=96, jac_grid=12,
+    )
+    assert report.passed and report.margin > 0
+    assert all(s * q > 0.05 for s, q in zip(sigma_tilde, report.q))
+
+
+def test_connecting_torus_refuses_a_jacobian_of_mixed_sign():
+    report = find_connecting_torus(parse_word("I10 . U(1,0.5) . U(1,0.3)"), (-1, 1), (1, 1), (0.1, 0.1), (0.2, 0.2))
+    assert not report.passed
+    assert report.reason == "jacobian-not-sign-definite"
+
+
+def test_connecting_torus_refuses_radii_beyond_the_float_range():
+    # a sign-normalised Jacobian entry of 0 makes q = (-0.21, 819.15), whose
+    # radius e^819 overflows at t = 1; the search halves on to exhaustion
+    report = find_connecting_torus(parse_word("U(1,0.5)"), (-1, 1), (1, 1), (0.1, 0.1), (0.2, 0.2))
+    assert report.q[1] > math.log(np.finfo(float).max)
+    assert not report.passed
+    assert report.reason == "search-exhausted"
+
+
 def test_connecting_torus_validates_sectors():
     with pytest.raises(ValueError):
         find_connecting_torus(PSI2, (1, 1), (1, 1), (0.1, 0.1), (0.1, 0.1))
     with pytest.raises(ValueError):
         find_connecting_torus(PSI2, (-1, 1), (-1, 1), (0.1, 0.1), (0.1, 0.1))
+
+
+def test_perron_shape_refuses_mixed_signs_and_a_zero_component():
+    assert dynamics_checks._perron_shape(np.array([[2, -1], [-1, 1]])) is None
+    # a Jordan block: the dominant eigenvector (1, 0) has a zero component
+    assert dynamics_checks._perron_shape(np.array([[1, 1], [0, 1]])) is None
 
 
 def test_auto_weight_cat():

@@ -135,39 +135,52 @@ _C = "0.05410633114216434-0.19813253179877194i"
 
 
 def _chart_calls(monkeypatch, kinds):
-    """(atom kind, chart bits after the action) for each chart action of the given kinds."""
+    """(atom kind, chart bits before, chart bits after) for each chart action of the given kinds."""
     calls = []
     for kind in kinds:
         complex_action, lifted_action, chart_action = map_algebra._ACTIONS[kind]
 
         def counted(state, atom, chart_action=chart_action):
+            before = tuple(state.inf)
             chart_action(state, atom)
-            calls.append((atom.kind, tuple(state.inf)))
+            calls.append((atom.kind, before, tuple(state.inf)))
 
         monkeypatch.setitem(map_algebra._ACTIONS, kind, (complex_action, lifted_action, counted))
     return calls
 
 
 def _shear_counts(monkeypatch, word):
-    """Fixed-point data of the word, with its Finv shears and chart-1 shear results counted."""
+    """Fixed-point data of the word, with the shears that divide and those that change chart counted.
+
+    A shear stores v1^g1 * v2^g2 for the stored values v and exponents g
+    read off the chart bits (`map_algebra._chart_shear`); it divides where
+    an exponent is -1.
+    """
     calls = _chart_calls(monkeypatch, ("F", "Finv"))
     data = all_fixed_point_data(word)
     monkeypatch.undo()
-    counts = {"Finv": sum(kind == "Finv" for kind, _ in calls), "chart1": sum(bits[0] for _, bits in calls)}
+    counts = {"divide": 0, "chart change": 0}
+    for kind, (c1, c2), (out, _) in calls:
+        sign = 1 if kind == "F" else -1
+        exponents = ((1 - 2 * c1) * (1 - 2 * out), (1 - 2 * c2) * sign * (1 - 2 * out))
+        counts["divide"] += -1 in exponents
+        counts["chart change"] += out != c1
     return data, counts
 
 
 def test_finv_and_chart_one_shears_match_chart_zero(monkeypatch):
-    # the F . Finv pair takes the orbits through Finv shears and chart 1;
-    # cancelling it leaves the same map, iterated in chart 0 only
+    # the F . Finv pair makes the orbits divide and change chart in their
+    # shears; cancelling it leaves the same map, whose shears all multiply
+    # and keep their chart, as they did in chart 0 of the word conjugated
+    # into each sector's corner
     detour, detour_counts = _shear_counts(
         monkeypatch, parse_word(f"F . G({_A},{_B}) . F . Finv . G(0,{_C}) . R . F . F")
     )
     direct, direct_counts = _shear_counts(
         monkeypatch, parse_word(f"F . G({_A},{_B}) . G(0,{_C}) . R . F . F")
     )
-    assert detour_counts["Finv"] > 0 and detour_counts["chart1"] > 0
-    assert direct_counts == {"Finv": 0, "chart1": 0}
+    assert detour_counts["divide"] > 0 and detour_counts["chart change"] > 0
+    assert direct_counts == {"divide": 0, "chart change": 0}
     for side in ("forward", "backward"):
         a, b = getattr(detour.cases, side), getattr(direct.cases, side)
         assert (a.case, a.t) == (b.case, b.t)
@@ -234,9 +247,9 @@ def _simplified(word):
 @given(st.lists(merging_atoms(), max_size=12).map(MapWord))
 @settings(max_examples=300, deadline=None)
 def test_sector_words_simplify_once_per_direction(word):
-    # each sector conjugates its direction's simplified map by its chart atom;
-    # that gives the atoms, G parameters bit for bit, of simplifying the
-    # whole conjugated word
+    # a direction's simplified map conjugated by a chart atom simplifies to
+    # the atoms, G parameters bit for bit, of the whole conjugated word: a
+    # chart atom moves through a word and changes no merge
     for active in (word, inverse(word)):
         for power in (1, 2):
             raw = word_power(active, power)

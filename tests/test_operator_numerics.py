@@ -821,6 +821,12 @@ def test_spectrum_csv(tmp_path):
     assert float(row[3]) == pytest.approx(-math.log(abs(0.5 - 0.25j)), rel=1e-15)
 
 
+def test_spectrum_csv_prints_zero_parts_without_sign(tmp_path):
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(path, np.array([complex(0.04, -0.0), complex(-0.0, 0.5)]))
+    assert path.read_text().splitlines()[1:] == ["0.040000000000000001,0,0.040000000000000001", "0,0.5,0.5"]
+
+
 def test_assembly_validation():
     weight = QuadrantWeight.standard((0.1, 0.1), (0.1, 0.1))
     with pytest.raises(TruncationSizeError):

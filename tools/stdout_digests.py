@@ -4,11 +4,13 @@ The calls are the first 10 rounds of every benchmark workload for seeds 1-3
 (from `perfbench/workloads.py`), every `torspec` example of the README, and
 the routes no workload reaches: every `torspec` call of CI's smoke steps,
 `spectrum` (both kinds) and `resonances --verify` at bands 6-12 on five
-grid-route words, and the calls of the strict expected failures and of the
-`build` edge cases in the tests.  Each runs in-process in a fresh temporary
-directory; a call that raises stops the script with its traceback.  The
-script imports `torspec` from `./src` and the workloads from `./perfbench`
-of the working directory, so the same file compares two checkouts:
+grid-route words, `resonances` with and without `--verify --band 10` on four
+words whose sector walks meet a chart atom or square the word, and the calls
+of the strict expected failures and of the `build` edge cases in the tests.
+Each runs in-process in a fresh temporary directory; a call that raises
+stops the script with its traceback.  The script imports `torspec` from
+`./src` and the workloads from `./perfbench` of the working directory, so
+the same file compares two checkouts:
 
     git worktree add ../parent HEAD~1
     python3 tools/stdout_digests.py > /tmp/change.txt
@@ -63,6 +65,15 @@ GRID_WORDS = [
     "[[10,7],[-17,-12]]",
 ]
 GRID_BANDS = (6, 8, 10, 12)
+# sector walks through chart atoms: words with an I01 or I10 atom (the
+# README word's inverse conjugated by I01), and odd chains whose backward
+# (ER) and forward (ER) directions square the word
+SECTOR_WORDS = [
+    "U(2,0.3i) . G(0.2i,0) . Finv . I01",
+    "I01 . G(0.3,0) . R . Finv . G(0,-0.3) . G(0.5,0) . R . Finv . G(0,-0.5) . I01",
+    "U(1,0.4) . U(2,0.3) . U(1,-0.2)",
+    "I11 . U(1,0.4) . U(2,0.3i) . U(1,0.25)",
+]
 # the strict expected failures and the build edge cases of the tests
 EDGES = [
     *(f'build --matrix "[[-1,-2],[-1,-1]]" --decay stretched --eta {eta}' for eta in ("0.9", "1.0", "1.408")),
@@ -100,6 +111,9 @@ def argvs():
             for kind in ("composition", "transfer"):
                 yield ["spectrum", "--word", word, "--band", band, "--weight", "0.1,0.1,0.1,0.1", "--kind", kind]
             yield ["resonances", "--word", word, "--verify", "--band", band]
+    for word in SECTOR_WORDS:
+        yield ["resonances", "--word", word]
+        yield ["resonances", "--word", word, "--verify", "--band", "10"]
     yield from map(shlex.split, EDGES)
 
 
