@@ -36,6 +36,7 @@ from .cone_geometry import (
 )
 from .map_algebra import (
     IndeterminatePointError,
+    _lifted_rows,
     concat,
     evaluate,
     inverse,
@@ -268,15 +269,22 @@ _SIGN_TOL = 1e-12
 _MAX_WITNESSES = 16
 
 
-def _sign_normalize(jac: np.ndarray, flip: bool = False) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Per 2x2 matrix J (flip J flip if asked), made nonnegative in place: whether it is sign-definite, and its planes."""
+def _sign_normalize(rows, flip: bool = False) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Per 2x2 matrix J (flip J flip if asked), made nonnegative: whether it is sign-definite, and its planes.
+
+    `rows` are the lifted walk's [[j11, j12], [j21, j22]]; each entry is
+    replaced in them by its product with -1.0 or 1.0, one plane at a time.
+    """
     if flip:
-        jac[..., (0, 1), (1, 0)] *= -1.0
-    planes = [jac[..., 0, 0], jac[..., 0, 1], jac[..., 1, 0], jac[..., 1, 1]]
-    positive = np.logical_and.reduce([p >= -_SIGN_TOL for p in planes])
-    negative = np.logical_and.reduce([p <= _SIGN_TOL for p in planes])
-    jac *= np.where(positive, 1.0, -1.0)[..., None, None]
-    return positive | negative, planes
+        rows[0][1] = rows[0][1] * -1.0
+        rows[1][0] = rows[1][0] * -1.0
+    positive = np.logical_and.reduce([p >= -_SIGN_TOL for row in rows for p in row])
+    negative = np.logical_and.reduce([p <= _SIGN_TOL for row in rows for p in row])
+    sign = np.where(positive, 1.0, -1.0)
+    for row in rows:
+        for k in (0, 1):
+            row[k] = row[k] * sign
+    return positive | negative, [*rows[0], *rows[1]]
 
 
 def _edge_margin(n11, n12, n21, n22) -> np.ndarray:
@@ -311,20 +319,20 @@ def check_psec(word, grid: int = 64) -> CertificateReport:
     the lifted derivative of the inverse word must do the same for the
     mixed-sign cone.  Returns the worst margin and up to 16 witnesses of
     failure; ``criterion`` names the first uniform-expansion test the forward
-    family satisfies, when one does.  Each family is one `lifted_jacobian` call
-    on the open angle grid, tested elementwise on its four entry planes.
+    family satisfies, when one does.  Each family is one lifted walk on the
+    open angle grid, tested elementwise on its four entry planes.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
     x1, x2 = _angle_grid(grid)
 
     # each family is reduced to what the report needs before the next is built
-    ok_f, fwd = _sign_normalize(lifted_jacobian(word, (x1, x2)))
+    ok_f, fwd = _sign_normalize(_lifted_rows(word, (x1, x2)))
     m_f = _edge_margin(*fwd)
     criterion = _family_criterion(*fwd) if ok_f.all() else None
     del fwd
     # flip J flip with flip = diag(1, -1): the mixed-sign cone seen as the same-sign one
-    ok_b, bwd = _sign_normalize(lifted_jacobian(inverse(word), (x1, x2)), flip=True)
+    ok_b, bwd = _sign_normalize(_lifted_rows(inverse(word), (x1, x2)), flip=True)
     m_b = _edge_margin(*bwd)
 
     sign_ok = bool(ok_f.all() and ok_b.all())
@@ -380,7 +388,7 @@ def find_connecting_torus(
     delta_tilde = _positive_pair(delta_tilde, "delta_tilde")
     Delta = _positive_pair(Delta, "Delta")
 
-    ok, planes = _sign_normalize(lifted_jacobian(word, _angle_grid(jac_grid)))
+    ok, planes = _sign_normalize(_lifted_rows(word, _angle_grid(jac_grid)))
     if not ok.all():
         return ConnectorReport(
             False, sigma, sigma_tilde, (0.0, 0.0), None, None,

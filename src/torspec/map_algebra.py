@@ -301,10 +301,16 @@ def word_to_text(word: WordLike) -> str:
 # values, lifted angles and projective charts.  `_walk` runs the first two on
 # numpy arrays, on one point or on a whole grid: values are broadcast to one
 # shape up front on the complex side; a lifted walk keeps an open grid's
-# column and row apart until an atom mixes them.  The scalar API passes
-# 1-element arrays, so a point of a grid call has the same bits as the scalar
-# call at that point.  On the complex side the point at infinity is a boolean
-# mask per coordinate (the value array holds garbage under the mask); a
+# column and row apart until an atom mixes them.  The Jacobian starts as
+# 1-element identity entries that broadcast, so an entry grows only where an
+# atom acts on it, and the four are broadcast to the full shape at the end
+# (x * 1.0 and x * 0.0 give the bits, zero signs included, that full identity
+# planes give).  A lifted walk that forms the Jacobian discards the angles:
+# a `G` atom whose output angle no later atom reads forms only its slope.
+# The scalar API passes 1-element arrays, so a point of a grid call has the
+# same bits as the scalar call at that point.  On the complex side the point
+# at infinity is a boolean mask per coordinate (the value array holds
+# garbage under the mask); a
 # product or quotient beyond the float range joins the mask, as it lies within
 # 1/1.8e308 of infinity on the sphere.  A coordinate has no mask (None) while
 # none of its points is at infinity, as on every torus sample.  An atom forms
@@ -326,17 +332,19 @@ class _Walk:
     points is at infinity (see the column comment above).  In the chart
     column `w` holds the two stored values (modulus <= 1), `inf` the two
     chart bits (1 means the coordinate stores 1/z) and `jac` is None or two
-    numpy rows.
+    numpy rows.  `dead` holds the (atom index, coordinate) of each `G`
+    output angle that a lifted Jacobian walk never forms.
     """
 
-    __slots__ = ("w", "inf", "jac", "index", "fault")
+    __slots__ = ("w", "inf", "jac", "index", "fault", "dead")
 
-    def __init__(self, w, inf, jac):
+    def __init__(self, w, inf, jac, dead=frozenset()):
         self.w = w
         self.inf = inf
         self.jac = jac
         self.index = 0
         self.fault = None
+        self.dead = dead
 
     def flag(self, mask, error: ValueError) -> None:
         """Remember the first failure of the walk; the caller raises it at the end."""
@@ -349,7 +357,10 @@ class _Walk:
                 self.flag(self.inf[i], PoleInChainError(f"z{i + 1} is infinite; conjugate by I(k, l) first"))
 
     def scale_row(self, i: int, factor) -> None:
-        self.jac[i] = [factor * self.jac[i][0], factor * self.jac[i][1]]
+        # entry by entry, so the old entry is freed before the next is formed
+        row = self.jac[i]
+        row[0] = factor * row[0]
+        row[1] = factor * row[1]
 
 
 def _swap(s: _Walk, atom: Atom) -> None:
@@ -470,12 +481,12 @@ def _complex_G(s: _Walk, atom: Atom) -> None:
             s.scale_row(i, (1.0 - abs(a) ** 2) / (den * den))
 
 
-def _lifted_shear(sign: int):
+def _lifted_shear(op):
     def action(s: _Walk, atom: Atom) -> None:
-        s.w[0] = s.w[0] + sign * s.w[1]
+        s.w[0] = op(s.w[0], s.w[1])
         if s.jac is not None:
             (j11, j12), (j21, j22) = s.jac
-            s.jac[0] = [j11 + sign * j21, j12 + sign * j22]
+            s.jac[0] = [op(j11, j21), op(j12, j22)]
 
     return action
 
@@ -492,10 +503,34 @@ def _lifted_G(s: _Walk, atom: Atom) -> None:
     for i, a in enumerate((atom.a, atom.b)):
         if a == 0:
             continue
-        g, gp = moebius_lift(a, s.w[i])
-        s.w[i] = s.w[i] + g
+        if (s.index, i) in s.dead:
+            r = abs(a)
+            gp = _lift_slope(r, r * np.cos(s.w[i] - cmath.phase(a)))
+        else:
+            g, gp = moebius_lift(a, s.w[i])
+            s.w[i] = s.w[i] + g
+            del g
         if s.jac is not None:
-            s.scale_row(i, 1.0 + gp)
+            gp += 1.0  # in place: the walk's peak memory is at a G atom
+            s.scale_row(i, gp)
+
+
+def _dead_angles(atoms: Tuple[Atom, ...]) -> frozenset:
+    """(atom index, coordinate) of each `G` output angle that no later atom reads, the walk's last angles discarded."""
+    live = [False, False]
+    dead = set()
+    for index, atom in enumerate(atoms):  # atoms run right to left, so an output's readers stand left of it
+        if atom.kind == "R":
+            live.reverse()
+        elif atom.kind in ("F", "Finv"):
+            live[1] = live[1] or live[0]
+        elif atom.kind == "G":
+            for i, a in enumerate((atom.a, atom.b)):
+                if a != 0:
+                    if not live[i]:
+                        dead.add((index, i))
+                    live[i] = True
+    return frozenset(dead)
 
 
 def _log_mod(v: complex) -> float:
@@ -566,8 +601,8 @@ def _chart_G(s: _Walk, atom: Atom) -> None:
 
 # atom kind -> (action on complex values, on lifted angles, on chart values)
 _ACTIONS = {
-    "F": (_complex_F, _lifted_shear(1), _chart_shear(1)),
-    "Finv": (_complex_Finv, _lifted_shear(-1), _chart_shear(-1)),
+    "F": (_complex_F, _lifted_shear(np.add), _chart_shear(1)),
+    "Finv": (_complex_Finv, _lifted_shear(np.subtract), _chart_shear(-1)),
     "R": (_swap, _swap, _swap),
     "I": (_complex_I, _lifted_I, _chart_I),
     "G": (_complex_G, _lifted_G, _chart_G),
@@ -588,25 +623,32 @@ def _walk(word: WordLike, point, inf=None, jacobian: bool = False):
     `point` is a pair of arrays; `inf` their infinity masks for a complex
     walk (None for a coordinate with no point at infinity), or None for a
     walk on lifted angles, which need only broadcast together.  Returns
-    (values at the broadcast shape, masks, Jacobian rows or None); the first
-    pole or indeterminate configuration met at any point is raised once the
-    walk is over.
+    (values at the broadcast shape, masks, Jacobian rows at that shape or
+    None); a lifted walk with the Jacobian returns None for the values,
+    which it leaves unformed past their last reader.  The first pole or
+    indeterminate configuration met at any point is raised once the walk
+    is over.
     """
     lifted = inf is None
+    atoms = _atoms(word)
     values = list(point if lifted else np.broadcast_arrays(*point))
     shape = np.broadcast_shapes(values[0].shape, values[1].shape)
     if not lifted:
         inf = [m if m is None else np.broadcast_to(m, shape) for m in inf]
-    jac = None
-    if jacobian:  # no local keeps the identity's planes alive once the rows move on
-        jac = [[np.ones(shape, values[0].dtype), np.zeros(shape, values[0].dtype)]]
-        jac.append(jac[0][::-1])
-    state = _Walk(values, inf, jac)
+    jac, dead = None, frozenset()
+    if jacobian:
+        one, zero = np.ones(1, values[0].dtype), np.zeros(1, values[0].dtype)
+        jac = [[one, zero], [zero, one]]
+        if lifted:
+            dead = _dead_angles(atoms)
+    state = _Walk(values, inf, jac, dead)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _interpret(state, _atoms(word), lifted)
+        _interpret(state, atoms, lifted)
     if state.fault is not None:
         raise state.fault
-    return np.broadcast_arrays(*state.w), state.inf, state.jac
+    values = None if lifted and jacobian else np.broadcast_arrays(*state.w)
+    rows = None if jac is None else [[np.broadcast_to(entry, shape) for entry in row] for row in state.jac]
+    return values, state.inf, rows
 
 
 def _extended_in(coords):
@@ -694,12 +736,29 @@ def moebius_lift(a: complex, theta):
     a = complex(a)
     r = abs(a)
     alpha = cmath.phase(a)
-    c = np.cos(theta - alpha)
-    g = 2.0 * np.arctan2(r * np.sin(theta - alpha), 1.0 - r * c)
-    gp = 2.0 * (r * c - r * r) / (1.0 - 2.0 * r * c + r * r)
+    rc = r * np.cos(theta - alpha)
+    g = 2.0 * np.arctan2(r * np.sin(theta - alpha), 1.0 - rc)
+    gp = _lift_slope(r, rc)
     if np.ndim(theta) == 0:
         return (float(g), float(gp))
     return (g, gp)
+
+
+def _lift_slope(r: float, rc):
+    """g' of `moebius_lift` from r = |a| and rc = r cos(theta - arg a).
+
+    This is 2 (r c - r^2) / (1 - 2 r c + r^2) with each step rounded as
+    written, formed in place on arrays: -2 rc + 1 is 1 - 2 rc exactly, and
+    2 rc and (2 r) c differ only where r c is subnormal, where both round
+    the denominator to 1.
+    """
+    num = rc - r * r
+    num *= 2.0
+    den = rc * -2.0
+    den += 1.0
+    den += r * r
+    num /= den
+    return num
 
 
 def _as_angles(x):
@@ -717,14 +776,22 @@ def evaluate_lifted(word: WordLike, x) -> Tuple[float, float]:
     return (y1, y2)
 
 
+def _lifted_rows(word: WordLike, x):
+    """The lifted derivative's rows [[j11, j12], [j21, j22]] at angle arrays x, each at their broadcast shape.
+
+    The entries may be read-only views of one value or of one grid line.
+    """
+    angles, _ = _as_angles(x)
+    return _walk(word, angles, jacobian=True)[2]
+
+
 def lifted_jacobian(word: WordLike, x) -> np.ndarray:
     """Real 2x2 derivative of the lifted word at angle coordinates x.
 
     On arrays of angles the result has shape broadcast(x1, x2).shape + (2, 2).
     """
     angles, scalar = _as_angles(x)
-    _, _, jac = _walk(word, angles, jacobian=True)
-    return _matrix(jac, scalar)
+    return _matrix(_lifted_rows(word, angles), scalar)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ the routes no workload reaches: every `torspec` call of CI's smoke steps,
 `spectrum` (both kinds) and `resonances --verify` at bands 6-12 on five
 grid-route words, `resonances` with and without `--verify --band 10` on four
 words whose sector walks meet a chart atom or square the word, and the calls
-of the strict expected failures and of the `build` edge cases in the tests.
+of the strict expected failures and of the `build` edge cases in the tests,
+and `check` on words of the atom kinds the workloads' U chains leave out.
 Each runs in-process in a fresh temporary directory; a call that raises
 stops the script with its traceback.  The script imports `torspec` from
 `./src` and the workloads from `./perfbench` of the working directory, so
@@ -84,6 +85,17 @@ EDGES = [
     'build --matrix "[[6361,120],[53,1]]" --decay exponential --eta 1000',
     'build --matrix "[[6361,120],[53,1]]" --decay stretched --eta 360',
 ]
+# the cone certificate on the atoms no workload's U chains bring to it: W
+# blocks, a G atom with dead output angles, two-parameter G atoms, Finv,
+# I01 and I10 (a broken cone), at odd and even grids
+CERTIFICATES = [
+    'check --word "W(1,0.2) . W(2,0.3)" --grid 33',
+    'check --word "G(0.2,0.1) . F . F . R" --grid 64',
+    'check --word "U(2,0.3i) . G(0.2i,0) . Finv . I01" --grid 48',
+    'check --word "I10 . U(1,0.5) . U(1,0.3)" --grid 40',
+    'check --word "F . R . G(0.3,-0.3) . F . R" --grid 31',
+    'check --word "U(1,0.4) . U(2,0.3) . U(1,-0.2)" --grid 37',
+]
 
 
 def built_word(matrix: str) -> str:
@@ -115,6 +127,7 @@ def argvs():
         yield ["resonances", "--word", word]
         yield ["resonances", "--word", word, "--verify", "--band", "10"]
     yield from map(shlex.split, EDGES)
+    yield from map(shlex.split, CERTIFICATES)
 
 
 def digest(argv) -> str:
